@@ -2,8 +2,9 @@
 
 Subcommands: enumerate, verify, map, render, orbits.  Exit codes: 0 ok,
 1 verification failure, 2 usage or parse error, 3 capability/limit error
-(unsupported width, search box over the candidate ceiling).  The ceiling
-can be raised via the FRIEZE_MAX_CANDIDATES environment variable.
+(unsupported width, search box over the candidate ceiling or cutting a
+shift orbit in two).  The ceiling can be raised via the
+FRIEZE_MAX_CANDIDATES environment variable.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import io, ymap
-from .core import PatternKind, PeriodicPattern, check_rows, glide_shift_of_rows, Violation
+from .core import (InconsistentDomain, PatternKind, PeriodicPattern, Violation,
+                   check_rows, glide_shift_of_rows)
 from .coxeter import MAX_ENUM_WIDTH
-from .search import BoxTooLarge
+from .search import BoxTooLarge, candidate_ceiling
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -53,9 +55,19 @@ def _parse_bounds(text: str) -> tuple[int, ...]:
     return bounds
 
 
-def cmd_enumerate(args) -> int:
+def _catalog(args, parallelism: int = 1) -> "io.Catalog | int":
+    """Check the arguments enumerate and orbits share, then build the catalog.
+
+    Returns the catalog, or an exit code after printing a one-line error.
+    """
     if args.width < 1:
         return _fail(EXIT_USAGE, f"width must be >= 1, got {args.width}")
+    if parallelism < 1:
+        return _fail(EXIT_USAGE, f"--parallelism must be >= 1, got {parallelism}")
+    try:
+        candidate_ceiling()
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     kind = PatternKind(args.kind)
     bounds = None
     if args.bounds is not None:
@@ -75,11 +87,19 @@ def cmd_enumerate(args) -> int:
         return _fail(EXIT_USAGE,
                      f"width {args.width} has no proven boxes; pass --bounds")
     try:
-        catalog = io.build_catalog(kind, args.width, bounds=bounds,
-                                   parallelism=args.parallelism)
+        return io.build_catalog(kind, args.width, bounds=bounds, parallelism=parallelism)
     except BoxTooLarge as exc:
         return _fail(EXIT_LIMIT, str(exc))
+    except ymap.NotShiftClosed as exc:
+        return _fail(EXIT_LIMIT,
+                     f"the box cuts a shift orbit in two ({exc}); widen --bounds")
 
+
+def cmd_enumerate(args) -> int:
+    catalog = _catalog(args, args.parallelism)
+    if isinstance(catalog, int):
+        return catalog
+    kind = catalog.kind
     if args.format == "json":
         text = io.catalog_to_json(catalog)
     elif args.format == "csv":
@@ -95,14 +115,13 @@ def _verify_one(kind: PatternKind, width: int, rows) -> Optional[Violation]:
     violation = check_rows(kind, width, rows)
     if violation is not None:
         return violation
-    pattern = PeriodicPattern(kind, width, tuple(tuple(r) for r in rows))
     interior_start = 1 if kind is PatternKind.Y else 2
-    for m, row in enumerate(pattern.interior(), start=interior_start):
-        for k, v in enumerate(row):
+    for m in range(interior_start, interior_start + width):
+        for k, v in enumerate(rows[m]):
             if v <= 0 or v.denominator != 1:
                 return Violation("positivity", m, k,
                                  f"interior entry {v} is not a positive integer")
-    if glide_shift_of_rows(pattern.rows, pattern.period) is None:
+    if glide_shift_of_rows(rows, width + 3) is None:
         return Violation("glide", -1, -1, "no reflection-shift maps the pattern to itself")
     return None
 
@@ -173,25 +192,10 @@ def cmd_map(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    if args.width < 1:
-        return _fail(EXIT_USAGE, f"width must be >= 1, got {args.width}")
-    kind = PatternKind(args.kind)
-    bounds = None
-    if args.bounds is not None:
-        try:
-            bounds = _parse_bounds(args.bounds)
-        except ValueError as exc:
-            return _fail(EXIT_USAGE, str(exc))
-    if kind is PatternKind.COXETER and args.width > MAX_ENUM_WIDTH:
-        return _fail(EXIT_LIMIT,
-                     f"coxeter enumeration supports widths up to {MAX_ENUM_WIDTH}")
-    if kind is PatternKind.Y and args.width not in (1, 2, 3, 4) and bounds is None:
-        return _fail(EXIT_USAGE,
-                     f"width {args.width} has no proven boxes; pass --bounds")
-    try:
-        catalog = io.build_catalog(kind, args.width, bounds=bounds)
-    except BoxTooLarge as exc:
-        return _fail(EXIT_LIMIT, str(exc))
+    catalog = _catalog(args)
+    if isinstance(catalog, int):
+        return catalog
+    kind = catalog.kind
     orbits = ymap.orbit_decomposition([e.pattern for e in catalog.entries])
     if args.format == "json":
         text = json.dumps({
@@ -222,6 +226,8 @@ def cmd_render(args) -> int:
                     for kind, width, rows in raw]
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         return _fail(EXIT_USAGE, f"cannot parse {args.input}: {exc}")
+    except InconsistentDomain as exc:
+        return _fail(EXIT_USAGE, f"{args.input} holds an invalid pattern: {exc}")
     if args.index is not None:
         if not 0 <= args.index < len(patterns):
             return _fail(EXIT_USAGE, f"index {args.index} out of range "

@@ -238,11 +238,3 @@ def w4_domain(diag: Sequence[int]) -> FundamentalDomain:
         (Fraction(d), ent.h),
     ))
 
-
-def domain_from_diagonal(diag: Sequence[int]) -> FundamentalDomain:
-    """Closed-form domain for a width-3 or width-4 diagonal."""
-    if len(diag) == 3:
-        return w3_domain(diag)
-    if len(diag) == 4:
-        return w4_domain(diag)
-    raise ValueError(f"no closed form for width {len(diag)}; use the generic search")

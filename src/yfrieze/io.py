@@ -20,6 +20,7 @@ quiddity for Coxeter), one column per letter, in the same order as JSON.
 from __future__ import annotations
 
 import json
+import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,9 +39,9 @@ def _value_to_json(v: Fraction):
 
 
 def _value_from_json(x) -> Fraction:
-    if isinstance(x, int):
+    if type(x) is int:  # JSON true and false load as bool, an int subclass
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+/[0-9]*[1-9][0-9]*", x):
         return Fraction(x)
     raise ValueError(f"pattern entries must be ints or 'p/q' strings, got {x!r}")
 
@@ -231,6 +232,8 @@ def catalog_to_csv(catalog: Catalog) -> str:
 
 def tuples_from_csv(text: str) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     lines = [line for line in text.split("\n") if line]
+    if not lines:
+        raise ValueError("CSV text has no header line")
     header = tuple(lines[0].split(","))
     rows = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
     for row in rows:

@@ -1,16 +1,17 @@
 """Exhaustive enumeration of arithmetic Y-frieze patterns.
 
-Three independent routes exist for width 3 and they must agree exactly:
+One engine, a depth-first search over the first diagonal (see _scan),
+serves every width:
 
-  * enumerate_w3    proven boxes + divisibility pruning (closed form)
-  * enumerate_generic  column propagation of candidate diagonals, verified
-                       through propagate_y, no closed form involved
-  * oracle_box_check   unpruned brute force over a full cube, used to
-                       confirm the boxes lose nothing
+  * enumerate_w3, enumerate_w4  search the proven boxes, so they are complete
+  * enumerate_generic           searches a caller-supplied box, with no
+                                completeness claim
+  * oracle_box_check            unpruned brute force over a width-3 cube, the
+                                reference showing that the boxes and the
+                                pruning lose nothing
 
-Width 4 runs the box search only (the generic route works there too but is
-slower); generic handles widths 1, 2 and exploratory larger widths with
-caller-supplied bounds.
+Every hit is re-verified by propagate_y, which rebuilds its pattern row by
+row, and its full entry tuple is read off that pattern.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Sequence
+from itertools import chain
+from math import gcd
+from typing import Iterable, Optional, Sequence
 
-from .closedform import SearchBox, w3_boxes, w3_entries, w4_boxes, w4_entries
+from .closedform import SearchBox, w3_boxes, w4_boxes
 from .core import (FundamentalDomain, PatternKind, PeriodicPattern, FriezeError,
                    domain_of, expand_domain, is_arithmetic, propagate_y)
 
@@ -53,118 +55,96 @@ class SolutionSet:
         return len(self.diagonals)
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _scan(task: tuple[tuple[int, ...], int]) -> list[tuple[int, ...]]:
+    """First rows of the closed arithmetic patterns whose first diagonal
+    lies in a box and starts with x_1.
+
+    `task` is (box bounds, x_1); safe to run in a worker process.  The DFS
+    solves anti-diagonal k of the column triangle, the cells (m, j) with
+    m + j = k listed bottom-up, from anti-diagonal k - 1: each cell is
+    (1 + N)(1 + S) / W.  Its lowest cell is x_{k+1}, chosen from the box,
+    or for k >= n the zero row below the pattern.  Quotients of positive
+    integers are positive, so a branch ends at the first non-integral
+    cell.  The pattern closes when anti-diagonal n - 1 comes back one
+    period on.
+    """
+    bounds, first = task
+    n = len(bounds)
+    period = n + 3
+    rows = []
+
+    def descend(antis: list[list[int]]) -> None:
+        k = len(antis)
+        if k == n + period:
+            if antis[-1] == antis[n - 1]:
+                rows.append(tuple(anti[-1] for anti in antis[:period]))
+            return
+        prev = antis[-1]
+        if k < n:
+            # The lowest solved cell is integral iff x = -1 mod W / gcd(W, 1 + N).
+            step = prev[0] // gcd(prev[0], 1 + (prev[1] if k > 1 else 0))
+            choices = range(max(step - 1, 1), bounds[k] + 1, step)
+        else:
+            choices = (0,)
+        for x in choices:
+            cur = [x] if k < n else []
+            south = x
+            for i, west in enumerate(prev):
+                north = prev[i + 1] if i + 1 < len(prev) else 0
+                south, r = divmod((1 + north) * (1 + south), west)
+                if r:
+                    break
+                cur.append(south)
+            else:
+                antis.append(cur)
+                descend(antis)
+                antis.pop()
+
+    descend([[first]])
+    return rows
 
 
-def _solution_set(width: int, diagonals, tuple_of) -> SolutionSet:
-    diags = sorted(set(diagonals))
-    return SolutionSet(width, tuple(diags), tuple(tuple_of(d) for d in diags))
+def _solution_set(width: int, first_rows: Iterable[tuple[int, ...]]) -> SolutionSet:
+    """Re-verify every hit by row propagation; sort the hits by diagonal."""
+    found = {}
+    for row in set(first_rows):
+        pattern = propagate_y(row, width)
+        if not is_arithmetic(pattern):
+            raise FriezeError(f"first row {row} fails re-verification")
+        full = tuple(int(v) for v in domain_of(pattern).entry_tuple())
+        found[full[:width]] = full
+    diags = tuple(sorted(found))
+    return SolutionSet(width, diags, tuple(found[d] for d in diags))
 
 
-def _w3_full_tuple(diag: tuple[int, ...]) -> tuple[int, ...]:
-    return diag + _int_tuple(w3_entries(diag).as_tuple())
-
-
-def _w4_full_tuple(diag: tuple[int, ...]) -> tuple[int, ...]:
-    return diag + _int_tuple(w4_entries(diag).as_tuple())
+def _search(width: int, boxes: Iterable[SearchBox], parallelism: int = 1) -> SolutionSet:
+    """Run the DFS over the boxes, one task per (box, x_1), on up to
+    `parallelism` worker processes.  The hits are merged and sorted, so the
+    output does not depend on the schedule."""
+    tasks = [(box.bounds, first) for box in boxes
+             for first in range(1, box.bounds[0] + 1)]
+    workers = min(parallelism, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_scan, tasks))
+    else:
+        chunks = map(_scan, tasks)
+    return _solution_set(width, chain.from_iterable(chunks))
 
 
 def enumerate_w3() -> SolutionSet:
     """All width-3 diagonals whose six solved entries are positive integers."""
-    found = set()
-    for box in w3_boxes():
-        a_hi, b_hi, c_hi = box.bounds
-        for a in range(1, a_hi + 1):
-            # d integral means a | b+1, so step b through that residue class.
-            for b in range(1 if a == 1 else a - 1, b_hi + 1, a):
-                ab = a * b
-                s2 = a + b + 1
-                bb1 = b * (b + 1)
-                for c in range(1, c_hi + 1):
-                    if ((c + 1) * s2) % ab:          # e
-                        continue
-                    p3 = ab + a * c + b * c + s2 + c
-                    if p3 % (ab * c):                # f
-                        continue
-                    if p3 % bb1:                     # g
-                        continue
-                    if ((a + 1) * (b + c + 1)) % (b * c):  # h
-                        continue
-                    if (b + 1) % c:                  # i
-                        continue
-                    found.add((a, b, c))
-    return _solution_set(3, found, _w3_full_tuple)
-
-
-def _divisor_table(limit: int) -> list[list[int]]:
-    table: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(1, limit + 1):
-        for multiple in range(d, limit + 1, d):
-            table[multiple].append(d)
-    return table
-
-
-def _w4_scan_a(task: tuple[tuple[int, int, int, int], int]) -> list[tuple[int, int, int, int]]:
-    """Scan one outer value a of one box; safe to run in a worker process."""
-    bounds, a = task
-    _, b_hi, c_hi, d_hi = bounds
-    divisors = _divisor_table(c_hi + 1)
-    out = []
-    for b in range(1 if a == 1 else a - 1, b_hi + 1, a):  # a | b+1: e integral
-        ab = a * b
-        s2 = a + b + 1
-        bb1 = b * (b + 1)
-        for c in range(1, c_hi + 1):
-            if ((c + 1) * s2) % ab:                  # f
-                continue
-            p3 = ab + a * c + b * c + s2 + c
-            if p3 % bb1:                             # i
-                continue
-            abc = ab * c
-            cc1 = c * (c + 1)
-            jden = bb1 * cc1
-            for d in divisors[c + 1]:                # n integral: d | c+1
-                if d > d_hi:
-                    break
-                if ((d + 1) * p3) % abc:             # g
-                    continue
-                q = b * c + b * d + c * d + b + c + d + 1
-                if q % cc1:                          # l
-                    continue
-                if ((b + 1) * (c + d + 1)) % (c * d):  # m
-                    continue
-                if ((a + 1) * q) % (b * c * d):      # k
-                    continue
-                big = (d + 1) * p3 + abc
-                if big % (abc * d):                  # h
-                    continue
-                if ((b + c + 1) * big) % (jden):     # j
-                    continue
-                out.append((a, b, c, d))
-    return out
+    return _search(3, w3_boxes())
 
 
 def enumerate_w4(parallelism: int = 1) -> SolutionSet:
     """All width-4 diagonals whose ten solved entries are positive integers.
 
-    Iterates the four proven boxes with cheapest-divisibility-first pruning
-    (e before f/i, n via a divisor table before the rest).  The outer `a`
-    loop of each box may be partitioned over worker processes; results are
-    merged into a set and sorted, so the output is schedule-independent.
+    Searches the four proven boxes.  The tasks, one per box and first
+    entry, run on at most min(parallelism, CPU count, task count) worker
+    processes.
     """
-    tasks = [(box.bounds, a)
-             for box in w4_boxes()
-             for a in range(1, box.bounds[0] + 1)]
-    found: set[tuple[int, int, int, int]] = set()
-    if parallelism <= 1:
-        for task in tasks:
-            found.update(_w4_scan_a(task))
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for chunk in pool.map(_w4_scan_a, tasks):
-                found.update(chunk)
-    return _solution_set(4, found, _w4_full_tuple)
+    return _search(4, w4_boxes(), parallelism)
 
 
 def oracle_box_check(width: int, bound: int) -> SolutionSet:
@@ -195,41 +175,26 @@ def oracle_box_check(width: int, bound: int) -> SolutionSet:
                     continue
                 if (b + 1) % c:
                     continue
-                found.append((a, b, c))
-    return _solution_set(3, found, _w3_full_tuple)
+                # Row 1 of the pattern: (a, d, g, i) then (c, f).
+                found.append((a, (b + 1) // a, p3 // (b * (b + 1)), (b + 1) // c,
+                              c, p3 // (a * b * c)))
+    return _solution_set(3, found)
 
 
-def _candidate_ceiling(max_candidates: Optional[int]) -> int:
+def candidate_ceiling(max_candidates: Optional[int] = None) -> int:
+    """The generic search's volume ceiling: the argument if given, else
+    the FRIEZE_MAX_CANDIDATES environment variable, else 10^9.
+
+    Raises ValueError when the environment value is not a positive integer.
+    """
     if max_candidates is not None:
         return max_candidates
     env = os.environ.get(MAX_CANDIDATES_ENV)
-    return int(env) if env else DEFAULT_MAX_CANDIDATES
-
-
-def _close_from_diagonal(width: int, diag: Sequence[int]) -> Optional[list[tuple[int, ...]]]:
-    """Column-propagate a diagonal; return all period columns or None.
-
-    Column k+1 follows from column k by solving each diamond for its east
-    cell top-down; candidates are pruned as soon as an entry fails to be a
-    positive integer, and accepted iff the columns come back around.
-    """
-    n = width
-    period = n + 3
-    cols = [tuple(diag)]
-    for _ in range(period):
-        prev = cols[-1]
-        nxt: list[int] = []
-        for m in range(n):
-            n_val = 0 if m == 0 else nxt[m - 1]
-            s_val = 0 if m == n - 1 else prev[m + 1]
-            e, r = divmod((1 + n_val) * (1 + s_val), prev[m])
-            if r or e <= 0:
-                return None
-            nxt.append(e)
-        cols.append(tuple(nxt))
-    if cols[period] != cols[0]:
-        return None
-    return cols[:period]
+    if not env:
+        return DEFAULT_MAX_CANDIDATES
+    if not (env.strip().isdecimal() and int(env) > 0):
+        raise ValueError(f"{MAX_CANDIDATES_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def enumerate_generic(width: int, box: SearchBox,
@@ -237,33 +202,17 @@ def enumerate_generic(width: int, box: SearchBox,
     """Search every diagonal in `box` for closed arithmetic patterns.
 
     Works at any width; no completeness claim unless the box is proven to
-    contain all solutions.  Each accepted diagonal is re-verified by
-    running propagate_y on the reconstructed first row, keeping this route
-    independent of the closed-form formulas.  Raises BoxTooLarge when the
-    box volume exceeds the ceiling (default 10^9, overridable via the
-    FRIEZE_MAX_CANDIDATES environment variable or the argument).
+    contain all solutions.  Raises BoxTooLarge when the box volume exceeds
+    the ceiling (see candidate_ceiling).
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     if len(box.bounds) != width:
         raise ValueError(f"box must bound {width} diagonal values, got {len(box.bounds)}")
-    ceiling = _candidate_ceiling(max_candidates)
+    ceiling = candidate_ceiling(max_candidates)
     if box.volume() > ceiling:
         raise BoxTooLarge(f"box volume {box.volume()} exceeds ceiling {ceiling}")
-
-    diagonals = []
-    tuples = {}
-    for diag in product(*(range(1, b + 1) for b in box.bounds)):
-        cols = _close_from_diagonal(width, diag)
-        if cols is None:
-            continue
-        first_row = tuple(col[0] for col in cols)
-        pattern = propagate_y(first_row, width)  # independent re-verification
-        if not is_arithmetic(pattern):
-            continue
-        diagonals.append(diag)
-        tuples[diag] = _int_tuple(domain_of(pattern).entry_tuple())
-    return _solution_set(width, diagonals, tuples.__getitem__)
+    return _search(width, [box])
 
 
 def solution_domain(sols: SolutionSet, index: int) -> FundamentalDomain:

@@ -17,6 +17,11 @@ from .core import (ClosureFailure, FriezeError, PatternKind, PeriodicPattern,
 from . import coxeter, search
 
 
+class NotShiftClosed(FriezeError, ValueError):
+    """A pattern set lacks a cyclic shift of one of its members, as when a
+    search box cuts a shift orbit in two."""
+
+
 class MapFailure(FriezeError):
     """The image of a valid frieze failed to close or to be arithmetic.
 
@@ -68,7 +73,8 @@ def orbit_decomposition(patterns: Sequence[PeriodicPattern]) -> list[list[int]]:
     """Partition pattern indices into cyclic-shift orbits.
 
     Orbits are sorted by size descending, then by smallest member index.
-    The input must be closed under cyclic shifts.
+    The input must be closed under cyclic shifts; NotShiftClosed is raised
+    otherwise.
     """
     index = {p: i for i, p in enumerate(patterns)}
     if len(index) != len(patterns):
@@ -82,8 +88,8 @@ def orbit_decomposition(patterns: Sequence[PeriodicPattern]) -> list[list[int]]:
         for s in range(p.period):
             shifted = cyclic_shift(p, s)
             if shifted not in index:
-                raise ValueError(f"pattern set not closed under shifts "
-                                 f"(shift {s} of pattern {i} is missing)")
+                raise NotShiftClosed(f"pattern set not closed under shifts "
+                                     f"(shift {s} of pattern {i} is missing)")
             members.add(index[shifted])
         seen |= members
         orbits.append(sorted(members))

@@ -63,6 +63,38 @@ def test_enumerate_capability_limits(capsys, monkeypatch):
     assert "ceiling" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_malformed_candidate_ceiling_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", value)
+    code, out, err = run(capsys, "enumerate", "--kind", "y", "--width", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: FRIEZE_MAX_CANDIDATES") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_parallelism_below_one_is_a_usage_error(capsys, value):
+    code, _, err = run(capsys, "enumerate", "--kind", "y", "--width", "4",
+                       "--parallelism", value)
+    assert code == 2
+    assert "--parallelism" in err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "orbits"])
+def test_box_cutting_a_shift_orbit_is_a_limit_error(capsys, command):
+    code, out, err = run(capsys, command, "--kind", "y", "--width", "5",
+                         "--bounds", "14,14,14,14,14")
+    assert code == 3 and out == ""
+    assert "shift orbit" in err and err.count("\n") == 1
+
+
+def test_width_5_box_holding_every_orbit(capsys, monkeypatch):
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(2 * 10 ** 9))
+    code, out, _ = run(capsys, "enumerate", "--kind", "y", "--width", "5",
+                       "--bounds", "64,64,64,64,64", "--format", "csv")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 121  # header + 120 patterns
+
+
 def test_enumerate_generic_width_via_bounds(capsys):
     code, out, _ = run(capsys, "enumerate", "--kind", "y", "--width", "2",
                        "--format", "csv")
@@ -120,6 +152,22 @@ def test_verify_rejects_tampered_entry(coxeter3_catalog_file, tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(bad))
     assert code == 1
     assert "diamond violation at row" in out
+
+
+def test_verify_checks_each_pattern_once(coxeter3_catalog_file, capsys, monkeypatch):
+    from yfrieze import cli, core
+    calls = []
+    check_rows = core.check_rows
+
+    def counting_check_rows(*args):
+        calls.append(args)
+        return check_rows(*args)
+
+    monkeypatch.setattr(cli, "check_rows", counting_check_rows)
+    monkeypatch.setattr(core, "check_rows", counting_check_rows)
+    code, _, _ = run(capsys, "verify", str(coxeter3_catalog_file))
+    assert code == 0
+    assert len(calls) == 14
 
 
 def test_verify_rejects_malformed_file(tmp_path, capsys):
@@ -201,6 +249,14 @@ def test_orbits_coxeter_3(capsys):
     assert sizes == [6, 3, 3, 2]
 
 
+def test_orbits_usage_errors(capsys):
+    code, _, err = run(capsys, "orbits", "--kind", "y", "--width", "3", "--bounds", "3,3")
+    assert code == 2 and "--bounds needs 3 values" in err
+    code, _, _ = run(capsys, "orbits", "--kind", "coxeter", "--width", "3",
+                     "--bounds", "4,18,11")
+    assert code == 2
+
+
 def test_orbits_y3_json(capsys):
     code, out, _ = run(capsys, "orbits", "--kind", "y", "--width", "3",
                        "--format", "json")
@@ -217,6 +273,16 @@ def test_render_catalog_entry(coxeter3_catalog_file, capsys):
     lines = out.splitlines()
     assert len(lines) == 7
     assert lines[1].split() == ["1"] * 12
+
+
+def test_render_rejects_tampered_entry(coxeter3_catalog_file, tmp_path, capsys):
+    obj = json.loads(coxeter3_catalog_file.read_text())
+    obj["patterns"][0]["rows"][2][0] = 6
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "render", str(bad))
+    assert code == 2 and out == ""
+    assert "diamond violation" in err and err.count("\n") == 1
 
 
 def test_render_index_out_of_range(coxeter3_catalog_file, capsys):

@@ -29,9 +29,16 @@ def test_nonintegral_entries_serialize_as_strings():
 def test_pattern_obj_rejects_garbage():
     with pytest.raises(ValueError):
         io.raw_pattern_from_obj({"schema": "nope"})
+    # entries are JSON ints or "p/q" strings, nothing else
+    for bad in (1.5, True, False, "2.0", "2", "1/0", "1/2/3", " 1/2", None):
+        with pytest.raises(ValueError):
+            io.raw_pattern_from_obj({"schema": "frieze/1", "kind": "y", "width": 3,
+                                     "rows": [[bad]]})
+
+
+def test_tuples_from_empty_csv():
     with pytest.raises(ValueError):
-        io.raw_pattern_from_obj({"schema": "frieze/1", "kind": "y", "width": 3,
-                                 "rows": [[1.5]]})
+        io.tuples_from_csv("")
 
 
 # ---------------------------------------------------------------- catalogs

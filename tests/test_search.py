@@ -1,5 +1,7 @@
 """Box enumeration, generic diagonal search and the brute-force oracle."""
 
+from itertools import product
+
 import pytest
 
 import yfrieze as yf
@@ -25,6 +27,14 @@ def test_enumerate_w4_exact(w4_solutions):
     assert list(w4_solutions.diagonals) == sorted(set(w4_solutions.diagonals))
 
 
+def test_full_tuples_match_closed_forms(w3_solutions, w4_solutions):
+    # The search reads tuples off propagated patterns; the closed forms are
+    # an independent route to the same entries.
+    for sols, entries in ((w3_solutions, yf.w3_entries), (w4_solutions, yf.w4_entries)):
+        for diag, full in zip(sols.diagonals, sols.full_tuples):
+            assert full == diag + entries(diag).as_tuple()
+
+
 def test_solution_sets_closed_under_reversal(w3_solutions, w4_solutions):
     diags3 = set(w3_solutions.diagonals)
     assert {tuple(reversed(d)) for d in diags3} == diags3
@@ -34,6 +44,35 @@ def test_solution_sets_closed_under_reversal(w3_solutions, w4_solutions):
 
 def test_parallel_enumeration_matches_serial(w4_solutions):
     assert yf.enumerate_w4(parallelism=4) == w4_solutions
+
+
+def test_enumerate_w4_caps_its_workers(monkeypatch, w4_solutions):
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(yf.search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 4)
+    assert yf.enumerate_w4(parallelism=10 ** 6) == w4_solutions
+    assert yf.enumerate_w4(parallelism=3) == w4_solutions
+    assert yf.enumerate_w4(parallelism=1) == w4_solutions  # serial, no pool
+    monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 10 ** 6)
+    assert yf.enumerate_w4(parallelism=10 ** 6) == w4_solutions
+    monkeypatch.setattr(yf.search.os, "cpu_count", lambda: None)
+    assert yf.enumerate_w4(parallelism=8) == w4_solutions  # unknown count: serial
+    tasks = sum(box.bounds[0] for box in yf.w4_boxes())
+    assert created == [4, 3, tasks]
 
 
 def test_every_solution_expands_to_valid_arithmetic_pattern(y3_patterns, y4_patterns):
@@ -72,6 +111,24 @@ def test_generic_width_4_spot_check(w4_solutions):
     by_diag = dict(zip(w4_solutions.diagonals, w4_solutions.full_tuples))
     for diag, full in zip(sols.diagonals, sols.full_tuples):
         assert full == by_diag[diag]
+    # the whole solution set lies in this box
+    assert yf.enumerate_generic(4, yf.SearchBox((41, 40, 40, 41))) == w4_solutions
+
+
+def test_generic_width_4_matches_unpruned_closed_form_scan():
+    # Every point of the cube, no pruning: the ten solved entries must all be
+    # positive integers.
+    bound = 12
+    unpruned = tuple(diag for diag in product(range(1, bound + 1), repeat=4)
+                     if all(v > 0 and v.denominator == 1
+                            for v in yf.w4_entries(diag).as_tuple()))
+    assert yf.enumerate_generic(4, yf.SearchBox((bound,) * 4)).diagonals == unpruned
+
+
+def test_generic_width_5_box():
+    sols = yf.enumerate_generic(5, yf.SearchBox((20,) * 5))
+    assert len(sols) == 89
+    assert {tuple(reversed(d)) for d in sols.diagonals} == set(sols.diagonals)
 
 
 def test_generic_rejects_bad_arguments():
@@ -92,6 +149,10 @@ def test_candidate_ceiling_env_override(monkeypatch):
         yf.enumerate_generic(2, yf.SearchBox((30, 30)))
     monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, "1000")
     assert len(yf.enumerate_generic(2, yf.SearchBox((30, 30)))) == 5
+    for malformed in ("abc", "0", "-1"):
+        monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, malformed)
+        with pytest.raises(ValueError, match=yf.search.MAX_CANDIDATES_ENV):
+            yf.enumerate_generic(2, yf.SearchBox((30, 30)))
 
 
 # ----------------------------------------------------------------- oracle
