@@ -195,11 +195,13 @@ def cmd_orbits(args) -> int:
     catalog = _catalog(args)
     if isinstance(catalog, int):
         return catalog
-    kind = catalog.kind
-    orbits = ymap.orbit_decomposition([e.pattern for e in catalog.entries])
+    members = {}
+    for entry in catalog.entries:
+        members.setdefault(entry.orbit_root, []).append(entry.id)
+    orbits = sorted(members.values(), key=lambda orbit: (-len(orbit), orbit[0]))
     if args.format == "json":
         text = json.dumps({
-            "kind": kind.value,
+            "kind": catalog.kind.value,
             "width": args.width,
             "orbits": [{"root": orbit[0], "size": len(orbit), "members": orbit}
                        for orbit in orbits],

@@ -13,9 +13,10 @@ n + 3.  The diamond anchored at (m, k) reads
 with column indices mod the period; this is the alignment induced by
 drawing row m shifted right by half a cell per row index.
 
-All entries are `fractions.Fraction`; every operation is exact and every
-value is immutable after construction, so everything here is safe to share
-across threads.
+Entries are plain ints where a pattern is arithmetic and `fractions.Fraction`
+otherwise; every operation is exact and every value is immutable after
+construction, so everything here is safe to share across threads.  A pattern
+is validated once, when it is built; its cyclic shifts are not re-checked.
 """
 
 from __future__ import annotations
@@ -73,12 +74,24 @@ class Violation:
         return f"{self.check} violation at row {self.row}, col {self.col}: {self.detail}"
 
 
-def _frac(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _frac(value) -> "int | Fraction":
+    """Ints (not bools) and Fractions as they are, anything else as a Fraction."""
+    if type(value) is int or isinstance(value, Fraction):
+        return value
+    return Fraction(value)
 
 
 def _frac_rows(rows: Iterable[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(_frac(v) for v in row) for row in rows)
+
+
+def _div(num, den) -> "int | Fraction":
+    """Exact num / den: an int if both are ints and den divides num, else a Fraction."""
+    if type(num) is int and type(den) is int:
+        quotient, remainder = divmod(num, den)
+        if not remainder:
+            return quotient
+    return Fraction(num) / den
 
 
 def check_rows(kind: PatternKind, width: int,
@@ -157,6 +170,14 @@ class PeriodicPattern:
         if violation is not None:
             raise InconsistentDomain(violation)
 
+    @classmethod
+    def _derived(cls, source: "PeriodicPattern", rows) -> "PeriodicPattern":
+        """A pattern of source's kind and width whose rows a symmetry of the
+        rules (a cyclic shift) derives from source's: valid, so not re-checked."""
+        pattern = object.__new__(cls)
+        pattern.__dict__.update(kind=source.kind, width=source.width, rows=rows)
+        return pattern
+
     @property
     def period(self) -> int:
         return self.width + 3
@@ -168,20 +189,20 @@ class PeriodicPattern:
         return self.rows[2:self.width + 2]
 
 
-def y_south(w, e, n_val) -> Fraction:
+def y_south(w, e, n_val) -> "int | Fraction":
     """Solve the Y rule for the bottom cell: S = W*E/(1+N) - 1.
 
     Raises ZeroDivisionError when 1 + N == 0.
     """
-    return _frac(w) * _frac(e) / (1 + _frac(n_val)) - 1
+    return _div(_frac(w) * _frac(e), 1 + _frac(n_val)) - 1
 
 
-def coxeter_east(w, n_val, s) -> Fraction:
+def coxeter_east(w, n_val, s) -> "int | Fraction":
     """Solve the unimodular rule for the right cell: E = (1 + N*S)/W.
 
     Raises ZeroDivisionError when W == 0.
     """
-    return (1 + _frac(n_val) * _frac(s)) / _frac(w)
+    return _div(1 + _frac(n_val) * _frac(s), _frac(w))
 
 
 def propagate_y(first_row: Sequence, width: int) -> PeriodicPattern:
@@ -199,7 +220,7 @@ def propagate_y(first_row: Sequence, width: int) -> PeriodicPattern:
     if len(first) != period:
         raise ValueError(f"first row must have {period} entries, got {len(first)}")
 
-    rows = [(Fraction(0),) * period, first]
+    rows = [(0,) * period, first]
     for m in range(1, n + 1):
         cur = rows[m]
         above = rows[m - 1]
@@ -208,7 +229,7 @@ def propagate_y(first_row: Sequence, width: int) -> PeriodicPattern:
             den = 1 + above[(k + 1) % period]
             if den == 0:
                 raise ClosureFailure(m + 1, k, None, "division by zero (1 + N = 0)")
-            nxt.append(cur[k] * cur[(k + 1) % period] / den - 1)
+            nxt.append(_div(cur[k] * cur[(k + 1) % period], den) - 1)
         if m < n and all(v == 0 for v in nxt):
             # a zero row this early means the pattern closed at width m.
             raise ClosureFailure(m + 1, 0, Fraction(0),
@@ -279,8 +300,8 @@ def expand_domain(dom: FundamentalDomain,
     n = dom.width
     period = n + 3
     interior = [dom.rows[m - 1] + dom.rows[n - m] for m in range(1, n + 1)]
-    zeros = (Fraction(0),) * period
-    ones = (Fraction(1),) * period
+    zeros = (0,) * period
+    ones = (1,) * period
     if kind is PatternKind.Y:
         rows = [zeros, *interior, zeros]
     else:
@@ -308,13 +329,11 @@ def is_arithmetic(pattern: PeriodicPattern) -> bool:
 
 def cyclic_shift(pattern: PeriodicPattern, s: int) -> PeriodicPattern:
     """Rotate every row left by s columns (s reduced mod the period)."""
-    period = pattern.period
-    s %= period
+    s %= pattern.period
     if s == 0:
         return pattern
-    rows = tuple(tuple(row[(k + s) % period] for k in range(period))
-                 for row in pattern.rows)
-    return PeriodicPattern(pattern.kind, pattern.width, rows)
+    return PeriodicPattern._derived(pattern,
+                                    tuple(row[s:] + row[:s] for row in pattern.rows))
 
 
 def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Optional[int]:
@@ -344,7 +363,6 @@ def intrinsic_period(pattern: PeriodicPattern) -> int:
     for q in range(1, period + 1):
         if period % q:
             continue
-        if all(row[k] == row[(k + q) % period]
-               for row in pattern.rows for k in range(period)):
+        if all(row[q:] + row[:q] == row for row in pattern.rows):
             return q
     return period

@@ -2,7 +2,8 @@
 
 Every maximal set of non-crossing diagonals of a convex polygon yields a
 quiddity (per-vertex incident-triangle counts), and the quiddity is the
-first interior row of a closed arithmetic frieze under the unimodular rule.
+first interior row of a closed arithmetic frieze under the unimodular rule
+(Conway and Coxeter, Math. Gazette 57, 1973), propagated in plain ints.
 Distinct triangulations give distinct friezes, so the width-n count is the
 Catalan number C_{n+1}.
 """
@@ -10,11 +11,10 @@ Catalan number C_{n+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import FriezeError, PatternKind, PeriodicPattern
+from .core import FriezeError, PatternKind, PeriodicPattern, _div, _frac
 
 # Widths above this make the Catalan-sized generation pointless to run eagerly.
 MAX_ENUM_WIDTH = 9
@@ -106,11 +106,11 @@ def all_triangulations(v: int) -> list[Triangulation]:
 
 
 def quiddity_of(t: Triangulation) -> tuple[int, ...]:
-    """Incident-triangle count of every vertex, in vertex order."""
-    counts = [0] * t.n_gon
-    for tri in t.triangles():
-        for vertex in tri:
-            counts[vertex] += 1
+    """Incident-triangle count of every vertex: one more than its diagonals."""
+    counts = [1] * t.n_gon
+    for i, j in t.diagonals:
+        counts[i] += 1
+        counts[j] += 1
     return tuple(counts)
 
 
@@ -126,9 +126,9 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
     if period < 4:
         raise ValueError(f"quiddity must have at least 4 entries, got {period}")
     n = period - 3
-    zeros = (Fraction(0),) * period
-    ones = (Fraction(1),) * period
-    rows = [zeros, ones, tuple(Fraction(v) for v in quiddity)]
+    zeros = (0,) * period
+    ones = (1,) * period
+    rows = [zeros, ones, tuple(_frac(v) for v in quiddity)]
     for k, v in enumerate(rows[2]):
         if v <= 0:
             raise NonPositive(f"quiddity entry {v} at col {k} is not positive")
@@ -138,7 +138,7 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
         interior = m + 1 <= n + 1  # row n+2 is the closing ones-row, not interior
         nxt = []
         for k in range(period):
-            south = (cur[k] * cur[(k + 1) % period] - 1) / above[(k + 1) % period]
+            south = _div(cur[k] * cur[(k + 1) % period] - 1, above[(k + 1) % period])
             if interior and south <= 0:
                 raise NonPositive(f"entry {south} at row {m + 1}, col {k} is not positive")
             nxt.append(south)

@@ -34,13 +34,13 @@ PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
 
 
-def _value_to_json(v: Fraction):
-    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+def _value_to_json(v: "int | Fraction"):
+    return int(v) if v.denominator == 1 else str(v)
 
 
-def _value_from_json(x) -> Fraction:
+def _value_from_json(x) -> "int | Fraction":
     if type(x) is int:  # JSON true and false load as bool, an int subclass
-        return Fraction(x)
+        return x
     if isinstance(x, str) and re.fullmatch(r"-?[0-9]+/[0-9]*[1-9][0-9]*", x):
         return Fraction(x)
     raise ValueError(f"pattern entries must be ints or 'p/q' strings, got {x!r}")
@@ -132,7 +132,7 @@ def coxeter_catalog(width: int) -> Catalog:
     """Catalog of all arithmetic Coxeter friezes of a width, one per
     triangulation, keyed by quiddity."""
     patterns = coxeter.enumerate_frieze(width)
-    keys = [tuple(int(v) for v in p.rows[2]) for p in patterns]
+    keys = [p.rows[2] for p in patterns]
     parameters = {"mode": "triangulations", "polygon": width + 3}
     return _with_orbits(PatternKind.COXETER, width, parameters, keys, patterns)
 
@@ -200,7 +200,7 @@ def catalog_from_json(text: str) -> Catalog:
 
 def raw_patterns_from_obj(obj: dict) -> list[tuple[PatternKind, int, list[list[Fraction]]]]:
     """Accept either a single pattern object or a catalog; no validation."""
-    schema = obj.get("schema")
+    schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema == PATTERN_SCHEMA:
         return [raw_pattern_from_obj(obj)]
     if schema == CATALOG_SCHEMA:
@@ -242,15 +242,11 @@ def tuples_from_csv(text: str) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     return header, rows
 
 
-def format_value(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def render_ascii(pattern: PeriodicPattern, periods: int = 2) -> str:
     """Staggered text layout: row m shifted right by m half-cells, `periods`
     copies of each row so the glide repetition is visible."""
     total = periods * pattern.period
-    texts = [[format_value(row[k % pattern.period]) for k in range(total)]
+    texts = [[str(row[k % pattern.period]) for k in range(total)]
              for row in pattern.rows]
     cell = max(len(t) for row in texts for t in row) + 1
     cell += cell % 2

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .closedform import SearchBox, w3_boxes, w4_boxes
-from .core import (FundamentalDomain, PatternKind, PeriodicPattern, FriezeError,
-                   domain_of, expand_domain, is_arithmetic, propagate_y)
+from .core import (PeriodicPattern, FriezeError, domain_of, is_arithmetic,
+                   propagate_y)
 
 DEFAULT_MAX_CANDIDATES = 10 ** 9
 MAX_CANDIDATES_ENV = "FRIEZE_MAX_CANDIDATES"
@@ -44,12 +44,14 @@ class SolutionSet:
     """All arithmetic solutions of one width, lexicographically sorted.
 
     `full_tuples[i]` is the complete fundamental-domain entry tuple
-    (diagonal-major order) of `diagonals[i]`.
+    (diagonal-major order) of `diagonals[i]`, and `patterns[i]` the
+    re-verified pattern it was read off.
     """
 
     width: int
     diagonals: tuple[tuple[int, ...], ...]
     full_tuples: tuple[tuple[int, ...], ...]
+    patterns: tuple[PeriodicPattern, ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.diagonals)
@@ -111,10 +113,11 @@ def _solution_set(width: int, first_rows: Iterable[tuple[int, ...]]) -> Solution
         pattern = propagate_y(row, width)
         if not is_arithmetic(pattern):
             raise FriezeError(f"first row {row} fails re-verification")
-        full = tuple(int(v) for v in domain_of(pattern).entry_tuple())
-        found[full[:width]] = full
+        full = domain_of(pattern).entry_tuple()
+        found[full[:width]] = full, pattern
     diags = tuple(sorted(found))
-    return SolutionSet(width, diags, tuple(found[d] for d in diags))
+    return SolutionSet(width, diags, tuple(found[d][0] for d in diags),
+                       tuple(found[d][1] for d in diags))
 
 
 def _search(width: int, boxes: Iterable[SearchBox], parallelism: int = 1) -> SolutionSet:
@@ -215,14 +218,9 @@ def enumerate_generic(width: int, box: SearchBox,
     return _search(width, [box])
 
 
-def solution_domain(sols: SolutionSet, index: int) -> FundamentalDomain:
-    return FundamentalDomain.from_entry_tuple(sols.width, sols.full_tuples[index])
-
-
 def patterns_of(sols: SolutionSet) -> list[PeriodicPattern]:
-    """Materialize every solution as a full Y pattern, in catalog order."""
-    return [expand_domain(solution_domain(sols, i), PatternKind.Y)
-            for i in range(len(sols))]
+    """Every solution as a full Y pattern, in catalog order."""
+    return list(sols.patterns)
 
 
 def y_solutions(width: int, bounds: Optional[Sequence[int]] = None,

@@ -257,6 +257,21 @@ def test_orbits_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind,width",
+                         [("y", 3), ("y", 4), *(("coxeter", w) for w in range(1, 6))])
+def test_orbits_json_matches_orbit_decomposition(capsys, kind, width):
+    code, out, _ = run(capsys, "orbits", "--kind", kind, "--width", str(width),
+                       "--format", "json")
+    assert code == 0
+    if kind == "y":
+        patterns = yf.patterns_of(yf.y_solutions(width))
+    else:
+        patterns = yf.enumerate_frieze(width)
+    orbits = yf.orbit_decomposition(patterns)
+    assert json.loads(out)["orbits"] == [
+        {"root": orbit[0], "size": len(orbit), "members": orbit} for orbit in orbits]
+
+
 def test_orbits_y3_json(capsys):
     code, out, _ = run(capsys, "orbits", "--kind", "y", "--width", "3",
                        "--format", "json")

@@ -1,6 +1,7 @@
 """Triangulation generation, quiddities and frieze construction."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +63,17 @@ def test_quiddity_sums():
             assert sum(yf.quiddity_of(t)) == 3 * (v - 2)
 
 
+def test_quiddity_matches_triangle_faces():
+    # triangles() stays the oracle for the diagonal-count formula
+    for v in range(3, 11):
+        for t in yf.all_triangulations(v):
+            faces = [0] * v
+            for tri in t.triangles():
+                for vertex in tri:
+                    faces[vertex] += 1
+            assert yf.quiddity_of(t) == tuple(faces)
+
+
 # ------------------------------------------------------ frieze construction
 
 def test_frieze_second_rows_match_known_diagrams():
@@ -77,6 +89,34 @@ def test_frieze_from_bad_quiddities():
         yf.frieze_from_quiddity((1, 1, 5, 1, 1, 5))
     with pytest.raises(ValueError):
         yf.frieze_from_quiddity((1, 1, 1))
+
+
+def fraction_frieze_rows(quiddity):
+    """The frieze rows recomputed in Fraction arithmetic: S = (W*E - 1)/N."""
+    period = len(quiddity)
+    rows = [(Fraction(0),) * period, (Fraction(1),) * period,
+            tuple(Fraction(v) for v in quiddity)]
+    while len(rows) < period:
+        cur, above = rows[-1], rows[-2]
+        rows.append(tuple((cur[k] * cur[(k + 1) % period] - 1) / above[(k + 1) % period]
+                          for k in range(period)))
+    return tuple(rows) + ((Fraction(0),) * period,)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_frieze_rows_match_fraction_recomputation(n):
+    for f in yf.enumerate_frieze(n):
+        assert f.rows == fraction_frieze_rows(f.rows[2])
+
+
+def test_frieze_entries_are_ints():
+    from yfrieze import io
+    for n in range(1, 6):
+        for f in yf.enumerate_frieze(n):
+            assert all(type(v) is int for row in f.rows for v in row)
+    catalog = io.catalog_from_json(io.catalog_to_json(io.coxeter_catalog(4)))
+    for entry in catalog.entries:
+        assert all(type(v) is int for row in entry.pattern.rows for v in row)
 
 
 def test_frieze_accepts_fractional_closed_quiddity():

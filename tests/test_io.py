@@ -1,5 +1,6 @@
 """JSON/CSV serialization round-trips and ASCII rendering."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -65,6 +66,29 @@ def test_coxeter_catalog_round_trips():
     header, rows = io.tuples_from_csv(io.catalog_to_csv(catalog))
     assert header == tuple(f"q{i}" for i in range(6))
     assert rows == [e.key_tuple for e in catalog.entries]
+
+
+def test_coxeter_catalog_validates_each_pattern_once(monkeypatch):
+    from yfrieze import core
+    calls = []
+    check_rows = core.check_rows
+
+    def counting_check_rows(*args):
+        calls.append(args)
+        return check_rows(*args)
+
+    monkeypatch.setattr(core, "check_rows", counting_check_rows)
+    assert len(io.coxeter_catalog(5).entries) == 132
+    assert len(calls) == 132
+
+
+@pytest.mark.parametrize("width,digest", [
+    (4, "0bd8ac7f4308a1181cab0065bedeadfa4780820aea2c32ddc9cebc852e00181c"),
+    (7, "6a9422cbf58f09f57d13ba4e374e06c24ff6e4e9ad03b7a03593898792e0700d"),
+])
+def test_coxeter_catalog_json_digest(width, digest):
+    text = io.catalog_to_json(io.coxeter_catalog(width))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_csv_and_json_catalogs_agree(w4_solutions):

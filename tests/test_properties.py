@@ -1,0 +1,62 @@
+"""Property tests at the IO and CLI boundary: any JSON file handed to
+`verify` or `render` ends in a documented exit code, never a traceback."""
+
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import yfrieze as yf
+from yfrieze import io
+from yfrieze.cli import main
+
+# Real patterns to mutate, so that valid and nearly valid files are drawn too.
+BASES = [(p.kind.value, p.width, io.pattern_to_obj(p)["rows"])
+         for p in (*yf.enumerate_frieze(1), *yf.enumerate_frieze(3),
+                   *yf.patterns_of(yf.enumerate_w3()),
+                   yf.expand_domain(yf.w3_domain((1, 1, 1))))]
+
+VALUES = st.one_of(st.integers(-2, 12), st.booleans(), st.none(),
+                   st.sampled_from(["1/2", "-7/2", "3/1", "2.0", "2", "1/0", "x", ""]))
+
+
+@st.composite
+def blobs(draw):
+    if draw(st.integers(0, 4)) == 4:
+        return draw(st.one_of(VALUES, st.lists(VALUES, max_size=3)))
+    kind, width, rows = draw(st.sampled_from(BASES))
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        m = draw(st.integers(0, len(rows) - 1))
+        action = draw(st.sampled_from(["set", "drop", "append", "drop-row"]))
+        if action == "set" and rows[m]:
+            rows[m][draw(st.integers(0, len(rows[m]) - 1))] = draw(VALUES)
+        elif action == "drop" and rows[m]:
+            rows[m].pop()
+        elif action == "append":
+            rows[m].append(draw(VALUES))
+        elif action == "drop-row" and len(rows) > 1:
+            rows.pop(m)
+    kind = draw(st.sampled_from([kind, "y", "coxeter", "z"]))
+    width = draw(st.sampled_from([width, width + 1, 0, -1, True, "3"]))
+    if draw(st.booleans()):
+        return {"schema": "frieze/1", "kind": kind, "width": width, "rows": rows}
+    return {"schema": "frieze-catalog/1", "kind": kind, "width": width,
+            "parameters": {}, "patterns": [{"rows": rows}]}
+
+
+@pytest.fixture(scope="module")
+def blob_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("blobs") / "blob.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=blobs())
+def test_verify_and_render_exit_with_documented_codes(blob_path, blob):
+    blob_path.write_text(json.dumps(blob))
+    for command in ("verify", "render"):
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main([command, str(blob_path)])
+        assert code in {0, 1, 2, 3}

@@ -75,6 +75,16 @@ def test_enumerate_w4_caps_its_workers(monkeypatch, w4_solutions):
     assert created == [4, 3, tasks]
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_patterns_of_matches_domain_rebuild(width):
+    sols = yf.y_solutions(width)
+    rebuilt = [yf.expand_domain(yf.FundamentalDomain.from_entry_tuple(width, t))
+               for t in sols.full_tuples]
+    patterns = yf.patterns_of(sols)
+    assert patterns == rebuilt
+    assert all(type(v) is int for p in patterns for row in p.rows for v in row)
+
+
 def test_every_solution_expands_to_valid_arithmetic_pattern(y3_patterns, y4_patterns):
     for p in (*y3_patterns, *y4_patterns):
         assert yf.is_arithmetic(p)
