@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -82,7 +83,10 @@ def _frac(value) -> "int | Fraction":
 
 
 def _frac_rows(rows: Iterable[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_frac(v) for v in row) for row in rows)
+    # An all-int row is kept as it is; a row with a bool or a non-int goes
+    # through _frac cell by cell.
+    return tuple(row if set(map(type, row)) <= {int} else tuple(map(_frac, row))
+                 for row in map(tuple, rows))
 
 
 def _div(num, den) -> "int | Fraction":
@@ -133,20 +137,26 @@ def check_rows(kind: PatternKind, width: int,
                              f"interior row {m} is identically {sentinel}; "
                              f"the pattern closes before width {width}")
 
+    # Compare whole rows: W*E, with E the row rotated left by one, against
+    # (1+N)(1+S) or N*S + 1, with N the row above rotated the same way.
+    # The first k where they differ is the first failing diamond of row m.
+    ones = (1,) * period
+    north = rows[0][1:] + rows[0][:1]
     for m in range(1, nrows - 1):
-        for k in range(period):
-            w = rows[m][k]
-            e = rows[m][(k + 1) % period]
-            n_val = rows[m - 1][(k + 1) % period]
-            s = rows[m + 1][k]
+        east = rows[m][1:] + rows[m][:1]
+        if kind is PatternKind.Y:
+            north_south = list(map(mul, map(add, north, ones), map(add, rows[m + 1], ones)))
+        else:
+            north_south = list(map(add, map(mul, north, rows[m + 1]), ones))
+        we = list(map(mul, rows[m], east))
+        if we != north_south:
+            k = next(i for i, (a, b) in enumerate(zip(we, north_south)) if a != b)
             if kind is PatternKind.Y:
-                if w * e != (1 + n_val) * (1 + s):
-                    return Violation("diamond", m, k,
-                                     f"W*E = {w * e} but (1+N)(1+S) = {(1 + n_val) * (1 + s)}")
+                detail = f"W*E = {we[k]} but (1+N)(1+S) = {north_south[k]}"
             else:
-                if w * e - n_val * s != 1:
-                    return Violation("diamond", m, k,
-                                     f"W*E - N*S = {w * e - n_val * s}, expected 1")
+                detail = f"W*E - N*S = {we[k] - north_south[k] + 1}, expected 1"
+            return Violation("diamond", m, k, detail)
+        north = east
     return None
 
 
@@ -344,10 +354,12 @@ def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Opti
     column shift s is the recorded glide offset.  Returns None when no s
     in 0..period-1 works.
     """
+    rows = [tuple(row) for row in rows]
+    doubled = [row + row for row in rows]
     top = len(rows) - 1
     for s in range(period):
-        if all(rows[top - m][(k + m + s) % period] == rows[m][k]
-               for m in range(len(rows)) for k in range(period)):
+        if all(doubled[top - m][(m + s) % period:(m + s) % period + period] == row
+               for m, row in enumerate(rows)):
             return s
     return None
 

@@ -46,6 +46,13 @@ def _value_from_json(x) -> "int | Fraction":
     raise ValueError(f"pattern entries must be ints or 'p/q' strings, got {x!r}")
 
 
+def _row_from_json(row) -> list:
+    """A decoded row: a list of JSON ints as it is, anything else value by value."""
+    if type(row) is list and set(map(type, row)) <= {int}:
+        return row
+    return [_value_from_json(v) for v in row]
+
+
 def pattern_to_obj(p: PeriodicPattern) -> dict:
     return {
         "schema": PATTERN_SCHEMA,
@@ -63,7 +70,7 @@ def raw_pattern_from_obj(obj: dict) -> tuple[PatternKind, int, list[list[Fractio
     width = obj["width"]
     if not isinstance(width, int):
         raise ValueError(f"width must be an int, got {width!r}")
-    rows = [[_value_from_json(v) for v in row] for row in obj["rows"]]
+    rows = [_row_from_json(row) for row in obj["rows"]]
     return kind, width, rows
 
 
@@ -177,7 +184,7 @@ def catalog_from_obj(obj: dict) -> Catalog:
     key_name = "tuple" if kind is PatternKind.Y else "quiddity"
     entries = []
     for pat in obj["patterns"]:
-        rows = tuple(tuple(_value_from_json(v) for v in row) for row in pat["rows"])
+        rows = tuple(map(_row_from_json, pat["rows"]))
         entries.append(CatalogEntry(
             id=pat["id"],
             key_tuple=tuple(pat[key_name]),
@@ -190,8 +197,50 @@ def catalog_from_obj(obj: dict) -> Catalog:
     return Catalog(kind, width, dict(obj["parameters"]), tuple(entries))
 
 
+def _key_json(key: Sequence[int]) -> str:
+    """A key tuple of ints as it reads in its catalog entry."""
+    return "[\n        " + ",\n        ".join(map(str, key)) + "\n      ]"
+
+
+_CELL_SEP = ",\n" + " " * 10
+_ROW_SEP = "\n        ],\n        [\n          "
+
+
+def _rows_json(rows: Sequence[Sequence]) -> str:
+    """A pattern's rows of ints and Fractions as they read in its catalog entry."""
+    cells = _ROW_SEP.join([_CELL_SEP.join(map(str, row)) for row in rows])
+    if "/" in cells:  # a non-integral Fraction, written as a "p/q" string
+        cells = _ROW_SEP.join([_CELL_SEP.join(json.dumps(_value_to_json(v)) for v in row)
+                               for row in rows])
+    return "[\n        [\n          " + cells + "\n        ]\n      ]"
+
+
 def catalog_to_json(catalog: Catalog) -> str:
-    return json.dumps(catalog_to_obj(catalog), indent=2) + "\n"
+    """The text of json.dumps(catalog_to_obj(catalog), indent=2) + "\\n".
+
+    Each entry is written from a fixed template, its key and counts as the
+    ints a built catalog holds: with an indent, json.dumps runs its
+    pure-Python encoder, several times slower on large catalogs.
+    """
+    head = json.dumps({"schema": CATALOG_SCHEMA, "kind": catalog.kind.value,
+                       "width": catalog.width, "parameters": catalog.parameters},
+                      indent=2)
+    is_y = catalog.kind is PatternKind.Y
+    key_name = "tuple" if is_y else "quiddity"
+    entries = []
+    for entry in catalog.entries:
+        diagonal = (f'      "diagonal": {_key_json(entry.key_tuple[:catalog.width])},\n'
+                    if is_y else "")
+        entries.append(
+            f'    {{\n      "id": {entry.id},\n'
+            f'      "{key_name}": {_key_json(entry.key_tuple)},\n{diagonal}'
+            f'      "orbit_root": {entry.orbit_root},\n'
+            f'      "orbit_size": {entry.orbit_size},\n'
+            f'      "intrinsic_period": {entry.intrinsic_period},\n'
+            f'      "glide_shift": {"null" if entry.glide_shift is None else entry.glide_shift},\n'
+            f'      "rows": {_rows_json(entry.pattern.rows)}\n    }}')
+    patterns = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return head[:-2] + f',\n  "patterns": {patterns}\n}}\n'
 
 
 def catalog_from_json(text: str) -> Catalog:
@@ -208,7 +257,7 @@ def raw_patterns_from_obj(obj: dict) -> list[tuple[PatternKind, int, list[list[F
         width = obj["width"]
         if not isinstance(width, int):
             raise ValueError(f"width must be an int, got {width!r}")
-        return [(kind, width, [[_value_from_json(v) for v in row] for row in pat["rows"]])
+        return [(kind, width, [_row_from_json(row) for row in pat["rows"]])
                 for pat in obj["patterns"]]
     raise ValueError(f"unrecognized schema {schema!r}")
 

@@ -17,7 +17,6 @@ row, and its full entry tuple is read off that pattern.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
@@ -33,6 +32,13 @@ MAX_CANDIDATES_ENV = "FRIEZE_MAX_CANDIDATES"
 # Default diagonal boxes for the widths whose solution sets are small enough
 # to find without proven bounds.
 DEFAULT_GENERIC_BOUNDS = {1: (10,), 2: (30, 30)}
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use: the
+    import takes tens of milliseconds, which every CLI start would pay."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+    return executor(*args, **kwargs)
 
 
 class BoxTooLarge(FriezeError):

@@ -1,6 +1,9 @@
 """CLI subcommands, exit codes and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -309,3 +312,12 @@ def test_render_index_out_of_range(coxeter3_catalog_file, capsys):
 def test_render_missing_file(capsys):
     code, _, _ = run(capsys, "render", "/nonexistent/path.json")
     assert code == 2
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures is imported only when a search starts a pool.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
+    code = "import sys, yfrieze.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

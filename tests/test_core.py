@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import yfrieze as yf
-from yfrieze.core import check_rows
+from yfrieze.core import Violation, check_rows
 
 
 def diamonds(p):
@@ -223,6 +223,56 @@ def test_check_rows_reports_first_violation():
     assert check_rows(yf.PatternKind.Y, 3, good.rows[:-1]).check == "shape"
 
 
+def oracle_diamond_scan(kind, rows):
+    """The cell-by-cell diamond scan check_rows ran before it compared whole
+    rows: the first failing diamond in row-major order, or None."""
+    period = len(rows[0])
+    for m in range(1, len(rows) - 1):
+        for k in range(period):
+            w = rows[m][k]
+            e = rows[m][(k + 1) % period]
+            n_val = rows[m - 1][(k + 1) % period]
+            s = rows[m + 1][k]
+            if kind is yf.PatternKind.Y:
+                if w * e != (1 + n_val) * (1 + s):
+                    return Violation("diamond", m, k,
+                                     f"W*E = {w * e} but (1+N)(1+S) = {(1 + n_val) * (1 + s)}")
+            else:
+                if w * e - n_val * s != 1:
+                    return Violation("diamond", m, k,
+                                     f"W*E - N*S = {w * e - n_val * s}, expected 1")
+    return None
+
+
+def oracle_glide_shift(rows, period):
+    """The cell-by-cell glide search glide_shift_of_rows ran before it
+    compared whole rows."""
+    top = len(rows) - 1
+    for s in range(period):
+        if all(rows[top - m][(k + m + s) % period] == rows[m][k]
+               for m in range(len(rows)) for k in range(period)):
+            return s
+    return None
+
+
+def test_row_kernels_match_cell_oracles(y4_patterns):
+    # Change one interior cell at a time, by 1 or by 1/2 in a checkerboard,
+    # so the boundary checks pass and the diamond scan decides.
+    for p in (*y4_patterns, *yf.enumerate_frieze(5)):
+        assert check_rows(p.kind, p.width, p.rows) is None
+        assert yf.glide_shift_of_rows(p.rows, p.period) == oracle_glide_shift(p.rows, p.period)
+        first = 1 if p.kind is yf.PatternKind.Y else 2
+        for m in range(first, first + p.width):
+            for k in range(p.period):
+                rows = [list(row) for row in p.rows]
+                rows[m][k] += 1 if (m + k) % 2 else F(1, 2)
+                violation = check_rows(p.kind, p.width, rows)
+                assert violation is not None
+                assert violation == oracle_diamond_scan(p.kind, rows)
+                assert (yf.glide_shift_of_rows(rows, p.period)
+                        == oracle_glide_shift(rows, p.period))
+
+
 def test_every_diamond_of_every_kind_holds(y4_patterns, frieze4):
     for p in y4_patterns:
         for w, e, n_val, s in diamonds(p):
@@ -230,6 +280,13 @@ def test_every_diamond_of_every_kind_holds(y4_patterns, frieze4):
     for p in frieze4:
         for w, e, n_val, s in diamonds(p):
             assert w * e - n_val * s == 1
+
+
+def test_pattern_stores_bools_as_fractions():
+    # all-int rows are stored as they are; a bool is not taken for an int
+    p = yf.PeriodicPattern(yf.PatternKind.Y, 1, ((0,) * 4, (True, 1, 1, 1), [0] * 4))
+    assert [type(v) for v in p.rows[1]] == [F, int, int, int]
+    assert p.rows[2] == (0,) * 4 and type(p.rows[2]) is tuple
 
 
 def test_pattern_equality_is_column_exact(y3_patterns):

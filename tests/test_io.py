@@ -1,6 +1,7 @@
 """JSON/CSV serialization round-trips and ASCII rendering."""
 
 import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +36,10 @@ def test_pattern_obj_rejects_garbage():
         with pytest.raises(ValueError):
             io.raw_pattern_from_obj({"schema": "frieze/1", "kind": "y", "width": 3,
                                      "rows": [[bad]]})
+        # a row of ints is decoded whole; one bad value among them still fails
+        with pytest.raises(ValueError, match="ints or 'p/q' strings"):
+            io.raw_patterns_from_obj({"schema": "frieze-catalog/1", "kind": "y",
+                                      "width": 3, "patterns": [{"rows": [[1, 2, bad, 3]]}]})
 
 
 def test_tuples_from_empty_csv():
@@ -89,6 +94,29 @@ def test_coxeter_catalog_validates_each_pattern_once(monkeypatch):
 def test_coxeter_catalog_json_digest(width, digest):
     text = io.catalog_to_json(io.coxeter_catalog(width))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _writer_catalogs():
+    yield from (io.coxeter_catalog(w) for w in range(1, 9))
+    yield from (io.y_catalog(w) for w in range(1, 5))
+    yield io.Catalog(yf.PatternKind.COXETER, 3, {"mode": "triangulations", "polygon": 6}, ())
+    half = yf.PeriodicPattern(yf.PatternKind.Y, 1,
+                              ((0, 0, 0, 0), (2, F(1, 2), 2, F(1, 2)), (0, 0, 0, 0)))
+    # built catalogs key their entries by int tuples only, so this entry for
+    # the tuple (2, 1/2) carries the int stand-in (2, 1); its rows are the case
+    yield io.Catalog(yf.PatternKind.Y, 1, {"mode": "generic", "bounds": [2]},
+                     (io.CatalogEntry(0, (2, 1), half, 0, 2, 2, None),))
+
+
+def test_catalog_json_writer_matches_json_dumps(monkeypatch):
+    # catalog_to_json writes the text itself; catalog_to_obj plus json.dumps
+    # is the reference layout.
+    catalogs = list(_writer_catalogs())
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
+    catalogs.append(io.y_catalog(5, bounds=(64,) * 5))
+    for catalog in catalogs:
+        expected = json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n"
+        assert io.catalog_to_json(catalog) == expected
 
 
 def test_csv_and_json_catalogs_agree(w4_solutions):

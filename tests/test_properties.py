@@ -1,5 +1,6 @@
 """Property tests at the IO and CLI boundary: any JSON file handed to
-`verify` or `render` ends in a documented exit code, never a traceback."""
+`verify` or `render`, and any argv drawn from a small grammar, ends in a
+documented exit code, never a traceback."""
 
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -60,3 +61,48 @@ def test_verify_and_render_exit_with_documented_codes(blob_path, blob):
         with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
             code = main([command, str(blob_path)])
         assert code in {0, 1, 2, 3}
+
+
+# Small widths and bounds keep every draw under about a second and every
+# pool at two workers or fewer.
+ARG_VALUES = {
+    "--kind": st.sampled_from(["y", "coxeter"]),
+    "--width": st.integers(-1, 6).map(str),
+    "--bounds": st.one_of(
+        st.lists(st.integers(-1, 9), max_size=6).map(lambda b: ",".join(map(str, b))),
+        st.sampled_from(["", "x", "3,,3", " 4", "1.5"])),
+    "--format": st.sampled_from(["json", "csv", "table"]),
+    "--parallelism": st.sampled_from(["-1", "0", "1", "2"]),
+}
+SUBCOMMAND_OPTIONS = {
+    "enumerate": ["--kind", "--width", "--bounds", "--format", "--parallelism"],
+    "orbits": ["--kind", "--width", "--bounds", "--format"],
+    "map": ["--width", "--format"],
+}
+
+
+@st.composite
+def argvs(draw):
+    """Mostly well-formed command lines; about one draw in ten per choice
+    is one that argparse rejects (unknown subcommand, option or value)."""
+    rare = st.integers(0, 9).map(lambda i: i == 0)
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)))
+    argv = ["frobnicate" if draw(rare) else command]
+    for name in SUBCOMMAND_OPTIONS[command]:
+        if not draw(rare):
+            argv += [name, "xml" if draw(rare) else draw(ARG_VALUES[name])]
+    if draw(rare):
+        argv += [draw(st.sampled_from(sorted(ARG_VALUES))), "1"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_cli_argv_exits_with_documented_codes(argv):
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            assert exc.code == 2
+            return
+    assert code in {0, 1, 2, 3}
