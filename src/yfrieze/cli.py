@@ -224,17 +224,18 @@ def cmd_render(args) -> int:
         with open(args.input, encoding="utf-8") as fh:
             obj = json.load(fh)
         raw = io.raw_patterns_from_obj(obj)
+        if args.index is not None:
+            # the whole file is decoded, but only the drawn entry is built
+            if not 0 <= args.index < len(raw):
+                return _fail(EXIT_USAGE, f"index {args.index} out of range "
+                                         f"(0..{len(raw) - 1})")
+            raw = [raw[args.index]]
         patterns = [PeriodicPattern(kind, width, tuple(tuple(r) for r in rows))
                     for kind, width, rows in raw]
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         return _fail(EXIT_USAGE, f"cannot parse {args.input}: {exc}")
     except InconsistentDomain as exc:
         return _fail(EXIT_USAGE, f"{args.input} holds an invalid pattern: {exc}")
-    if args.index is not None:
-        if not 0 <= args.index < len(patterns):
-            return _fail(EXIT_USAGE, f"index {args.index} out of range "
-                                     f"(0..{len(patterns) - 1})")
-        patterns = [patterns[args.index]]
     text = "\n".join(io.render_ascii(p) for p in patterns)
     _emit(text, args.output)
     return EXIT_OK

@@ -5,7 +5,8 @@ quiddity (per-vertex incident-triangle counts), and the quiddity is the
 first interior row of a closed arithmetic frieze under the unimodular rule
 (Conway and Coxeter, Math. Gazette 57, 1973), propagated in plain ints.
 Distinct triangulations give distinct friezes, so the width-n count is the
-Catalan number C_{n+1}.
+Catalan number C_{n+1}.  Rotating the polygon rotates its quiddity and its
+frieze, so the frieze is propagated once per rotation orbit.
 """
 
 from __future__ import annotations
@@ -73,45 +74,47 @@ class Triangulation:
         return tuple(sorted(self.diagonals))
 
 
-def _ear_splits(vs: tuple[int, ...]) -> list[list[tuple[int, int, int]]]:
-    # All triangle lists for the polygon on the (cyclic) vertex tuple vs,
-    # keyed on the apex of the triangle containing edge (vs[0], vs[1]).
-    if len(vs) < 3:
-        return [[]]
-    if len(vs) == 3:
-        return [[tuple(sorted(vs))]]
-    out = []
-    for k in range(2, len(vs)):
-        ear = tuple(sorted((vs[0], vs[1], vs[k])))
-        for left in _ear_splits(vs[1:k + 1]):
-            for right in _ear_splits(vs[k:] + (vs[0],)):
-                out.append([ear, *left, *right])
-    return out
+def _diagonal_tuples(v: int) -> list[tuple[tuple[int, int], ...]]:
+    """The sorted diagonal tuple of every triangulation of the convex v-gon,
+    in Triangulation.sort_key order.
+
+    The triangle on edge (i, j) of the sub-polygon i..j has apex k, and the
+    sub-polygons i..k and k..j are split the same way, each once.
+    """
+    splits: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+
+    def split(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
+        # Each triangulation of i..j, led by the chord (i, j) unless it is
+        # the polygon edge (0, v - 1).
+        if j - i < 2:
+            return [()]
+        if (i, j) not in splits:
+            chord = ((i, j),) if j - i < v - 1 else ()
+            splits[(i, j)] = [chord + left + right for k in range(i + 1, j)
+                              for left in split(i, k) for right in split(k, j)]
+        return splits[(i, j)]
+
+    return sorted(tuple(sorted(diagonals)) for diagonals in split(0, v - 1))
 
 
 def all_triangulations(v: int) -> list[Triangulation]:
     """All C_{v-2} triangulations of a convex v-gon, ordered by diagonal set."""
     if v < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {v}")
-    result = []
-    for triangles in _ear_splits(tuple(range(v))):
-        diagonals = set()
-        for tri in triangles:
-            for i, j in combinations(tri, 2):
-                if not _is_polygon_edge(i, j, v):
-                    diagonals.add((i, j))
-        result.append(Triangulation(v, frozenset(diagonals)))
-    result.sort(key=Triangulation.sort_key)
-    return result
+    return [Triangulation(v, frozenset(diagonals)) for diagonals in _diagonal_tuples(v)]
+
+
+def _quiddity(v: int, diagonals) -> tuple[int, ...]:
+    counts = [1] * v
+    for i, j in diagonals:
+        counts[i] += 1
+        counts[j] += 1
+    return tuple(counts)
 
 
 def quiddity_of(t: Triangulation) -> tuple[int, ...]:
     """Incident-triangle count of every vertex: one more than its diagonals."""
-    counts = [1] * t.n_gon
-    for i, j in t.diagonals:
-        counts[i] += 1
-        counts[j] += 1
-    return tuple(counts)
+    return _quiddity(t.n_gon, t.diagonals)
 
 
 def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
@@ -151,7 +154,24 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
 
 
 def enumerate_frieze(n: int, max_width: int = MAX_ENUM_WIDTH) -> list[PeriodicPattern]:
-    """All arithmetic friezes of width n, one per triangulation of the (n+3)-gon."""
+    """All arithmetic friezes of width n, one per triangulation of the (n+3)-gon.
+
+    Rotating the quiddity rotates the frieze, so each rotation orbit is
+    propagated once, at its first member; every other member gets the
+    root's rows rotated, validated by the PeriodicPattern constructor.
+    """
     if not 1 <= n <= max_width:
         raise ValueError(f"width must be in 1..{max_width}, got {n}")
-    return [frieze_from_quiddity(quiddity_of(t)) for t in all_triangulations(n + 3)]
+    v = n + 3
+    quiddities = [_quiddity(v, diagonals) for diagonals in _diagonal_tuples(v)]
+    index = {q: i for i, q in enumerate(quiddities)}
+    friezes: list = [None] * len(quiddities)
+    for i, q in enumerate(quiddities):
+        if friezes[i] is None:
+            root = friezes[i] = frieze_from_quiddity(q)
+            for s in range(1, v):
+                j = index[q[s:] + q[:s]]
+                if friezes[j] is None:
+                    friezes[j] = PeriodicPattern(PatternKind.COXETER, n,
+                                                 tuple(row[s:] + row[:s] for row in root.rows))
+    return friezes

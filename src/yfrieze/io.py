@@ -101,22 +101,15 @@ class Catalog:
 def _with_orbits(kind: PatternKind, width: int, parameters: dict,
                  keys: Sequence[tuple[int, ...]],
                  patterns: Sequence[PeriodicPattern]) -> Catalog:
-    root = {}
-    size = {}
+    # intrinsic_period and glide_shift are invariant under cyclic shifts,
+    # so each orbit's are computed once, at its root.
+    fields = {}
     for orbit in ymap.orbit_decomposition(patterns):
-        for member in orbit:
-            root[member] = orbit[0]
-            size[member] = len(orbit)
+        root = patterns[orbit[0]]
+        shared = (orbit[0], len(orbit), intrinsic_period(root), glide_shift(root))
+        fields.update(dict.fromkeys(orbit, shared))
     entries = tuple(
-        CatalogEntry(
-            id=i,
-            key_tuple=tuple(keys[i]),
-            pattern=patterns[i],
-            orbit_root=root[i],
-            orbit_size=size[i],
-            intrinsic_period=intrinsic_period(patterns[i]),
-            glide_shift=glide_shift(patterns[i]),
-        )
+        CatalogEntry(i, tuple(keys[i]), patterns[i], *fields[i])
         for i in range(len(patterns)))
     return Catalog(kind, width, parameters, entries)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (ClosureFailure, FriezeError, PatternKind, PeriodicPattern,
-                   cyclic_shift, is_arithmetic, propagate_y)
+                   is_arithmetic, propagate_y)
 from . import coxeter, search
 
 
@@ -73,10 +73,11 @@ def orbit_decomposition(patterns: Sequence[PeriodicPattern]) -> list[list[int]]:
     """Partition pattern indices into cyclic-shift orbits.
 
     Orbits are sorted by size descending, then by smallest member index.
-    The input must be closed under cyclic shifts; NotShiftClosed is raised
-    otherwise.
+    A pattern is looked up by its rows, which fix its kind and width, and
+    its shifts are its rows rotated.  The input must be closed under cyclic
+    shifts; NotShiftClosed is raised otherwise.
     """
-    index = {p: i for i, p in enumerate(patterns)}
+    index = {p.rows: i for i, p in enumerate(patterns)}
     if len(index) != len(patterns):
         raise ValueError("patterns must be distinct")
     seen: set[int] = set()
@@ -86,7 +87,7 @@ def orbit_decomposition(patterns: Sequence[PeriodicPattern]) -> list[list[int]]:
             continue
         members = set()
         for s in range(p.period):
-            shifted = cyclic_shift(p, s)
+            shifted = tuple(row[s:] + row[:s] for row in p.rows)
             if shifted not in index:
                 raise NotShiftClosed(f"pattern set not closed under shifts "
                                      f"(shift {s} of pattern {i} is missing)")

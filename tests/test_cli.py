@@ -303,6 +303,32 @@ def test_render_rejects_tampered_entry(coxeter3_catalog_file, tmp_path, capsys):
     assert "diamond violation" in err and err.count("\n") == 1
 
 
+def test_render_index_builds_the_drawn_entry_only(coxeter3_catalog_file, tmp_path,
+                                                  capsys, monkeypatch):
+    from yfrieze import core, io
+    obj = json.loads(coxeter3_catalog_file.read_text())
+    obj["patterns"][0]["rows"][2][0] = 6
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "render", str(bad), "--index", "0")
+    assert code == 2 and out == ""
+    assert "diamond violation" in err and err.count("\n") == 1
+
+    entry = io.catalog_from_json(coxeter3_catalog_file.read_text()).entries[1]
+    calls = []
+    check_rows = core.check_rows
+
+    def counting_check_rows(*args):
+        calls.append(args)
+        return check_rows(*args)
+
+    monkeypatch.setattr(core, "check_rows", counting_check_rows)
+    code, out, err = run(capsys, "render", str(bad), "--index", "1")
+    assert code == 0 and err == ""
+    assert out == io.render_ascii(entry.pattern)
+    assert len(calls) == 1
+
+
 def test_render_index_out_of_range(coxeter3_catalog_file, capsys):
     code, _, err = run(capsys, "render", str(coxeter3_catalog_file),
                        "--index", "99")

@@ -14,11 +14,14 @@ def catalan(n):
 
 # ----------------------------------------------------------- triangulations
 
-@pytest.mark.parametrize("v,count", [(3, 1), (4, 2), (5, 5), (6, 14), (7, 42), (8, 132)])
+@pytest.mark.parametrize("v,count", [(3, 1), (4, 2), (5, 5), (6, 14), (7, 42), (8, 132),
+                                     (9, 429), (10, 1430)])
 def test_triangulation_counts(v, count):
     ts = yf.all_triangulations(v)
     assert len(ts) == count == catalan(v - 2)
     assert len({t.diagonals for t in ts}) == count
+    keys = [t.sort_key() for t in ts]
+    assert keys == sorted(keys)
 
 
 def test_triangulation_order_is_deterministic():
@@ -136,6 +139,33 @@ def test_enumerate_frieze_counts(n, count):
     # bijection with triangulations: all distinct, all arithmetic
     assert len(set(friezes)) == count
     assert all(yf.is_arithmetic(f) for f in friezes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_frieze_matches_per_triangulation_oracle(n):
+    # enumerate_frieze propagates one frieze per rotation orbit and rotates
+    # it; the oracle propagates every triangulation's quiddity.
+    friezes = yf.enumerate_frieze(n)
+    oracle = [yf.frieze_from_quiddity(yf.quiddity_of(t))
+              for t in yf.all_triangulations(n + 3)]
+    assert len(friezes) == len(oracle)
+    for f, expected in zip(friezes, oracle):
+        assert f == expected
+        assert all(type(v) is int for row in f.rows for v in row)
+
+
+def test_enumerate_frieze_propagates_once_per_rotation_orbit(monkeypatch):
+    from yfrieze import coxeter
+    calls = []
+    frieze_from_quiddity = coxeter.frieze_from_quiddity
+
+    def counting_frieze_from_quiddity(quiddity):
+        calls.append(quiddity)
+        return frieze_from_quiddity(quiddity)
+
+    monkeypatch.setattr(coxeter, "frieze_from_quiddity", counting_frieze_from_quiddity)
+    assert len(yf.enumerate_frieze(7)) == 1430
+    assert len(calls) == 150
 
 
 def test_enumerate_frieze_width_1_quiddities():

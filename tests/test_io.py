@@ -90,6 +90,7 @@ def test_coxeter_catalog_validates_each_pattern_once(monkeypatch):
 @pytest.mark.parametrize("width,digest", [
     (4, "0bd8ac7f4308a1181cab0065bedeadfa4780820aea2c32ddc9cebc852e00181c"),
     (7, "6a9422cbf58f09f57d13ba4e374e06c24ff6e4e9ad03b7a03593898792e0700d"),
+    (8, "f97f120bc1d3ce939a64d7c6a9b9e050abdc322aa9615851730bc30ae95f5f4a"),
 ])
 def test_coxeter_catalog_json_digest(width, digest):
     text = io.catalog_to_json(io.coxeter_catalog(width))
@@ -117,6 +118,19 @@ def test_catalog_json_writer_matches_json_dumps(monkeypatch):
     for catalog in catalogs:
         expected = json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n"
         assert io.catalog_to_json(catalog) == expected
+
+
+def test_orbit_fields_equal_per_pattern_values(monkeypatch):
+    # _with_orbits computes intrinsic_period and glide_shift once per orbit,
+    # at its root; every entry must read what its own pattern gives.
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
+    catalogs = [*(io.coxeter_catalog(w) for w in range(1, 9)),
+                *(io.y_catalog(w) for w in range(1, 5)),
+                io.y_catalog(5, bounds=(64,) * 5)]
+    for catalog in catalogs:
+        for entry in catalog.entries:
+            assert entry.intrinsic_period == yf.intrinsic_period(entry.pattern)
+            assert entry.glide_shift == yf.glide_shift(entry.pattern)
 
 
 def test_csv_and_json_catalogs_agree(w4_solutions):

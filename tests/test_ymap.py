@@ -86,6 +86,30 @@ def test_orbit_decomposition_width_4(frieze4, y4_patterns):
     assert [len(o) for o in yf.orbit_decomposition(y4_patterns)] == [7] * 6
 
 
+def reference_orbit_decomposition(patterns):
+    """Orbits found by building every cyclic_shift pattern."""
+    index = {p: i for i, p in enumerate(patterns)}
+    orbits = []
+    for i, p in enumerate(patterns):
+        members = sorted({index[yf.cyclic_shift(p, s)] for s in range(p.period)})
+        if members[0] == i:
+            orbits.append(members)
+    return sorted(orbits, key=lambda orbit: (-len(orbit), orbit[0]))
+
+
+def test_orbit_decomposition_matches_cyclic_shift_reference(monkeypatch):
+    from yfrieze import io
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
+    half = yf.PeriodicPattern(yf.PatternKind.Y, 1,
+                              ((0, 0, 0, 0), (2, F(1, 2), 2, F(1, 2)), (0, 0, 0, 0)))
+    y_catalogs = [*(io.y_catalog(w) for w in range(1, 5)), io.y_catalog(5, bounds=(64,) * 5)]
+    pattern_sets = [*(yf.enumerate_frieze(w) for w in range(1, 9)),
+                    *([entry.pattern for entry in c.entries] for c in y_catalogs),
+                    [half, yf.cyclic_shift(half, 1)]]
+    for patterns in pattern_sets:
+        assert yf.orbit_decomposition(patterns) == reference_orbit_decomposition(patterns)
+
+
 def test_orbit_decomposition_requires_shift_closure(y3_patterns):
     with pytest.raises(ValueError):
         yf.orbit_decomposition(y3_patterns[:4])
