@@ -55,39 +55,38 @@ def _parse_bounds(text: str) -> tuple[int, ...]:
     return bounds
 
 
-def _catalog(args, parallelism: int = 1) -> "io.Catalog | int":
-    """Check the arguments enumerate and orbits share, then build the catalog.
+def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] = None,
+             parallelism: int = 1) -> "io.Catalog | int":
+    """Check the arguments enumerate, orbits and map share, then build the catalog.
 
     Returns the catalog, or an exit code after printing a one-line error.
     """
-    if args.width < 1:
-        return _fail(EXIT_USAGE, f"width must be >= 1, got {args.width}")
+    if width < 1:
+        return _fail(EXIT_USAGE, f"width must be >= 1, got {width}")
     if parallelism < 1:
         return _fail(EXIT_USAGE, f"--parallelism must be >= 1, got {parallelism}")
     try:
         candidate_ceiling()
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
-    kind = PatternKind(args.kind)
+    kind = PatternKind(kind)
     bounds = None
-    if args.bounds is not None:
+    if bounds_text is not None:
         if kind is not PatternKind.Y:
             return _fail(EXIT_USAGE, "--bounds applies to --kind y only")
         try:
-            bounds = _parse_bounds(args.bounds)
+            bounds = _parse_bounds(bounds_text)
         except ValueError as exc:
             return _fail(EXIT_USAGE, str(exc))
-        if len(bounds) != args.width:
-            return _fail(EXIT_USAGE,
-                         f"--bounds needs {args.width} values, got {len(bounds)}")
-    if kind is PatternKind.COXETER and args.width > MAX_ENUM_WIDTH:
+        if len(bounds) != width:
+            return _fail(EXIT_USAGE, f"--bounds needs {width} values, got {len(bounds)}")
+    if kind is PatternKind.COXETER and width > MAX_ENUM_WIDTH:
         return _fail(EXIT_LIMIT,
                      f"coxeter enumeration supports widths up to {MAX_ENUM_WIDTH}")
-    if kind is PatternKind.Y and args.width not in (1, 2, 3, 4) and bounds is None:
-        return _fail(EXIT_USAGE,
-                     f"width {args.width} has no proven boxes; pass --bounds")
+    if kind is PatternKind.Y and width not in (1, 2, 3, 4) and bounds is None:
+        return _fail(EXIT_USAGE, f"width {width} has no proven boxes; pass --bounds")
     try:
-        return io.build_catalog(kind, args.width, bounds=bounds, parallelism=parallelism)
+        return io.build_catalog(kind, width, bounds=bounds, parallelism=parallelism)
     except BoxTooLarge as exc:
         return _fail(EXIT_LIMIT, str(exc))
     except ymap.NotShiftClosed as exc:
@@ -96,7 +95,7 @@ def _catalog(args, parallelism: int = 1) -> "io.Catalog | int":
 
 
 def cmd_enumerate(args) -> int:
-    catalog = _catalog(args, args.parallelism)
+    catalog = _catalog(args.kind, args.width, args.bounds, args.parallelism)
     if isinstance(catalog, int):
         return catalog
     kind = catalog.kind
@@ -126,13 +125,20 @@ def _verify_one(kind: PatternKind, width: int, rows) -> Optional[Violation]:
     return None
 
 
-def cmd_verify(args) -> int:
+def _load(path: str) -> "list | int":
+    """The raw patterns of a pattern or catalog file, or an exit code after
+    printing a one-line error."""
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        raw = io.raw_patterns_from_obj(obj)
+        with open(path, encoding="utf-8") as fh:
+            return io.raw_patterns_from_obj(json.load(fh))
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        return _fail(EXIT_USAGE, f"cannot parse {args.input}: {exc}")
+        return _fail(EXIT_USAGE, f"cannot parse {path}: {exc}")
+
+
+def cmd_verify(args) -> int:
+    raw = _load(args.input)
+    if isinstance(raw, int):
+        return raw
     failures = 0
     for i, (kind, width, rows) in enumerate(raw):
         violation = _verify_one(kind, width, rows)
@@ -159,10 +165,16 @@ def cmd_map(args) -> int:
     if args.width == 1:
         return _fail(EXIT_LIMIT, "width 1 has a single interior row, so the "
                                  "transfer map is not computable there")
-    if args.width not in (2, 3, 4):
+    if args.width > 4:
         return _fail(EXIT_LIMIT, f"no enumerations available for width {args.width}")
-    report = ymap.fiber_analysis(args.width)
-    records = ymap.correspondence_table(args.width)
+    sides = []
+    for kind in (PatternKind.COXETER, PatternKind.Y):
+        catalog = _catalog(kind, args.width)
+        if isinstance(catalog, int):
+            return catalog
+        sides.append([entry.pattern for entry in catalog.entries])
+    report = ymap.fiber_analysis(args.width, *sides)
+    records = ymap.correspondence_table(args.width, *sides)
     verdict = _verdict(report)
     if args.format == "json":
         text = json.dumps({
@@ -192,7 +204,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    catalog = _catalog(args)
+    catalog = _catalog(args.kind, args.width, args.bounds)
     if isinstance(catalog, int):
         return catalog
     members = {}
@@ -220,20 +232,17 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_render(args) -> int:
+    raw = _load(args.input)
+    if isinstance(raw, int):
+        return raw
+    if args.index is not None:
+        # the whole file is decoded, but only the drawn entry is built
+        if not 0 <= args.index < len(raw):
+            return _fail(EXIT_USAGE, f"index {args.index} out of range "
+                                     f"(0..{len(raw) - 1})")
+        raw = [raw[args.index]]
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        raw = io.raw_patterns_from_obj(obj)
-        if args.index is not None:
-            # the whole file is decoded, but only the drawn entry is built
-            if not 0 <= args.index < len(raw):
-                return _fail(EXIT_USAGE, f"index {args.index} out of range "
-                                         f"(0..{len(raw) - 1})")
-            raw = [raw[args.index]]
-        patterns = [PeriodicPattern(kind, width, tuple(tuple(r) for r in rows))
-                    for kind, width, rows in raw]
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        return _fail(EXIT_USAGE, f"cannot parse {args.input}: {exc}")
+        patterns = [PeriodicPattern(kind, width, rows) for kind, width, rows in raw]
     except InconsistentDomain as exc:
         return _fail(EXIT_USAGE, f"{args.input} holds an invalid pattern: {exc}")
     text = "\n".join(io.render_ascii(p) for p in patterns)

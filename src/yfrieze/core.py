@@ -16,7 +16,8 @@ drawing row m shifted right by half a cell per row index.
 Entries are plain ints where a pattern is arithmetic and `fractions.Fraction`
 otherwise; every operation is exact and every value is immutable after
 construction, so everything here is safe to share across threads.  A pattern
-is validated once, when it is built; its cyclic shifts are not re-checked.
+is validated once, when it is built; a cyclic shift is a new pattern, built
+and validated like any other.
 """
 
 from __future__ import annotations
@@ -180,14 +181,6 @@ class PeriodicPattern:
         if violation is not None:
             raise InconsistentDomain(violation)
 
-    @classmethod
-    def _derived(cls, source: "PeriodicPattern", rows) -> "PeriodicPattern":
-        """A pattern of source's kind and width whose rows a symmetry of the
-        rules (a cyclic shift) derives from source's: valid, so not re-checked."""
-        pattern = object.__new__(cls)
-        pattern.__dict__.update(kind=source.kind, width=source.width, rows=rows)
-        return pattern
-
     @property
     def period(self) -> int:
         return self.width + 3
@@ -299,24 +292,17 @@ class FundamentalDomain:
         return cls(width, tuple(tuple(r) for r in rows))
 
 
-def expand_domain(dom: FundamentalDomain,
-                  kind: PatternKind = PatternKind.Y) -> PeriodicPattern:
-    """Unfold a fundamental domain to a full pattern over one period.
+def expand_domain(dom: FundamentalDomain) -> PeriodicPattern:
+    """Unfold a fundamental domain to a full Y pattern over one period.
 
-    Interior row m over the period is D_m followed by D_{n+1-m}; boundary
-    rows are appended per kind.  Raises InconsistentDomain when the
-    unfolded grid violates a diamond relation.
+    Interior row m over the period is D_m followed by D_{n+1-m}, between
+    two zero rows.  Raises InconsistentDomain when the unfolded grid
+    violates a diamond relation.
     """
     n = dom.width
-    period = n + 3
     interior = [dom.rows[m - 1] + dom.rows[n - m] for m in range(1, n + 1)]
-    zeros = (0,) * period
-    ones = (1,) * period
-    if kind is PatternKind.Y:
-        rows = [zeros, *interior, zeros]
-    else:
-        rows = [zeros, ones, *interior, ones, zeros]
-    return PeriodicPattern(kind, n, tuple(rows))
+    zeros = (0,) * (n + 3)
+    return PeriodicPattern(PatternKind.Y, n, (zeros, *interior, zeros))
 
 
 def domain_of(pattern: PeriodicPattern) -> FundamentalDomain:
@@ -342,8 +328,8 @@ def cyclic_shift(pattern: PeriodicPattern, s: int) -> PeriodicPattern:
     s %= pattern.period
     if s == 0:
         return pattern
-    return PeriodicPattern._derived(pattern,
-                                    tuple(row[s:] + row[:s] for row in pattern.rows))
+    return PeriodicPattern(pattern.kind, pattern.width,
+                           tuple(row[s:] + row[:s] for row in pattern.rows))
 
 
 def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Optional[int]:

@@ -153,15 +153,15 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
     return PeriodicPattern(PatternKind.COXETER, n, tuple(rows))
 
 
-def enumerate_frieze(n: int, max_width: int = MAX_ENUM_WIDTH) -> list[PeriodicPattern]:
+def enumerate_frieze(n: int) -> list[PeriodicPattern]:
     """All arithmetic friezes of width n, one per triangulation of the (n+3)-gon.
 
     Rotating the quiddity rotates the frieze, so each rotation orbit is
     propagated once, at its first member; every other member gets the
     root's rows rotated, validated by the PeriodicPattern constructor.
     """
-    if not 1 <= n <= max_width:
-        raise ValueError(f"width must be in 1..{max_width}, got {n}")
+    if not 1 <= n <= MAX_ENUM_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_ENUM_WIDTH}, got {n}")
     v = n + 3
     quiddities = [_quiddity(v, diagonals) for diagonals in _diagonal_tuples(v)]
     index = {q: i for i, q in enumerate(quiddities)}

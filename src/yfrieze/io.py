@@ -66,12 +66,7 @@ def raw_pattern_from_obj(obj: dict) -> tuple[PatternKind, int, list[list[Fractio
     """Decode without validating invariants (the verifier checks them itself)."""
     if obj.get("schema") != PATTERN_SCHEMA:
         raise ValueError(f"expected schema {PATTERN_SCHEMA!r}, got {obj.get('schema')!r}")
-    kind = PatternKind(obj["kind"])
-    width = obj["width"]
-    if not isinstance(width, int):
-        raise ValueError(f"width must be an int, got {width!r}")
-    rows = [_row_from_json(row) for row in obj["rows"]]
-    return kind, width, rows
+    return raw_patterns_from_obj(obj)[0]
 
 
 def pattern_from_obj(obj: dict) -> PeriodicPattern:
@@ -172,12 +167,11 @@ def catalog_to_obj(catalog: Catalog) -> dict:
 def catalog_from_obj(obj: dict) -> Catalog:
     if obj.get("schema") != CATALOG_SCHEMA:
         raise ValueError(f"expected schema {CATALOG_SCHEMA!r}, got {obj.get('schema')!r}")
-    kind = PatternKind(obj["kind"])
-    width = obj["width"]
+    raw = raw_patterns_from_obj(obj)
+    kind, width = PatternKind(obj["kind"]), obj["width"]  # checked by raw_patterns_from_obj
     key_name = "tuple" if kind is PatternKind.Y else "quiddity"
     entries = []
-    for pat in obj["patterns"]:
-        rows = tuple(map(_row_from_json, pat["rows"]))
+    for pat, (_, _, rows) in zip(obj["patterns"], raw):
         entries.append(CatalogEntry(
             id=pat["id"],
             key_tuple=tuple(pat[key_name]),
@@ -243,16 +237,14 @@ def catalog_from_json(text: str) -> Catalog:
 def raw_patterns_from_obj(obj: dict) -> list[tuple[PatternKind, int, list[list[Fraction]]]]:
     """Accept either a single pattern object or a catalog; no validation."""
     schema = obj.get("schema") if isinstance(obj, dict) else None
-    if schema == PATTERN_SCHEMA:
-        return [raw_pattern_from_obj(obj)]
-    if schema == CATALOG_SCHEMA:
-        kind = PatternKind(obj["kind"])
-        width = obj["width"]
-        if not isinstance(width, int):
-            raise ValueError(f"width must be an int, got {width!r}")
-        return [(kind, width, [_row_from_json(row) for row in pat["rows"]])
-                for pat in obj["patterns"]]
-    raise ValueError(f"unrecognized schema {schema!r}")
+    if schema not in (PATTERN_SCHEMA, CATALOG_SCHEMA):
+        raise ValueError(f"unrecognized schema {schema!r}")
+    kind = PatternKind(obj["kind"])
+    width = obj["width"]
+    if type(width) is not int:  # JSON true and false load as bool, an int subclass
+        raise ValueError(f"width must be an int, got {width!r}")
+    patterns = [obj] if schema == PATTERN_SCHEMA else obj["patterns"]
+    return [(kind, width, [_row_from_json(row) for row in pat["rows"]]) for pat in patterns]
 
 
 def tuple_header(kind: PatternKind, width: int) -> tuple[str, ...]:
@@ -284,10 +276,10 @@ def tuples_from_csv(text: str) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     return header, rows
 
 
-def render_ascii(pattern: PeriodicPattern, periods: int = 2) -> str:
-    """Staggered text layout: row m shifted right by m half-cells, `periods`
+def render_ascii(pattern: PeriodicPattern) -> str:
+    """Staggered text layout: row m shifted right by m half-cells, two
     copies of each row so the glide repetition is visible."""
-    total = periods * pattern.period
+    total = 2 * pattern.period
     texts = [[str(row[k % pattern.period]) for k in range(total)]
              for row in pattern.rows]
     cell = max(len(t) for row in texts for t in row) + 1

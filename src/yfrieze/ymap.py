@@ -10,11 +10,10 @@ being a bijection at each width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (ClosureFailure, FriezeError, PatternKind, PeriodicPattern,
                    is_arithmetic, propagate_y)
-from . import coxeter, search
 
 
 class NotShiftClosed(FriezeError, ValueError):
@@ -98,25 +97,13 @@ def orbit_decomposition(patterns: Sequence[PeriodicPattern]) -> list[list[int]]:
     return orbits
 
 
-def _enumerations(width: int,
-                  friezes: Optional[Sequence[PeriodicPattern]],
-                  ypatterns: Optional[Sequence[PeriodicPattern]]):
-    if friezes is None:
-        friezes = coxeter.enumerate_frieze(width)
-    if ypatterns is None:
-        ypatterns = search.patterns_of(search.y_solutions(width))
-    return list(friezes), list(ypatterns)
+def fiber_analysis(width: int, friezes: Sequence[PeriodicPattern],
+                   ypatterns: Sequence[PeriodicPattern]) -> FiberReport:
+    """Push every width-n frieze through the map and count hits per Y pattern.
 
-
-def fiber_analysis(width: int,
-                   friezes: Optional[Sequence[PeriodicPattern]] = None,
-                   ypatterns: Optional[Sequence[PeriodicPattern]] = None) -> FiberReport:
-    """Push every frieze through the map and count hits per Y pattern.
-
-    Both enumerations are computed for widths 2..4 when not supplied;
-    other widths need them passed in.
+    `ypatterns` must hold every width-n Y pattern the friezes map to;
+    MapFailure is raised otherwise.
     """
-    friezes, ypatterns = _enumerations(width, friezes, ypatterns)
     index = {p: i for i, p in enumerate(ypatterns)}
     sizes = [0] * len(ypatterns)
     for frieze in friezes:
@@ -135,16 +122,13 @@ def fiber_analysis(width: int,
     )
 
 
-def correspondence_table(width: int,
-                         friezes: Optional[Sequence[PeriodicPattern]] = None,
-                         ypatterns: Optional[Sequence[PeriodicPattern]] = None
-                         ) -> list[CorrespondenceRecord]:
+def correspondence_table(width: int, friezes: Sequence[PeriodicPattern],
+                         ypatterns: Sequence[PeriodicPattern]) -> list[CorrespondenceRecord]:
     """One record per frieze orbit: its size s and its image orbit's size t.
 
     Equivariance with cyclic shifts makes the image orbit well defined by
     any representative.
     """
-    friezes, ypatterns = _enumerations(width, friezes, ypatterns)
     yindex = {p: i for i, p in enumerate(ypatterns)}
     yorbit_of = {}
     yorbits = orbit_decomposition(ypatterns)

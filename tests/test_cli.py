@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes and output determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -194,6 +195,23 @@ def test_verify_single_pattern_object(tmp_path, capsys):
     assert "1/1 patterns ok" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("container", ["catalog", "pattern"])
+def test_boolean_width_is_a_parse_error(tmp_path, capsys, command, container):
+    # JSON true loads as a bool, which is an int subclass equal to 1
+    from yfrieze import io
+    if container == "catalog":
+        obj = io.catalog_to_obj(io.coxeter_catalog(1))
+    else:
+        obj = io.pattern_to_obj(yf.enumerate_frieze(1)[0])
+    obj["width"] = True
+    path = tmp_path / "bool-width.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert "width must be an int" in err and err.count("\n") == 1
+
+
 def test_verify_flags_nonarithmetic_pattern(tmp_path, capsys):
     from yfrieze import io
     pattern = yf.expand_domain(yf.w3_domain((1, 1, 1)))
@@ -241,6 +259,62 @@ def test_map_unsupported_widths(capsys):
     assert code == 3
     code, _, err = run(capsys, "map", "--width", "7")
     assert code == 3
+
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_map_rejects_width_below_one(capsys, width):
+    code, out, err = run(capsys, "map", "--width", width)
+    assert code == 2 and out == ""
+    assert "width must be >= 1" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value,expected", [("abc", 2), ("5", 3)])
+def test_map_checks_the_candidate_ceiling(capsys, monkeypatch, value, expected):
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", value)
+    code, out, err = run(capsys, "map", "--width", "2")
+    assert code == expected and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_map_enumerates_each_side_once(capsys, monkeypatch):
+    from yfrieze import coxeter, search
+    calls = []
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    count_calls(coxeter, "enumerate_frieze")
+    count_calls(search, "y_solutions")
+    code, _, _ = run(capsys, "map", "--width", "4")
+    assert code == 0
+    assert sorted(calls) == ["enumerate_frieze", "y_solutions"]
+
+
+# sha256 of the map output, recorded before map built its sides through
+# the catalog front.
+MAP_DIGESTS = {
+    (2, "table"): "7f0fe24479d6e7ce3f268c695406cb2df6fa9d568d99de508b638a675d80f893",
+    (2, "json"): "00e91f65cfb2f6e2d726c9690d10d6d529e60b1f6fe5b4d71ec27029a32d8aa7",
+    (2, "csv"): "9a94d2f77612bbab38c1a6b292b4a1877e0e6a39820a539af45e4b80346c26a3",
+    (3, "table"): "9344cc720c54b41f38a6ace5e434ae7d0adecca5dd11c35b197e187fc34e48f4",
+    (3, "json"): "5ca230aee9aad3a9ded7215feb81df6efe1a98592a1d134fb2f25f21b38e1b64",
+    (3, "csv"): "95322ac26052e6852d0ca3655e5a89ffbd77ad94829a4405fc219a81e92b4bc8",
+    (4, "table"): "7ef5d76d95338067b5c816a5c257469fee383217b751896ae53b5f14d85fff73",
+    (4, "json"): "4198a248791d7501f916f4ae5d607fb025a12364b06f9a51440c977352e5d593",
+    (4, "csv"): "3167151b255d55bd3fc8ed4bd48871f880069a30e139dee4086c909928e1f7e6",
+}
+
+
+@pytest.mark.parametrize("width,fmt", sorted(MAP_DIGESTS))
+def test_map_output_digest(capsys, width, fmt):
+    code, out, _ = run(capsys, "map", "--width", str(width), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MAP_DIGESTS[width, fmt]
 
 
 # ------------------------------------------------------------------ orbits

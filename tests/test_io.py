@@ -73,6 +73,14 @@ def test_coxeter_catalog_round_trips():
     assert rows == [e.key_tuple for e in catalog.entries]
 
 
+@pytest.mark.parametrize("width", [True, "1"])
+def test_catalog_from_json_rejects_a_width_that_is_not_an_int(width):
+    obj = io.catalog_to_obj(io.coxeter_catalog(1))
+    obj["width"] = width
+    with pytest.raises(ValueError, match="width must be an int"):
+        io.catalog_from_json(json.dumps(obj))
+
+
 def test_coxeter_catalog_validates_each_pattern_once(monkeypatch):
     from yfrieze import core
     calls = []

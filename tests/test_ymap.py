@@ -57,7 +57,7 @@ def test_fiber_analysis_width_4(frieze4, y4_patterns):
 
 
 def test_fiber_analysis_width_2():
-    report = yf.fiber_analysis(2)
+    report = yf.fiber_analysis(2, yf.enumerate_frieze(2), yf.patterns_of(yf.y_solutions(2)))
     assert report.surjective and report.injective
     assert report.image_size == 5
 
@@ -146,5 +146,6 @@ def test_correspondence_width_4(frieze4, y4_patterns):
 
 
 def test_correspondence_width_2():
-    records = yf.correspondence_table(2)
+    records = yf.correspondence_table(2, yf.enumerate_frieze(2),
+                                      yf.patterns_of(yf.y_solutions(2)))
     assert [(r.frieze_orbit_size, r.y_orbit_size) for r in records] == [(5, 5)]
