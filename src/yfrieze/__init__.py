@@ -4,38 +4,36 @@ The package classifies closed arithmetic Y-frieze patterns (multiplicative
 diamond rule, zero boundary rows) of widths 3 and 4 by pruned exhaustive
 search, generates all Coxeter friezes of a width from polygon
 triangulations, and analyzes the transfer map between the two families.
+Public names resolve on first access (PEP 562): `import yfrieze` loads no
+submodule, so each command loads only the modules it uses.
 """
 
-from .closedform import (SearchBox, W3Entries, W4Entries, w3_boxes, w3_domain,
-                         w3_entries, w3_inequalities, w4_boxes, w4_domain,
-                         w4_entries, w4_inequalities)
-from .core import (ClosureFailure, FriezeError, FundamentalDomain,
-                   InconsistentDomain, PatternKind, PeriodicPattern, Violation,
-                   check_rows, coxeter_east, cyclic_shift, domain_of,
-                   expand_domain, first_diagonal_of, glide_shift,
-                   glide_shift_of_rows, intrinsic_period, is_arithmetic,
-                   propagate_y, y_south)
-from .coxeter import (NonPositive, NotClosed, Triangulation, all_triangulations,
-                      enumerate_frieze, frieze_from_quiddity, quiddity_of)
-from .search import (BoxTooLarge, SolutionSet, enumerate_generic, enumerate_w3,
-                     enumerate_w4, oracle_box_check, patterns_of, y_solutions)
-from .ymap import (CorrespondenceRecord, FiberReport, MapFailure, apply_p,
-                   correspondence_table, fiber_analysis, orbit_decomposition)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxTooLarge", "ClosureFailure", "CorrespondenceRecord", "FiberReport",
-    "FriezeError", "FundamentalDomain", "InconsistentDomain", "MapFailure",
-    "NonPositive", "NotClosed", "PatternKind", "PeriodicPattern", "SearchBox",
-    "SolutionSet", "Triangulation", "Violation", "W3Entries", "W4Entries",
-    "all_triangulations", "apply_p", "check_rows", "correspondence_table",
-    "coxeter_east", "cyclic_shift", "domain_of", "enumerate_frieze",
-    "enumerate_generic", "enumerate_w3", "enumerate_w4", "expand_domain",
-    "fiber_analysis", "first_diagonal_of", "frieze_from_quiddity",
-    "glide_shift", "glide_shift_of_rows", "intrinsic_period", "is_arithmetic",
-    "orbit_decomposition",
-    "oracle_box_check", "patterns_of", "propagate_y", "quiddity_of",
-    "w3_boxes", "w3_domain", "w3_entries", "w3_inequalities", "w4_boxes",
-    "w4_domain", "w4_entries", "w4_inequalities", "y_solutions", "y_south",
-]
+_EXPORTS = {
+    "closedform": "SearchBox W3Entries W4Entries w3_boxes w3_domain w3_entries w3_inequalities "
+                  "w4_boxes w4_domain w4_entries w4_inequalities",
+    "core": "ClosureFailure FriezeError FundamentalDomain InconsistentDomain PatternKind "
+            "PeriodicPattern Violation check_rows coxeter_east cyclic_shift domain_of "
+            "expand_domain first_diagonal_of glide_shift glide_shift_of_rows intrinsic_period "
+            "is_arithmetic propagate_y y_south",
+    "coxeter": "NonPositive NotClosed Triangulation all_triangulations enumerate_frieze "
+               "frieze_from_quiddity quiddity_of",
+    "search": "BoxTooLarge SolutionSet enumerate_generic enumerate_w3 enumerate_w4 "
+              "oracle_box_check patterns_of y_solutions",
+    "ymap": "CorrespondenceRecord FiberReport MapFailure apply_p correspondence_table "
+            "fiber_analysis orbit_decomposition",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, as `yfrieze.search` read before its import
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

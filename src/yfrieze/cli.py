@@ -14,11 +14,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import io, ymap
+from . import io
 from .core import (InconsistentDomain, PatternKind, PeriodicPattern, Violation,
                    check_rows, glide_shift_of_rows)
-from .coxeter import MAX_ENUM_WIDTH
-from .search import BoxTooLarge, candidate_ceiling
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -61,12 +59,13 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
 
     Returns the catalog, or an exit code after printing a one-line error.
     """
+    from . import coxeter, search, ymap
     if width < 1:
         return _fail(EXIT_USAGE, f"width must be >= 1, got {width}")
     if parallelism < 1:
         return _fail(EXIT_USAGE, f"--parallelism must be >= 1, got {parallelism}")
     try:
-        candidate_ceiling()
+        search.candidate_ceiling()
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
     kind = PatternKind(kind)
@@ -80,14 +79,14 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
             return _fail(EXIT_USAGE, str(exc))
         if len(bounds) != width:
             return _fail(EXIT_USAGE, f"--bounds needs {width} values, got {len(bounds)}")
-    if kind is PatternKind.COXETER and width > MAX_ENUM_WIDTH:
+    if kind is PatternKind.COXETER and width > coxeter.MAX_ENUM_WIDTH:
         return _fail(EXIT_LIMIT,
-                     f"coxeter enumeration supports widths up to {MAX_ENUM_WIDTH}")
+                     f"coxeter enumeration supports widths up to {coxeter.MAX_ENUM_WIDTH}")
     if kind is PatternKind.Y and width not in (1, 2, 3, 4) and bounds is None:
         return _fail(EXIT_USAGE, f"width {width} has no proven boxes; pass --bounds")
     try:
         return io.build_catalog(kind, width, bounds=bounds, parallelism=parallelism)
-    except BoxTooLarge as exc:
+    except search.BoxTooLarge as exc:
         return _fail(EXIT_LIMIT, str(exc))
     except ymap.NotShiftClosed as exc:
         return _fail(EXIT_LIMIT,
@@ -139,16 +138,11 @@ def cmd_verify(args) -> int:
     raw = _load(args.input)
     if isinstance(raw, int):
         return raw
-    failures = 0
-    for i, (kind, width, rows) in enumerate(raw):
-        violation = _verify_one(kind, width, rows)
-        if violation is None:
-            print(f"pattern {i}: ok")
-        else:
-            failures += 1
-            print(f"pattern {i}: {violation}")
-    print(f"{len(raw) - failures}/{len(raw)} patterns ok")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    violations = [_verify_one(*entry) for entry in raw]
+    text = "".join(f"pattern {i}: {'ok' if v is None else v}\n" for i, v in enumerate(violations))
+    ok = violations.count(None)
+    sys.stdout.write(f"{text}{ok}/{len(raw)} patterns ok\n")
+    return EXIT_OK if ok == len(raw) else EXIT_VERIFY
 
 
 def _verdict(report: ymap.FiberReport) -> str:
@@ -162,6 +156,7 @@ def _verdict(report: ymap.FiberReport) -> str:
 
 
 def cmd_map(args) -> int:
+    from . import ymap
     if args.width == 1:
         return _fail(EXIT_LIMIT, "width 1 has a single interior row, so the "
                                  "transfer map is not computable there")

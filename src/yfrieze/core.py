@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
@@ -101,11 +102,12 @@ def _div(num, den) -> "int | Fraction":
 
 def check_rows(kind: PatternKind, width: int,
                rows: Sequence[Sequence[Fraction]]) -> Optional[Violation]:
-    """Validate shape, boundary rows and every diamond of a raw grid.
+    """Validate shape, boundary rows, closure and every diamond of a raw grid.
 
-    Returns the first violation in deterministic scan order, or None.
-    Closedness is exactly the boundary-row condition here, so no separate
-    closure check exists.
+    Returns the first violation in that order, row-major within a check, or
+    None.  Boundary and closure rows are tested by counting their constant,
+    and all diamonds are compared in one pass over the row-major flattened
+    grid; the first failing cell is looked up only when a check fails.
     """
     period = width + 3
     nrows = width + 2 if kind is PatternKind.Y else width + 4
@@ -123,41 +125,37 @@ def check_rows(kind: PatternKind, width: int,
     if kind is PatternKind.COXETER:
         constant_rows += [(1, 1), (nrows - 2, 1)]
     for m, expected in constant_rows:
-        for k, v in enumerate(rows[m]):
-            if v != expected:
-                return Violation("boundary", m, k,
-                                 f"expected constant {expected}, got {v}")
+        if rows[m].count(expected) != period:
+            k, v = next((k, v) for k, v in enumerate(rows[m]) if v != expected)
+            return Violation("boundary", m, k, f"expected constant {expected}, got {v}")
 
     # An interior row equal to the closing boundary row means the pattern
     # already closed at a smaller width.
     sentinel = 0 if kind is PatternKind.Y else 1
     first_interior = 1 if kind is PatternKind.Y else 2
     for m in range(first_interior, first_interior + width):
-        if all(v == sentinel for v in rows[m]):
+        if rows[m].count(sentinel) == period:
             return Violation("closure", m, 0,
                              f"interior row {m} is identically {sentinel}; "
                              f"the pattern closes before width {width}")
 
-    # Compare whole rows: W*E, with E the row rotated left by one, against
-    # (1+N)(1+S) or N*S + 1, with N the row above rotated the same way.
-    # The first k where they differ is the first failing diamond of row m.
-    ones = (1,) * period
-    north = rows[0][1:] + rows[0][:1]
-    for m in range(1, nrows - 1):
-        east = rows[m][1:] + rows[m][:1]
+    # Index i is the diamond anchored at row 1 + i // period, column
+    # i % period; E and N are read off the rows rotated left by one.
+    flat = list(chain.from_iterable(rows))
+    rotated = list(chain.from_iterable(row[1:] + row[:1] for row in rows))
+    north, south = rotated[:-2 * period], flat[2 * period:]
+    we = list(map(mul, flat[period:-period], rotated[period:-period]))
+    if kind is PatternKind.Y:
+        north_south = list(map(mul, map(add, north, repeat(1)), map(add, south, repeat(1))))
+    else:
+        north_south = list(map(add, map(mul, north, south), repeat(1)))
+    if we != north_south:
+        i = next(i for i, (a, b) in enumerate(zip(we, north_south)) if a != b)
         if kind is PatternKind.Y:
-            north_south = list(map(mul, map(add, north, ones), map(add, rows[m + 1], ones)))
+            detail = f"W*E = {we[i]} but (1+N)(1+S) = {north_south[i]}"
         else:
-            north_south = list(map(add, map(mul, north, rows[m + 1]), ones))
-        we = list(map(mul, rows[m], east))
-        if we != north_south:
-            k = next(i for i, (a, b) in enumerate(zip(we, north_south)) if a != b)
-            if kind is PatternKind.Y:
-                detail = f"W*E = {we[k]} but (1+N)(1+S) = {north_south[k]}"
-            else:
-                detail = f"W*E - N*S = {we[k] - north_south[k] + 1}, expected 1"
-            return Violation("diamond", m, k, detail)
-        north = east
+            detail = f"W*E - N*S = {we[i] - north_south[i] + 1}, expected 1"
+        return Violation("diamond", 1 + i // period, i % period, detail)
     return None
 
 

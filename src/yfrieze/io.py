@@ -24,10 +24,9 @@ import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
-from . import coxeter, search, ymap
-from .closedform import w3_boxes, w4_boxes
 from .core import (PatternKind, PeriodicPattern, glide_shift, intrinsic_period)
 
 PATTERN_SCHEMA = "frieze/1"
@@ -46,11 +45,17 @@ def _value_from_json(x) -> "int | Fraction":
     raise ValueError(f"pattern entries must be ints or 'p/q' strings, got {x!r}")
 
 
-def _row_from_json(row) -> list:
-    """A decoded row: a list of JSON ints as it is, anything else value by value."""
-    if type(row) is list and set(map(type, row)) <= {int}:
-        return row
-    return [_value_from_json(v) for v in row]
+def _rows_from_json(rows) -> list:
+    """A pattern's rows: lists of JSON ints as they are (one type scan), else value by value."""
+    if (type(rows) is list and set(map(type, rows)) <= {list}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        return rows
+    return [[_value_from_json(v) for v in row] for row in rows]
+
+
+def _schema_of(obj) -> Optional[str]:
+    """The schema a decoded JSON value names: None unless it is an object."""
+    return obj.get("schema") if isinstance(obj, dict) else None
 
 
 def pattern_to_obj(p: PeriodicPattern) -> dict:
@@ -64,8 +69,8 @@ def pattern_to_obj(p: PeriodicPattern) -> dict:
 
 def raw_pattern_from_obj(obj: dict) -> tuple[PatternKind, int, list[list[Fraction]]]:
     """Decode without validating invariants (the verifier checks them itself)."""
-    if obj.get("schema") != PATTERN_SCHEMA:
-        raise ValueError(f"expected schema {PATTERN_SCHEMA!r}, got {obj.get('schema')!r}")
+    if _schema_of(obj) != PATTERN_SCHEMA:
+        raise ValueError(f"expected schema {PATTERN_SCHEMA!r}, got {_schema_of(obj)!r}")
     return raw_patterns_from_obj(obj)[0]
 
 
@@ -96,6 +101,7 @@ class Catalog:
 def _with_orbits(kind: PatternKind, width: int, parameters: dict,
                  keys: Sequence[tuple[int, ...]],
                  patterns: Sequence[PeriodicPattern]) -> Catalog:
+    from . import ymap
     # intrinsic_period and glide_shift are invariant under cyclic shifts,
     # so each orbit's are computed once, at its root.
     fields = {}
@@ -112,10 +118,11 @@ def _with_orbits(kind: PatternKind, width: int, parameters: dict,
 def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
               parallelism: int = 1) -> Catalog:
     """Catalog of all arithmetic Y patterns of a width, sorted by diagonal."""
+    from . import closedform, search
     sols = search.y_solutions(width, bounds=bounds, parallelism=parallelism)
     patterns = search.patterns_of(sols)
     if width in (3, 4) and bounds is None:
-        boxes = w3_boxes() if width == 3 else w4_boxes()
+        boxes = closedform.w3_boxes() if width == 3 else closedform.w4_boxes()
         parameters = {"mode": "proven-boxes", "boxes": [list(b.bounds) for b in boxes]}
     else:
         used = bounds if bounds is not None else search.DEFAULT_GENERIC_BOUNDS[width]
@@ -126,6 +133,7 @@ def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
 def coxeter_catalog(width: int) -> Catalog:
     """Catalog of all arithmetic Coxeter friezes of a width, one per
     triangulation, keyed by quiddity."""
+    from . import coxeter
     patterns = coxeter.enumerate_frieze(width)
     keys = [p.rows[2] for p in patterns]
     parameters = {"mode": "triangulations", "polygon": width + 3}
@@ -165,8 +173,8 @@ def catalog_to_obj(catalog: Catalog) -> dict:
 
 
 def catalog_from_obj(obj: dict) -> Catalog:
-    if obj.get("schema") != CATALOG_SCHEMA:
-        raise ValueError(f"expected schema {CATALOG_SCHEMA!r}, got {obj.get('schema')!r}")
+    if _schema_of(obj) != CATALOG_SCHEMA:
+        raise ValueError(f"expected schema {CATALOG_SCHEMA!r}, got {_schema_of(obj)!r}")
     raw = raw_patterns_from_obj(obj)
     kind, width = PatternKind(obj["kind"]), obj["width"]  # checked by raw_patterns_from_obj
     key_name = "tuple" if kind is PatternKind.Y else "quiddity"
@@ -236,7 +244,7 @@ def catalog_from_json(text: str) -> Catalog:
 
 def raw_patterns_from_obj(obj: dict) -> list[tuple[PatternKind, int, list[list[Fraction]]]]:
     """Accept either a single pattern object or a catalog; no validation."""
-    schema = obj.get("schema") if isinstance(obj, dict) else None
+    schema = _schema_of(obj)
     if schema not in (PATTERN_SCHEMA, CATALOG_SCHEMA):
         raise ValueError(f"unrecognized schema {schema!r}")
     kind = PatternKind(obj["kind"])
@@ -244,7 +252,7 @@ def raw_patterns_from_obj(obj: dict) -> list[tuple[PatternKind, int, list[list[F
     if type(width) is not int:  # JSON true and false load as bool, an int subclass
         raise ValueError(f"width must be an int, got {width!r}")
     patterns = [obj] if schema == PATTERN_SCHEMA else obj["patterns"]
-    return [(kind, width, [_row_from_json(row) for row in pat["rows"]]) for pat in patterns]
+    return [(kind, width, _rows_from_json(pat["rows"])) for pat in patterns]
 
 
 def tuple_header(kind: PatternKind, width: int) -> tuple[str, ...]:

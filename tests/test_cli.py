@@ -222,6 +222,46 @@ def test_verify_flags_nonarithmetic_pattern(tmp_path, capsys):
     assert "positivity violation" in out
 
 
+def tampered_width4_catalog(kind):
+    """A width-4 catalog whose entries 0-5 fail verify by shape, boundary,
+    closure, diamond, positivity (a closed pattern with "p/q" entries) and
+    a diamond around a "p/q" cell; the other entries stay valid."""
+    from fractions import Fraction as F
+    from yfrieze import io
+    if kind == "y":
+        catalog = io.y_catalog(4)
+        rational = yf.propagate_y((1, 3, 3, F(5, 4), 8, F(1, 2), 11), 4)
+    else:
+        catalog = io.coxeter_catalog(4)
+        rational = yf.frieze_from_quiddity((2, F(5, 4), F(8, 3), F(9, 4), 1, 3, F(5, 3)))
+    obj = io.catalog_to_obj(catalog)
+    rows = [entry["rows"] for entry in obj["patterns"]]
+    rows[0].pop()
+    rows[1][0][3] = 1
+    rows[2][2] = [0 if kind == "y" else 1] * 7
+    rows[3][3][2] += 1
+    obj["patterns"][4]["rows"] = io.pattern_to_obj(rational)["rows"]
+    rows[5][2][1] = "1/2"
+    return obj
+
+
+# sha256 and exit code of verify's report on tampered_width4_catalog,
+# recorded while verify still printed the report line by line.
+VERIFY_DIGESTS = {
+    "coxeter": ("206772e27275963ce1e4e88edded556fb86dc8565d06f01a42065b034980af30", 1),
+    "y": ("3411175f910837ef5dd14cc70a563d3ddcac13a809a5bbc6e4983df31d761121", 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_DIGESTS))
+def test_verify_report_is_pinned(tmp_path, capsys, kind):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(tampered_width4_catalog(kind)))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == VERIFY_DIGESTS[kind]
+    assert err == ""
+
+
 # --------------------------------------------------------------------- map
 
 def test_map_width_3(capsys):
@@ -421,3 +461,29 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [("verify", "F"), ("render", "F", "--index", "0"), ("--help",)])
+def test_reader_commands_load_only_the_reader_modules(coxeter3_catalog_file, argv):
+    # verify, render and --help need neither the searches nor the transfer map.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
+    code = ("import json, sys\nfrom yfrieze.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'yfrieze')),"
+            " file=sys.stderr)")
+    argv = [str(coxeter3_catalog_file) if arg == "F" else arg for arg in argv]
+    err = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    assert json.loads(err.splitlines()[-1]) == ["yfrieze", "yfrieze.cli", "yfrieze.core",
+                                                "yfrieze.io"]
+
+
+def test_every_public_name_resolves_on_first_access():
+    for name in yf.__all__:
+        namespace = {}
+        exec(f"from yfrieze import {name}", namespace)
+        assert namespace[name] is getattr(yf, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        yf.no_such_name
+    with pytest.raises(ImportError):
+        exec("from yfrieze import no_such_name", {})

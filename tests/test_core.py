@@ -1,11 +1,13 @@
 """Diamond rules, propagation, glide expansion and shift semantics."""
 
 from fractions import Fraction as F
+from operator import add, mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
-from yfrieze.core import Violation, check_rows
+from yfrieze.core import PatternKind, Violation, check_rows
 
 
 def diamonds(p):
@@ -271,6 +273,101 @@ def test_row_kernels_match_cell_oracles(y4_patterns):
                 assert violation == oracle_diamond_scan(p.kind, rows)
                 assert (yf.glide_shift_of_rows(rows, p.period)
                         == oracle_glide_shift(rows, p.period))
+
+
+def oracle_check_rows(kind, width, rows):
+    """check_rows as it was before it compared the flattened grid: boundary
+    and closure rows cell by cell, diamonds one row at a time.  The
+    reference for the property below; keep it as it is."""
+    period = width + 3
+    nrows = width + 2 if kind is PatternKind.Y else width + 4
+    if width < 1:
+        return Violation("shape", -1, -1, f"width must be >= 1, got {width}")
+    if len(rows) != nrows:
+        return Violation("shape", len(rows), -1,
+                         f"expected {nrows} rows for width {width}, got {len(rows)}")
+    for m, row in enumerate(rows):
+        if len(row) != period:
+            return Violation("shape", m, len(row),
+                             f"row {m} has {len(row)} entries, expected {period}")
+
+    constant_rows = [(0, 0), (nrows - 1, 0)]
+    if kind is PatternKind.COXETER:
+        constant_rows += [(1, 1), (nrows - 2, 1)]
+    for m, expected in constant_rows:
+        for k, v in enumerate(rows[m]):
+            if v != expected:
+                return Violation("boundary", m, k,
+                                 f"expected constant {expected}, got {v}")
+
+    # An interior row equal to the closing boundary row means the pattern
+    # already closed at a smaller width.
+    sentinel = 0 if kind is PatternKind.Y else 1
+    first_interior = 1 if kind is PatternKind.Y else 2
+    for m in range(first_interior, first_interior + width):
+        if all(v == sentinel for v in rows[m]):
+            return Violation("closure", m, 0,
+                             f"interior row {m} is identically {sentinel}; "
+                             f"the pattern closes before width {width}")
+
+    # Compare whole rows: W*E, with E the row rotated left by one, against
+    # (1+N)(1+S) or N*S + 1, with N the row above rotated the same way.
+    # The first k where they differ is the first failing diamond of row m.
+    ones = (1,) * period
+    north = rows[0][1:] + rows[0][:1]
+    for m in range(1, nrows - 1):
+        east = rows[m][1:] + rows[m][:1]
+        if kind is PatternKind.Y:
+            north_south = list(map(mul, map(add, north, ones), map(add, rows[m + 1], ones)))
+        else:
+            north_south = list(map(add, map(mul, north, rows[m + 1]), ones))
+        we = list(map(mul, rows[m], east))
+        if we != north_south:
+            k = next(i for i, (a, b) in enumerate(zip(we, north_south)) if a != b)
+            if kind is PatternKind.Y:
+                detail = f"W*E = {we[k]} but (1+N)(1+S) = {north_south[k]}"
+            else:
+                detail = f"W*E - N*S = {we[k] - north_south[k] + 1}, expected 1"
+            return Violation("diamond", m, k, detail)
+        north = east
+    return None
+
+
+TAMPER_BASES = [*(p for w in (1, 2, 3, 4) for p in yf.patterns_of(yf.y_solutions(w))),
+                *(p for w in (1, 2, 3, 4, 5) for p in yf.enumerate_frieze(w))]
+CELL_VALUES = st.one_of(st.integers(-2, 12), st.booleans(),
+                        st.fractions(-3, 12, max_denominator=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_check_rows_matches_the_oracle_on_tampered_grids(data):
+    p = data.draw(st.sampled_from(TAMPER_BASES))
+    rows = [list(row) for row in p.rows]
+    focus = 0  # a row the cell changes below favour
+    if data.draw(st.integers(0, 5)) == 0:  # an interior row equal to the closing row
+        sentinel = 0 if p.kind is PatternKind.Y else 1
+        first = 1 if p.kind is PatternKind.Y else 2
+        focus = data.draw(st.integers(first, first + p.width - 1))
+        rows[focus] = data.draw(st.lists(st.sampled_from([sentinel, F(sentinel), bool(sentinel)]),
+                                     min_size=p.period, max_size=p.period))
+    for _ in range(data.draw(st.integers(0, 3))):  # boundary, closure or interior cells
+        m = data.draw(st.one_of(st.integers(0, len(rows) - 1), st.just(focus)))
+        k = data.draw(st.integers(0, p.period - 1))
+        rows[m][k] = data.draw(st.one_of(CELL_VALUES, st.just(rows[m][k] + F(1, 2))))
+    reshape = data.draw(st.sampled_from(["none"] * 12 + ["drop-row", "extra-row",
+                                                         "drop-cell", "extra-cell"]))
+    m = data.draw(st.integers(0, len(rows) - 1))
+    if reshape == "drop-row":
+        rows.pop(m)
+    elif reshape == "extra-row":
+        rows.insert(m, list(rows[m]))
+    elif reshape == "drop-cell":
+        rows[m].pop()
+    elif reshape == "extra-cell":
+        rows[m].append(data.draw(CELL_VALUES))
+    width = data.draw(st.sampled_from([p.width] * 18 + [p.width + 1, 0]))
+    assert check_rows(p.kind, width, rows) == oracle_check_rows(p.kind, width, rows)
 
 
 def test_every_diamond_of_every_kind_holds(y4_patterns, frieze4):

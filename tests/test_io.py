@@ -42,6 +42,18 @@ def test_pattern_obj_rejects_garbage():
                                       "width": 3, "patterns": [{"rows": [[1, 2, bad, 3]]}]})
 
 
+def test_json_that_is_not_an_object_is_a_value_error():
+    # a list or a number names no schema: malformed input, not an AttributeError
+    with pytest.raises(ValueError, match="expected schema 'frieze-catalog/1', got None"):
+        io.catalog_from_json("[]")
+    with pytest.raises(ValueError, match="expected schema 'frieze/1', got None"):
+        io.pattern_from_obj([])
+    with pytest.raises(ValueError, match="expected schema 'frieze/1', got None"):
+        io.raw_pattern_from_obj(5)
+    with pytest.raises(ValueError, match="unrecognized schema None"):
+        io.raw_patterns_from_obj("frieze/1")
+
+
 def test_tuples_from_empty_csv():
     with pytest.raises(ValueError):
         io.tuples_from_csv("")
