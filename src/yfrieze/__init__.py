@@ -13,16 +13,16 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "closedform": "SearchBox W3Entries W4Entries w3_boxes w3_domain w3_entries w3_inequalities "
-                  "w4_boxes w4_domain w4_entries w4_inequalities",
+    "closedform": "W3Entries W4Entries w3_domain w3_entries w3_inequalities "
+                  "w4_domain w4_entries w4_inequalities",
     "core": "ClosureFailure FriezeError FundamentalDomain InconsistentDomain PatternKind "
             "PeriodicPattern Violation check_rows coxeter_east cyclic_shift domain_of "
             "expand_domain first_diagonal_of glide_shift glide_shift_of_rows intrinsic_period "
             "is_arithmetic propagate_y y_south",
     "coxeter": "NonPositive NotClosed Triangulation all_triangulations enumerate_frieze "
                "frieze_from_quiddity quiddity_of",
-    "search": "BoxTooLarge SolutionSet enumerate_generic enumerate_w3 enumerate_w4 "
-              "oracle_box_check patterns_of y_solutions",
+    "search": "BoxTooLarge SearchBox SolutionSet enumerate_generic enumerate_w3 enumerate_w4 "
+              "oracle_box_check patterns_of w3_boxes w4_boxes y_solutions",
     "ymap": "CorrespondenceRecord FiberReport MapFailure apply_p correspondence_table "
             "fiber_analysis orbit_decomposition",
 }

@@ -59,7 +59,7 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
 
     Returns the catalog, or an exit code after printing a one-line error.
     """
-    from . import coxeter, search, ymap
+    from . import search, ymap
     if width < 1:
         return _fail(EXIT_USAGE, f"width must be >= 1, got {width}")
     if parallelism < 1:
@@ -79,9 +79,11 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
             return _fail(EXIT_USAGE, str(exc))
         if len(bounds) != width:
             return _fail(EXIT_USAGE, f"--bounds needs {width} values, got {len(bounds)}")
-    if kind is PatternKind.COXETER and width > coxeter.MAX_ENUM_WIDTH:
-        return _fail(EXIT_LIMIT,
-                     f"coxeter enumeration supports widths up to {coxeter.MAX_ENUM_WIDTH}")
+    if kind is PatternKind.COXETER:
+        from . import coxeter
+        if width > coxeter.MAX_ENUM_WIDTH:
+            return _fail(EXIT_LIMIT,
+                         f"coxeter enumeration supports widths up to {coxeter.MAX_ENUM_WIDTH}")
     if kind is PatternKind.Y and width not in (1, 2, 3, 4) and bounds is None:
         return _fail(EXIT_USAGE, f"width {width} has no proven boxes; pass --bounds")
     try:
@@ -262,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="enumerate all patterns of a width")
     add_common(p_enum)
     p_enum.add_argument("--parallelism", type=int, default=1,
-                        help="worker processes for the width-4 box scan")
+                        help="processes that share the width-4 box scan: this one "
+                             "and N-1 forked children (POSIX only; serial elsewhere)")
     p_enum.add_argument("--bounds",
                         help="comma-separated diagonal bounds for generic widths")
     p_enum.set_defaults(func=cmd_enumerate)

@@ -13,18 +13,19 @@ dg = 1+e, eh = (1+g)(1+f), gi = 1+h, solved below in closed form.  Width 4
 with diagonal (a, b, c, d) is analogous with entries e..n.
 
 The integrality inequalities (numerator >= denominator for each solved
-entry) and the finite search boxes they imply live here too; everything is
-evaluated over exact integers, never floats.
+entry) live here too; everything is evaluated over exact integers, never
+floats.  The finite search boxes they imply (SearchBox, w3_boxes, w4_boxes)
+live in `search`, which does not load this module, and are re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Sequence
 
 from .core import FundamentalDomain
+from .search import SearchBox, w3_boxes, w4_boxes  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -183,39 +184,6 @@ def w3_b_quadratic_nonpositive(b: int) -> bool:
 def w4_bc_quadratic_nonpositive(x: int) -> bool:
     """x^2 - 143x - 4326 <= 0: bounds b or c by 168 once d <= 41 and the other <= 102."""
     return x * x - 143 * x - 4326 <= 0
-
-
-@dataclass(frozen=True)
-class SearchBox:
-    """Per-variable inclusive upper bounds; every lower bound is 1."""
-
-    bounds: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b < 1 for b in self.bounds):
-            raise ValueError(f"bounds must be >= 1, got {self.bounds}")
-
-    def __contains__(self, point: Sequence[int]) -> bool:
-        return (len(point) == len(self.bounds)
-                and all(1 <= v <= b for v, b in zip(point, self.bounds)))
-
-    def volume(self) -> int:
-        return prod(self.bounds)
-
-
-def w3_boxes() -> tuple[SearchBox, SearchBox]:
-    """The two proven width-3 boxes: a<=4, b<=18, c<=11 and its a/c swap."""
-    return (SearchBox((4, 18, 11)), SearchBox((11, 18, 4)))
-
-
-def w4_boxes() -> tuple[SearchBox, SearchBox, SearchBox, SearchBox]:
-    """The four proven width-4 boxes (a<=5 or d<=5, with b/c in 102/168 either way)."""
-    return (
-        SearchBox((5, 102, 168, 41)),
-        SearchBox((5, 168, 102, 41)),
-        SearchBox((41, 102, 168, 5)),
-        SearchBox((41, 168, 102, 5)),
-    )
 
 
 def w3_domain(diag: Sequence[int]) -> FundamentalDomain:

@@ -118,11 +118,11 @@ def _with_orbits(kind: PatternKind, width: int, parameters: dict,
 def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
               parallelism: int = 1) -> Catalog:
     """Catalog of all arithmetic Y patterns of a width, sorted by diagonal."""
-    from . import closedform, search
+    from . import search
     sols = search.y_solutions(width, bounds=bounds, parallelism=parallelism)
     patterns = search.patterns_of(sols)
     if width in (3, 4) and bounds is None:
-        boxes = closedform.w3_boxes() if width == 3 else closedform.w4_boxes()
+        boxes = search.w3_boxes() if width == 3 else search.w4_boxes()
         parameters = {"mode": "proven-boxes", "boxes": [list(b.bounds) for b in boxes]}
     else:
         used = bounds if bounds is not None else search.DEFAULT_GENERIC_BOUNDS[width]
@@ -175,9 +175,18 @@ def catalog_to_obj(catalog: Catalog) -> dict:
 def catalog_from_obj(obj: dict) -> Catalog:
     if _schema_of(obj) != CATALOG_SCHEMA:
         raise ValueError(f"expected schema {CATALOG_SCHEMA!r}, got {_schema_of(obj)!r}")
-    raw = raw_patterns_from_obj(obj)
-    kind, width = PatternKind(obj["kind"]), obj["width"]  # checked by raw_patterns_from_obj
+    kind = PatternKind(obj["kind"])
     key_name = "tuple" if kind is PatternKind.Y else "quiddity"
+    fields = ("id", key_name, "orbit_root", "orbit_size", "intrinsic_period",
+              "glide_shift", "rows")
+    for i, pat in enumerate(obj["patterns"]):
+        if type(pat) is not dict:
+            raise ValueError(f"catalog entry {i} is not an object: {pat!r}")
+        missing = [name for name in fields if name not in pat]
+        if missing:
+            raise ValueError(f"catalog entry {i} lacks {', '.join(missing)}")
+    raw = raw_patterns_from_obj(obj)
+    width = obj["width"]  # checked by raw_patterns_from_obj
     entries = []
     for pat, (_, _, rows) in zip(obj["patterns"], raw):
         entries.append(CatalogEntry(

@@ -10,21 +10,29 @@ serves every width:
                                 reference showing that the boxes and the
                                 pruning lose nothing
 
-Every hit is re-verified by propagate_y, which rebuilds its pattern row by
-row, and its full entry tuple is read off that pattern.
+One DFS walks the coordinatewise maximum of the boxes and keeps a closed
+pattern only if its diagonal lies in one of them, so overlapping boxes are
+searched once.  Every hit is re-verified by propagate_y, which rebuilds its
+pattern row by row, and its full entry tuple is read off that pattern.
+
+With parallelism N > 1 the values of x_1 are dealt into N interleaved
+shares: this process scans one, and N - 1 children started with os.fork
+scan the others and send their first rows back through a pipe.  A child
+runs only the scan and the write, so it needs no lock that another thread
+of the parent might hold.  Without os.fork the search is serial.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from math import gcd, prod
+from typing import Callable, Iterable, Optional, Sequence
 
-from .closedform import SearchBox, w3_boxes, w4_boxes
-from .core import (PeriodicPattern, FriezeError, domain_of, is_arithmetic,
-                   propagate_y)
+from .core import PeriodicPattern, FriezeError, is_arithmetic, propagate_y
 
 DEFAULT_MAX_CANDIDATES = 10 ** 9
 MAX_CANDIDATES_ENV = "FRIEZE_MAX_CANDIDATES"
@@ -34,15 +42,41 @@ MAX_CANDIDATES_ENV = "FRIEZE_MAX_CANDIDATES"
 DEFAULT_GENERIC_BOUNDS = {1: (10,), 2: (30, 30)}
 
 
-def ProcessPoolExecutor(*args, **kwargs):
-    """concurrent.futures.ProcessPoolExecutor, imported on first use: the
-    import takes tens of milliseconds, which every CLI start would pay."""
-    from concurrent.futures import ProcessPoolExecutor as executor
-    return executor(*args, **kwargs)
-
-
 class BoxTooLarge(FriezeError):
     """The requested search box exceeds the candidate-count ceiling."""
+
+
+@dataclass(frozen=True)
+class SearchBox:
+    """Per-variable inclusive upper bounds; every lower bound is 1."""
+
+    bounds: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(b < 1 for b in self.bounds):
+            raise ValueError(f"bounds must be >= 1, got {self.bounds}")
+
+    def __contains__(self, point: Sequence[int]) -> bool:
+        return (len(point) == len(self.bounds)
+                and all(1 <= v <= b for v, b in zip(point, self.bounds)))
+
+    def volume(self) -> int:
+        return prod(self.bounds)
+
+
+def w3_boxes() -> tuple[SearchBox, SearchBox]:
+    """The two proven width-3 boxes: a<=4, b<=18, c<=11 and its a/c swap."""
+    return (SearchBox((4, 18, 11)), SearchBox((11, 18, 4)))
+
+
+def w4_boxes() -> tuple[SearchBox, SearchBox, SearchBox, SearchBox]:
+    """The four proven width-4 boxes (a<=5 or d<=5, with b/c in 102/168 either way)."""
+    return (
+        SearchBox((5, 102, 168, 41)),
+        SearchBox((5, 168, 102, 41)),
+        SearchBox((41, 102, 168, 5)),
+        SearchBox((41, 168, 102, 5)),
+    )
 
 
 @dataclass(frozen=True)
@@ -63,20 +97,20 @@ class SolutionSet:
         return len(self.diagonals)
 
 
-def _scan(task: tuple[tuple[int, ...], int]) -> list[tuple[int, ...]]:
+def _scan(boxes: Sequence[SearchBox], firsts: Iterable[int]) -> list[tuple[int, ...]]:
     """First rows of the closed arithmetic patterns whose first diagonal
-    lies in a box and starts with x_1.
+    starts with a value in `firsts` and lies in one of the boxes.
 
-    `task` is (box bounds, x_1); safe to run in a worker process.  The DFS
-    solves anti-diagonal k of the column triangle, the cells (m, j) with
-    m + j = k listed bottom-up, from anti-diagonal k - 1: each cell is
-    (1 + N)(1 + S) / W.  Its lowest cell is x_{k+1}, chosen from the box,
-    or for k >= n the zero row below the pattern.  Quotients of positive
-    integers are positive, so a branch ends at the first non-integral
-    cell.  The pattern closes when anti-diagonal n - 1 comes back one
-    period on.
+    The DFS walks the boxes' coordinatewise maximum.  It solves
+    anti-diagonal k of the column triangle, the cells (m, j) with m + j = k
+    listed bottom-up, from anti-diagonal k - 1: each cell is
+    (1 + N)(1 + S) / W.  Its lowest cell is x_{k+1}, chosen within the
+    bound, or for k >= n the zero row below the pattern.  Quotients of
+    positive integers are positive, so a branch ends at the first
+    non-integral cell.  The pattern closes when anti-diagonal n - 1 comes
+    back one period on, and is kept if its diagonal lies in a box.
     """
-    bounds, first = task
+    bounds = [max(column) for column in zip(*(box.bounds for box in boxes))]
     n = len(bounds)
     period = n + 3
     rows = []
@@ -84,7 +118,8 @@ def _scan(task: tuple[tuple[int, ...], int]) -> list[tuple[int, ...]]:
     def descend(antis: list[list[int]]) -> None:
         k = len(antis)
         if k == n + period:
-            if antis[-1] == antis[n - 1]:
+            if (antis[-1] == antis[n - 1]
+                    and any(tuple(anti[0] for anti in antis[:n]) in box for box in boxes)):
                 rows.append(tuple(anti[-1] for anti in antis[:period]))
             return
         prev = antis[-1]
@@ -108,18 +143,58 @@ def _scan(task: tuple[tuple[int, ...], int]) -> list[tuple[int, ...]]:
                 descend(antis)
                 antis.pop()
 
-    descend([[first]])
+    for first in firsts:
+        descend([[first]])
     return rows
+
+
+def _fork_scan(boxes: Sequence[SearchBox],
+               firsts: range) -> Callable[[], Optional[list[tuple[int, ...]]]]:
+    """Run _scan(boxes, firsts) in a child started with os.fork.
+
+    Returns a function that reads the child's first rows from its pipe,
+    reaps the child, and returns the rows, or None if the child failed.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child, which never returns
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                marshal.dump(_scan(boxes, firsts), pipe)
+            status = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())  # the parent raises FriezeError
+            sys.stderr.flush()
+            raise
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def join() -> Optional[list[tuple[int, ...]]]:
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+        return marshal.loads(data) if os.waitpid(pid, 0)[1] == 0 else None
+
+    return join
 
 
 def _solution_set(width: int, first_rows: Iterable[tuple[int, ...]]) -> SolutionSet:
     """Re-verify every hit by row propagation; sort the hits by diagonal."""
     found = {}
-    for row in set(first_rows):
+    for row in first_rows:
         pattern = propagate_y(row, width)
         if not is_arithmetic(pattern):
             raise FriezeError(f"first row {row} fails re-verification")
-        full = domain_of(pattern).entry_tuple()
+        # The domain's entries, diagonal-major: row m holds columns 0..width + 1 - m.
+        full = tuple(pattern.rows[m][j] for j in range(width + 1)
+                     for m in range(1, min(width, width + 1 - j) + 1))
         found[full[:width]] = full, pattern
     diags = tuple(sorted(found))
     return SolutionSet(width, diags, tuple(found[d][0] for d in diags),
@@ -127,18 +202,23 @@ def _solution_set(width: int, first_rows: Iterable[tuple[int, ...]]) -> Solution
 
 
 def _search(width: int, boxes: Iterable[SearchBox], parallelism: int = 1) -> SolutionSet:
-    """Run the DFS over the boxes, one task per (box, x_1), on up to
-    `parallelism` worker processes.  The hits are merged and sorted, so the
-    output does not depend on the schedule."""
-    tasks = [(box.bounds, first) for box in boxes
-             for first in range(1, box.bounds[0] + 1)]
-    workers = min(parallelism, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan, tasks))
-    else:
-        chunks = map(_scan, tasks)
-    return _solution_set(width, chain.from_iterable(chunks))
+    """Run one DFS over the boxes.  The x_1 values are dealt into
+    min(parallelism, CPU count, x_1 values) interleaved shares: this process
+    scans the first and a forked child each other one.  The hits are merged
+    and sorted, so the output does not depend on the split."""
+    boxes = tuple(boxes)
+    firsts = range(1, max(box.bounds[0] for box in boxes) + 1)
+    workers = min(parallelism, os.cpu_count() or 1, len(firsts)) if hasattr(os, "fork") else 1
+    joins = []
+    try:
+        for share in range(1, workers):
+            joins.append(_fork_scan(boxes, firsts[share::workers]))
+        rows = _scan(boxes, firsts[::workers])
+    finally:
+        shares = [join() for join in joins]
+    if None in shares:
+        raise FriezeError(f"{shares.count(None)} of {len(joins)} search worker processes failed")
+    return _solution_set(width, chain(rows, *shares))
 
 
 def enumerate_w3() -> SolutionSet:
@@ -149,9 +229,8 @@ def enumerate_w3() -> SolutionSet:
 def enumerate_w4(parallelism: int = 1) -> SolutionSet:
     """All width-4 diagonals whose ten solved entries are positive integers.
 
-    Searches the four proven boxes.  The tasks, one per box and first
-    entry, run on at most min(parallelism, CPU count, task count) worker
-    processes.
+    Searches the four proven boxes in one DFS, whose 41 values of x_1 are
+    shared by min(parallelism, CPU count, 41) processes (see _search).
     """
     return _search(4, w4_boxes(), parallelism)
 

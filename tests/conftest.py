@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 import yfrieze as yf
@@ -8,6 +10,19 @@ W3_GOLDEN = (
     (1, 1, 2), (1, 2, 3), (1, 4, 5), (2, 1, 1), (2, 3, 2),
     (2, 9, 5), (3, 2, 1), (3, 8, 3), (5, 4, 1), (5, 9, 2),
 )
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no children at all
+        return
+    pytest.fail("the test left a child process " + (f"{pid} unreaped" if pid else "running"))
 
 
 @pytest.fixture(scope="session")

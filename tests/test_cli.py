@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -455,7 +456,7 @@ def test_render_missing_file(capsys):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # concurrent.futures is imported only when a search starts a pool.
+    # The search forks its workers itself; nothing imports concurrent.futures.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
     code = "import sys, yfrieze.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -476,6 +477,26 @@ def test_reader_commands_load_only_the_reader_modules(coxeter3_catalog_file, arg
                          capture_output=True, text=True).stderr
     assert json.loads(err.splitlines()[-1]) == ["yfrieze", "yfrieze.cli", "yfrieze.core",
                                                 "yfrieze.io"]
+
+
+def test_width_4_y_enumeration_loads_only_the_search_modules():
+    # No Coxeter or closed-form code, and no process pool, at any --parallelism.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
+    code = ("import json, sys\nfrom yfrieze.cli import main\nmain(sys.argv[1:])\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('yfrieze', 'concurrent', 'multiprocessing'))), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, "enumerate", "--kind", "y",
+                           "--width", "4", "--format", "csv", "--parallelism", "2"],
+                          env=env, check=True, capture_output=True)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [
+        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.io", "yfrieze.search", "yfrieze.ymap"]
+    assert proc.stdout == (Path(__file__).parent / "data" / "w4_golden.csv").read_bytes()
+
+
+def test_closedform_re_exports_the_search_boxes():
+    from yfrieze import closedform, search
+    assert closedform.SearchBox is search.SearchBox is yf.SearchBox
+    assert closedform.w3_boxes is search.w3_boxes and closedform.w4_boxes is search.w4_boxes
 
 
 def test_every_public_name_resolves_on_first_access():

@@ -54,6 +54,24 @@ def test_json_that_is_not_an_object_is_a_value_error():
         io.raw_patterns_from_obj("frieze/1")
 
 
+def test_catalog_entry_that_is_not_an_object_is_a_value_error():
+    obj = io.catalog_to_obj(io.coxeter_catalog(1))
+    obj["patterns"] = [5]
+    with pytest.raises(ValueError, match="catalog entry 0 is not an object"):
+        io.catalog_from_json(json.dumps(obj))
+
+
+def test_catalog_entry_missing_a_field_is_a_value_error():
+    obj = io.catalog_to_obj(io.y_catalog(3))
+    obj["patterns"][1] = {"rows": []}
+    with pytest.raises(ValueError, match="catalog entry 1 lacks id, tuple, orbit_root"):
+        io.catalog_from_json(json.dumps(obj))
+    obj["patterns"][1] = dict(obj["patterns"][0])
+    del obj["patterns"][1]["glide_shift"]
+    with pytest.raises(ValueError, match="catalog entry 1 lacks glide_shift"):
+        io.catalog_from_json(json.dumps(obj))
+
+
 def test_tuples_from_empty_csv():
     with pytest.raises(ValueError):
         io.tuples_from_csv("")

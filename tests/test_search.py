@@ -1,6 +1,8 @@
 """Box enumeration, generic diagonal search and the brute-force oracle."""
 
+import os
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -42,37 +44,124 @@ def test_solution_sets_closed_under_reversal(w3_solutions, w4_solutions):
     assert {tuple(reversed(d)) for d in diags4} == diags4
 
 
-def test_parallel_enumeration_matches_serial(w4_solutions):
+def test_parallel_enumeration_matches_serial(monkeypatch, w3_solutions, w4_solutions):
     assert yf.enumerate_w4(parallelism=4) == w4_solutions
+    monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 3)  # two forked children
+    assert yf.enumerate_w4(parallelism=3) == w4_solutions
+    assert yf.search._search(3, yf.w3_boxes(), parallelism=3) == w3_solutions
 
 
 def test_enumerate_w4_caps_its_workers(monkeypatch, w4_solutions):
-    created = []
+    # Children run in this process here; the shares they get are recorded.
+    shares = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
+    def scan_in_process(boxes, firsts):
+        shares.append(firsts)
+        return lambda: yf.search._scan(boxes, firsts)
 
-        def __enter__(self):
-            return self
+    children = []
 
-        def __exit__(self, *exc):
-            return False
+    def run(parallelism):
+        before = len(shares)
+        assert yf.enumerate_w4(parallelism=parallelism) == w4_solutions
+        children.append(len(shares) - before)
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(yf.search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(yf.search, "_fork_scan", scan_in_process)
     monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 4)
-    assert yf.enumerate_w4(parallelism=10 ** 6) == w4_solutions
-    assert yf.enumerate_w4(parallelism=3) == w4_solutions
-    assert yf.enumerate_w4(parallelism=1) == w4_solutions  # serial, no pool
+    run(10 ** 6)
+    assert shares == [range(2, 42, 4), range(3, 42, 4), range(4, 42, 4)]  # interleaved
+    run(3)
+    run(1)  # serial, no child
     monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 10 ** 6)
-    assert yf.enumerate_w4(parallelism=10 ** 6) == w4_solutions
+    run(10 ** 6)
     monkeypatch.setattr(yf.search.os, "cpu_count", lambda: None)
-    assert yf.enumerate_w4(parallelism=8) == w4_solutions  # unknown count: serial
-    tasks = sum(box.bounds[0] for box in yf.w4_boxes())
-    assert created == [4, 3, tasks]
+    run(8)  # unknown count: serial
+    monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(yf.search.os, "fork")
+    run(8)  # no os.fork: serial
+    x1_values = max(box.bounds[0] for box in yf.w4_boxes())
+    assert children == [workers - 1 for workers in (4, 3, 1, x1_values, 1, 1)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="children are started with os.fork")
+def test_a_failed_child_is_an_error_and_is_reaped(monkeypatch):
+    parent = os.getpid()
+    scan = yf.search._scan
+
+    def scan_failing_in_children(boxes, firsts):
+        if os.getpid() != parent:
+            raise RuntimeError("scan failed in a child")
+        return scan(boxes, firsts)
+
+    monkeypatch.setattr(yf.search, "_scan", scan_failing_in_children)
+    monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 3)
+    with pytest.raises(yf.FriezeError, match="2 of 2 search worker processes failed"):
+        yf.enumerate_w4(parallelism=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def per_box_scan(bounds, first):
+    """The DFS as it was before the boxes were searched together: one box
+    and one x_1 per call, no box filter.  Kept as an oracle."""
+    n = len(bounds)
+    period = n + 3
+    rows = []
+
+    def descend(antis):
+        k = len(antis)
+        if k == n + period:
+            if antis[-1] == antis[n - 1]:
+                rows.append(tuple(anti[-1] for anti in antis[:period]))
+            return
+        prev = antis[-1]
+        if k < n:
+            step = prev[0] // gcd(prev[0], 1 + (prev[1] if k > 1 else 0))
+            choices = range(max(step - 1, 1), bounds[k] + 1, step)
+        else:
+            choices = (0,)
+        for x in choices:
+            cur = [x] if k < n else []
+            south = x
+            for i, west in enumerate(prev):
+                north = prev[i + 1] if i + 1 < len(prev) else 0
+                south, r = divmod((1 + north) * (1 + south), west)
+                if r:
+                    break
+                cur.append(south)
+            else:
+                antis.append(cur)
+                descend(antis)
+                antis.pop()
+
+    descend([[first]])
+    return rows
+
+
+def per_box_union(boxes):
+    return {row for box in boxes for first in range(1, box.bounds[0] + 1)
+            for row in per_box_scan(box.bounds, first)}
+
+
+@pytest.mark.parametrize("width, boxes", [(3, yf.w3_boxes()), (4, yf.w4_boxes())])
+def test_one_scan_equals_the_union_of_per_box_scans(width, boxes):
+    union = per_box_union(boxes)
+    firsts = range(1, max(box.bounds[0] for box in boxes) + 1)
+    rows = yf.search._scan(boxes, firsts)
+    assert len(rows) == len(set(rows))  # each hit once, though the boxes overlap
+    assert set(rows) == union
+    assert yf.search._search(width, boxes) == yf.search._solution_set(width, union)
+
+
+def test_a_hit_in_the_bounding_box_but_in_no_box_is_dropped(w4_solutions):
+    hit = next(d for d in w4_solutions.diagonals if d[0] > 1 and d[2] > 1)
+    a, b, c, d = hit
+    boxes = (yf.SearchBox((a, b, 1, d)), yf.SearchBox((1, 1, c, d)))
+    assert all(hit not in box for box in boxes)
+    assert hit in yf.search._search(4, [yf.SearchBox(hit)]).diagonals
+    sols = yf.search._search(4, boxes)
+    assert hit not in sols.diagonals
+    assert sols == yf.search._solution_set(4, per_box_union(boxes))
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
