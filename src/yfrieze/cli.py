@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="enumerate all patterns of a width")
     add_common(p_enum)
     p_enum.add_argument("--parallelism", type=int, default=1,
-                        help="processes that share the width-4 box scan: this one "
-                             "and N-1 forked children (POSIX only; serial elsewhere)")
+                        help="processes that share the Y search's box scan: this "
+                             "one and N-1 forked children (POSIX only; serial elsewhere)")
     p_enum.add_argument("--bounds",
                         help="comma-separated diagonal bounds for generic widths")
     p_enum.set_defaults(func=cmd_enumerate)

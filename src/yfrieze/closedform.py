@@ -20,16 +20,14 @@ live in `search`, which does not load this module, and are re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import FundamentalDomain
 from .search import SearchBox, w3_boxes, w4_boxes  # noqa: F401  (re-exported)
 
 
-@dataclass(frozen=True)
-class W3Entries:
+class W3Entries(NamedTuple):
     d: Fraction
     e: Fraction
     f: Fraction
@@ -38,11 +36,10 @@ class W3Entries:
     i: Fraction
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        return (self.d, self.e, self.f, self.g, self.h, self.i)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class W4Entries:
+class W4Entries(NamedTuple):
     e: Fraction
     f: Fraction
     g: Fraction
@@ -55,8 +52,7 @@ class W4Entries:
     n: Fraction
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        return (self.e, self.f, self.g, self.h, self.i,
-                self.j, self.k, self.l, self.m, self.n)
+        return tuple(self)
 
 
 def _check_diagonal(diag: Sequence[int], width: int) -> tuple[int, ...]:

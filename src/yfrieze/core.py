@@ -22,12 +22,11 @@ and validated like any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class PatternKind(Enum):
@@ -64,8 +63,7 @@ class InconsistentDomain(FriezeError):
         self.violation = violation
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """First failed structural check of a raw grid, with coordinates."""
 
     check: str  # shape | boundary | diamond | positivity | glide
@@ -159,8 +157,8 @@ def check_rows(kind: PatternKind, width: int,
     return None
 
 
-@dataclass(frozen=True)
-class PeriodicPattern:
+class PeriodicPattern(NamedTuple("PeriodicPattern", [
+        ("kind", PatternKind), ("width", int), ("rows", tuple[tuple[Fraction, ...], ...])])):
     """A closed pattern of width `width`, stored at column period width + 3.
 
     Y kind holds rows 0..width+1 (zero rows at both ends); Coxeter kind
@@ -169,15 +167,15 @@ class PeriodicPattern:
     cyclic shifts of a pattern are distinct patterns.
     """
 
-    kind: PatternKind
-    width: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _frac_rows(self.rows))
-        violation = check_rows(self.kind, self.width, self.rows)
+    def __new__(cls, kind: PatternKind, width: int, rows: Iterable[Sequence]):
+        rows = _frac_rows(rows)
+        violation = check_rows(kind, width, rows)
         if violation is not None:
             raise InconsistentDomain(violation)
+        return tuple.__new__(cls, (kind, width, rows))
 
     @property
     def period(self) -> int:
@@ -242,27 +240,28 @@ def propagate_y(first_row: Sequence, width: int) -> PeriodicPattern:
     return PeriodicPattern(PatternKind.Y, n, tuple(rows))
 
 
-@dataclass(frozen=True)
-class FundamentalDomain:
+class FundamentalDomain(NamedTuple("FundamentalDomain", [
+        ("width", int), ("rows", tuple[tuple[Fraction, ...], ...])])):
     """One glide-symmetry domain: triangular array with n(n+3)/2 entries.
 
     Row m (1-based, m = 1..width) holds width + 2 - m entries; these are
     the leading entries of the pattern's interior row m.
     """
 
-    width: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _frac_rows(self.rows))
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if len(self.rows) != self.width:
-            raise ValueError(f"expected {self.width} domain rows, got {len(self.rows)}")
-        for m, row in enumerate(self.rows, start=1):
-            if len(row) != self.width + 2 - m:
-                raise ValueError(f"domain row {m} must have {self.width + 2 - m} "
+    def __new__(cls, width: int, rows: Iterable[Sequence]):
+        rows = _frac_rows(rows)
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        if len(rows) != width:
+            raise ValueError(f"expected {width} domain rows, got {len(rows)}")
+        for m, row in enumerate(rows, start=1):
+            if len(row) != width + 2 - m:
+                raise ValueError(f"domain row {m} must have {width + 2 - m} "
                                  f"entries, got {len(row)}")
+        return tuple.__new__(cls, (width, rows))
 
     def first_diagonal(self) -> tuple[Fraction, ...]:
         return tuple(row[0] for row in self.rows)

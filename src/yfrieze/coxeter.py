@@ -11,9 +11,8 @@ frieze, so the frieze is propagated once per rotation orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import FriezeError, PatternKind, PeriodicPattern, _div, _frac
 
@@ -33,26 +32,27 @@ def _is_polygon_edge(i: int, j: int, v: int) -> bool:
     return (j - i) % v in (1, v - 1)
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(NamedTuple("Triangulation", [
+        ("n_gon", int), ("diagonals", frozenset[tuple[int, int]])])):
     """v-3 pairwise non-crossing diagonals of a convex v-gon."""
 
-    n_gon: int
-    diagonals: frozenset[tuple[int, int]]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        v = self.n_gon
+    def __new__(cls, n_gon: int, diagonals: frozenset[tuple[int, int]]):
+        v = n_gon
         if v < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {v}")
-        if len(self.diagonals) != v - 3:
+        if len(diagonals) != v - 3:
             raise ValueError(f"a triangulation of a {v}-gon has {v - 3} diagonals, "
-                             f"got {len(self.diagonals)}")
-        for i, j in self.diagonals:
+                             f"got {len(diagonals)}")
+        for i, j in diagonals:
             if not (0 <= i < j < v) or _is_polygon_edge(i, j, v):
                 raise ValueError(f"({i}, {j}) is not a diagonal of a {v}-gon")
-        for (a, b), (c, d) in combinations(self.diagonals, 2):
+        for (a, b), (c, d) in combinations(diagonals, 2):
             if (a < c < b < d) or (c < a < d < b):
                 raise ValueError(f"diagonals ({a},{b}) and ({c},{d}) cross")
+        return tuple.__new__(cls, (n_gon, diagonals))
 
     def triangles(self) -> list[tuple[int, int, int]]:
         """The v-2 triangular faces.

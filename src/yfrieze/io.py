@@ -22,10 +22,9 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (PatternKind, PeriodicPattern, glide_shift, intrinsic_period)
 
@@ -79,8 +78,7 @@ def pattern_from_obj(obj: dict) -> PeriodicPattern:
     return PeriodicPattern(kind, width, tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: int
     key_tuple: tuple[int, ...]
     pattern: PeriodicPattern
@@ -90,8 +88,7 @@ class CatalogEntry:
     glide_shift: int
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     kind: PatternKind
     width: int
     parameters: dict
@@ -175,30 +172,28 @@ def catalog_to_obj(catalog: Catalog) -> dict:
 def catalog_from_obj(obj: dict) -> Catalog:
     if _schema_of(obj) != CATALOG_SCHEMA:
         raise ValueError(f"expected schema {CATALOG_SCHEMA!r}, got {_schema_of(obj)!r}")
+    missing = [name for name in ("kind", "width", "parameters", "patterns") if name not in obj]
+    if missing:
+        raise ValueError(f"catalog lacks {', '.join(missing)}")
+    for name, expected in (("parameters", dict), ("patterns", list)):
+        if type(obj[name]) is not expected:
+            raise ValueError(f"catalog {name} must be a {expected.__name__}, got {obj[name]!r}")
     kind = PatternKind(obj["kind"])
     key_name = "tuple" if kind is PatternKind.Y else "quiddity"
-    fields = ("id", key_name, "orbit_root", "orbit_size", "intrinsic_period",
-              "glide_shift", "rows")
+    orbit_fields = ("orbit_root", "orbit_size", "intrinsic_period", "glide_shift")
     for i, pat in enumerate(obj["patterns"]):
         if type(pat) is not dict:
             raise ValueError(f"catalog entry {i} is not an object: {pat!r}")
-        missing = [name for name in fields if name not in pat]
+        missing = [name for name in ("id", key_name, *orbit_fields, "rows") if name not in pat]
         if missing:
             raise ValueError(f"catalog entry {i} lacks {', '.join(missing)}")
     raw = raw_patterns_from_obj(obj)
     width = obj["width"]  # checked by raw_patterns_from_obj
-    entries = []
-    for pat, (_, _, rows) in zip(obj["patterns"], raw):
-        entries.append(CatalogEntry(
-            id=pat["id"],
-            key_tuple=tuple(pat[key_name]),
-            pattern=PeriodicPattern(kind, width, rows),
-            orbit_root=pat["orbit_root"],
-            orbit_size=pat["orbit_size"],
-            intrinsic_period=pat["intrinsic_period"],
-            glide_shift=pat["glide_shift"],
-        ))
-    return Catalog(kind, width, dict(obj["parameters"]), tuple(entries))
+    entries = tuple(
+        CatalogEntry(pat["id"], tuple(pat[key_name]), PeriodicPattern(kind, width, rows),
+                     *[pat[name] for name in orbit_fields])
+        for pat, (_, _, rows) in zip(obj["patterns"], raw))
+    return Catalog(kind, width, dict(obj["parameters"]), entries)
 
 
 def _key_json(key: Sequence[int]) -> str:

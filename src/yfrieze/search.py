@@ -27,10 +27,9 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd, prod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import PeriodicPattern, FriezeError, is_arithmetic, propagate_y
 
@@ -46,15 +45,16 @@ class BoxTooLarge(FriezeError):
     """The requested search box exceeds the candidate-count ceiling."""
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(NamedTuple("SearchBox", [("bounds", tuple[int, ...])])):
     """Per-variable inclusive upper bounds; every lower bound is 1."""
 
-    bounds: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if any(b < 1 for b in self.bounds):
-            raise ValueError(f"bounds must be >= 1, got {self.bounds}")
+    def __new__(cls, bounds: tuple[int, ...]):
+        if any(b < 1 for b in bounds):
+            raise ValueError(f"bounds must be >= 1, got {bounds}")
+        return tuple.__new__(cls, (bounds,))
 
     def __contains__(self, point: Sequence[int]) -> bool:
         return (len(point) == len(self.bounds)
@@ -79,19 +79,38 @@ def w4_boxes() -> tuple[SearchBox, SearchBox, SearchBox, SearchBox]:
     )
 
 
-@dataclass(frozen=True)
 class SolutionSet:
     """All arithmetic solutions of one width, lexicographically sorted.
 
     `full_tuples[i]` is the complete fundamental-domain entry tuple
     (diagonal-major order) of `diagonals[i]`, and `patterns[i]` the
-    re-verified pattern it was read off.
+    re-verified pattern it was read off.  Equality leaves out `patterns`,
+    which the other fields determine.
     """
 
-    width: int
-    diagonals: tuple[tuple[int, ...], ...]
-    full_tuples: tuple[tuple[int, ...], ...]
-    patterns: tuple[PeriodicPattern, ...] = field(compare=False, repr=False)
+    __slots__ = ("width", "diagonals", "full_tuples", "patterns")
+
+    def __init__(self, width: int, diagonals: tuple[tuple[int, ...], ...],
+                 full_tuples: tuple[tuple[int, ...], ...],
+                 patterns: tuple[PeriodicPattern, ...]):
+        for name, value in zip(self.__slots__, (width, diagonals, full_tuples, patterns)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a SolutionSet")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SolutionSet:
+            return NotImplemented
+        return (self.width, self.diagonals, self.full_tuples) == (
+            other.width, other.diagonals, other.full_tuples)
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.diagonals, self.full_tuples))
+
+    def __repr__(self) -> str:
+        return (f"SolutionSet(width={self.width!r}, diagonals={self.diagonals!r}, "
+                f"full_tuples={self.full_tuples!r})")
 
     def __len__(self) -> int:
         return len(self.diagonals)
@@ -285,13 +304,14 @@ def candidate_ceiling(max_candidates: Optional[int] = None) -> int:
     return int(env)
 
 
-def enumerate_generic(width: int, box: SearchBox,
-                      max_candidates: Optional[int] = None) -> SolutionSet:
+def enumerate_generic(width: int, box: SearchBox, max_candidates: Optional[int] = None,
+                      parallelism: int = 1) -> SolutionSet:
     """Search every diagonal in `box` for closed arithmetic patterns.
 
     Works at any width; no completeness claim unless the box is proven to
     contain all solutions.  Raises BoxTooLarge when the box volume exceeds
-    the ceiling (see candidate_ceiling).
+    the ceiling (see candidate_ceiling).  The x_1 values are shared by
+    min(parallelism, CPU count, x_1 bound) processes (see _search).
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
@@ -300,7 +320,7 @@ def enumerate_generic(width: int, box: SearchBox,
     ceiling = candidate_ceiling(max_candidates)
     if box.volume() > ceiling:
         raise BoxTooLarge(f"box volume {box.volume()} exceeds ceiling {ceiling}")
-    return _search(width, [box])
+    return _search(width, [box], parallelism)
 
 
 def patterns_of(sols: SolutionSet) -> list[PeriodicPattern]:
@@ -323,4 +343,4 @@ def y_solutions(width: int, bounds: Optional[Sequence[int]] = None,
         if width not in DEFAULT_GENERIC_BOUNDS:
             raise ValueError(f"width {width} needs explicit diagonal bounds")
         bounds = DEFAULT_GENERIC_BOUNDS[width]
-    return enumerate_generic(width, SearchBox(tuple(bounds)))
+    return enumerate_generic(width, SearchBox(tuple(bounds)), parallelism=parallelism)

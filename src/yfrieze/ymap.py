@@ -9,8 +9,7 @@ being a bijection at each width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (ClosureFailure, FriezeError, PatternKind, PeriodicPattern,
                    is_arithmetic, propagate_y)
@@ -29,8 +28,7 @@ class MapFailure(FriezeError):
     """
 
 
-@dataclass(frozen=True)
-class CorrespondenceRecord:
+class CorrespondenceRecord(NamedTuple):
     """One frieze shift-orbit and the Y orbit it lands on (sizes s and t)."""
 
     frieze_id: int
@@ -39,8 +37,7 @@ class CorrespondenceRecord:
     y_orbit_size: int
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     """Preimage sizes of every width-n Y pattern under the transfer map."""
 
     width: int
@@ -113,13 +110,9 @@ def fiber_analysis(width: int, friezes: Sequence[PeriodicPattern],
                              "the supplied Y enumeration is incomplete")
         sizes[index[image]] += 1
     image_size = sum(1 for s in sizes if s)
-    return FiberReport(
-        width=width,
-        fiber_sizes=tuple(sizes),
-        image_size=image_size,
-        surjective=image_size == len(ypatterns),
-        injective=all(s <= 1 for s in sizes),
-    )
+    return FiberReport(width=width, fiber_sizes=tuple(sizes), image_size=image_size,
+                       surjective=image_size == len(ypatterns),
+                       injective=all(s <= 1 for s in sizes))
 
 
 def correspondence_table(width: int, friezes: Sequence[PeriodicPattern],
@@ -140,10 +133,7 @@ def correspondence_table(width: int, friezes: Sequence[PeriodicPattern],
         rep = orbit[0]
         image = apply_p(friezes[rep])
         target = yorbit_of[yindex[image]]
-        records.append(CorrespondenceRecord(
-            frieze_id=rep,
-            yfrieze_id=target[0],
-            frieze_orbit_size=len(orbit),
-            y_orbit_size=len(target),
-        ))
+        records.append(CorrespondenceRecord(frieze_id=rep, yfrieze_id=target[0],
+                                            frieze_orbit_size=len(orbit),
+                                            y_orbit_size=len(target)))
     return records

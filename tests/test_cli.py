@@ -131,6 +131,19 @@ def test_cli_output_deterministic_across_parallelism(tmp_path, capsys):
     assert files[1].read_bytes() == files[3].read_bytes()
 
 
+def test_bounded_width_5_csv_is_the_same_at_any_parallelism(monkeypatch, capsys):
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
+    outs = []
+    for parallelism in ("1", "2"):
+        code, out, err = run(capsys, "enumerate", "--kind", "y", "--width", "5", "--bounds",
+                             "64,64,64,64,64", "--format", "csv", "--parallelism", parallelism)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 121  # header + 120 patterns
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == (
+        "8bdcbcc8c60410573ac0e1f38acddc7ebfd89036b53677d68a33d2e959d5fbfa")
+
+
 # ------------------------------------------------------------------ verify
 
 @pytest.fixture()
@@ -455,42 +468,58 @@ def test_render_missing_file(capsys):
     assert code == 2
 
 
+def _loaded_modules(argv=None):
+    """Run `main(argv)` in a fresh interpreter, or only `import yfrieze.cli`
+    when argv is None; return its stdout and the sorted names in sys.modules."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
+    call = "" if argv is None else "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+    code = ("import json, sys\nfrom yfrieze.cli import main\n" + call
+            + "print(json.dumps(sorted(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, *(argv or ())], env=env, check=True,
+                          capture_output=True)
+    return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+def _in_packages(modules, *packages):
+    return [m for m in modules if m.split(".")[0] in packages]
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # The search forks its workers itself; nothing imports concurrent.futures.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
-    code = "import sys, yfrieze.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert "concurrent.futures" not in _loaded_modules()[1]
 
 
 @pytest.mark.parametrize("argv", [("verify", "F"), ("render", "F", "--index", "0"), ("--help",)])
 def test_reader_commands_load_only_the_reader_modules(coxeter3_catalog_file, argv):
     # verify, render and --help need neither the searches nor the transfer map.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
-    code = ("import json, sys\nfrom yfrieze.cli import main\n"
-            "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'yfrieze')),"
-            " file=sys.stderr)")
     argv = [str(coxeter3_catalog_file) if arg == "F" else arg for arg in argv]
-    err = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
-                         capture_output=True, text=True).stderr
-    assert json.loads(err.splitlines()[-1]) == ["yfrieze", "yfrieze.cli", "yfrieze.core",
-                                                "yfrieze.io"]
+    assert _in_packages(_loaded_modules(argv)[1], "yfrieze") == [
+        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.io"]
 
 
 def test_width_4_y_enumeration_loads_only_the_search_modules():
     # No Coxeter or closed-form code, and no process pool, at any --parallelism.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
-    code = ("import json, sys\nfrom yfrieze.cli import main\nmain(sys.argv[1:])\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('yfrieze', 'concurrent', 'multiprocessing'))), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code, "enumerate", "--kind", "y",
-                           "--width", "4", "--format", "csv", "--parallelism", "2"],
-                          env=env, check=True, capture_output=True)
-    assert json.loads(proc.stderr.splitlines()[-1]) == [
+    out, modules = _loaded_modules(["enumerate", "--kind", "y", "--width", "4",
+                                    "--format", "csv", "--parallelism", "2"])
+    assert _in_packages(modules, "yfrieze", "concurrent", "multiprocessing") == [
         "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.io", "yfrieze.search", "yfrieze.ymap"]
-    assert proc.stdout == (Path(__file__).parent / "data" / "w4_golden.csv").read_bytes()
+    assert out == (Path(__file__).parent / "data" / "w4_golden.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--kind", "y", "--width", "4", "--format", "json"),
+    ("enumerate", "--kind", "coxeter", "--width", "4", "--format", "json"),
+    ("orbits", "--kind", "y", "--width", "3"),
+    ("map", "--width", "4"),
+    ("verify", "F"),
+    ("render", "F", "--index", "0"),
+    ("--help",),
+], ids=["enumerate-y", "enumerate-coxeter", "orbits", "map", "verify", "render", "help"])
+def test_no_command_loads_dataclasses_or_inspect(coxeter3_catalog_file, argv):
+    # Importing dataclasses pulls in inspect, ast, dis and tokenize: about
+    # 10 ms of start-up that no command needs.
+    argv = [str(coxeter3_catalog_file) if arg == "F" else arg for arg in argv]
+    assert _in_packages(_loaded_modules(argv)[1], "dataclasses", "inspect") == []
 
 
 def test_closedform_re_exports_the_search_boxes():

@@ -390,3 +390,69 @@ def test_pattern_equality_is_column_exact(y3_patterns):
     p = y3_patterns[0]
     assert yf.cyclic_shift(p, 1) != p
     assert yf.cyclic_shift(p, 1) in {yf.cyclic_shift(p, s) for s in range(6)}
+
+
+# --------------------------------------------------- validating named tuples
+
+def _pattern_case(y3):
+    p = y3[1]
+    bad = [list(row) for row in p.rows]
+    bad[1][0] += 1
+    return (p, yf.PeriodicPattern(p.kind, p.width, [list(row) for row in p.rows]),
+            yf.cyclic_shift(p, 1), (p.kind, p.width, bad), yf.InconsistentDomain)
+
+
+def _domain_case(y3):
+    d = yf.domain_of(y3[1])
+    return (d, yf.FundamentalDomain(3, [list(row) for row in d.rows]),
+            yf.domain_of(yf.cyclic_shift(y3[1], 1)), (3, d.rows[:2]), ValueError)
+
+
+def _box_case(y3):
+    return (yf.SearchBox((4, 18, 11)), yf.SearchBox(tuple([4, 18, 11])),
+            yf.SearchBox((18, 11, 4)), ((4, 0, 11),), ValueError)
+
+
+def _triangulation_case(y3):
+    t = yf.Triangulation(6, frozenset({(0, 2), (0, 3), (0, 4)}))
+    return (t, yf.Triangulation(6, frozenset([(0, 4), (0, 3), (0, 2)])),
+            yf.Triangulation(6, frozenset({(1, 3), (1, 4), (1, 5)})),  # turned one vertex
+            (6, frozenset({(0, 2), (0, 3), (1, 4)})), ValueError)
+
+
+@pytest.mark.parametrize("case", [_pattern_case, _domain_case, _box_case, _triangulation_case],
+                         ids=["PeriodicPattern", "FundamentalDomain", "SearchBox",
+                              "Triangulation"])
+def test_validating_types_check_every_construction_and_stay_immutable(case, y3_patterns):
+    obj, same, turned, bad_fields, error = case(y3_patterns)
+    assert obj == same and hash(obj) == hash(same) and obj is not same
+    assert obj != turned
+    for name in obj._fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(turned, name))
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert obj == same  # unchanged
+    with pytest.raises(error):
+        type(obj)(*bad_fields)
+    with pytest.raises(error):
+        type(obj)._make(bad_fields)
+    with pytest.raises(error):
+        obj._replace(**dict(zip(obj._fields, bad_fields)))
+    assert obj._replace() == obj
+
+
+def test_solution_set_equality_leaves_out_the_patterns(w4_solutions):
+    assert yf.enumerate_w4() == yf.enumerate_w4(parallelism=2) == w4_solutions
+    assert hash(yf.enumerate_w4()) == hash(w4_solutions) and len(w4_solutions) == 42
+    same_but_patterns = yf.SolutionSet(4, w4_solutions.diagonals, w4_solutions.full_tuples, ())
+    assert same_but_patterns == w4_solutions
+    with pytest.raises(AttributeError):
+        w4_solutions.width = 5
+
+
+def test_violation_prints_as_before():
+    v = Violation("diamond", 2, 5, "W*E = 6 but (1+N)(1+S) = 8")
+    assert str(v) == "diamond violation at row 2, col 5: W*E = 6 but (1+N)(1+S) = 8"
+    assert str(yf.InconsistentDomain(v)) == str(v)
+    assert (v.check, v.row, v.col, v.detail) == ("diamond", 2, 5, "W*E = 6 but (1+N)(1+S) = 8")

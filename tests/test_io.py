@@ -72,6 +72,25 @@ def test_catalog_entry_missing_a_field_is_a_value_error():
         io.catalog_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("kind", None, "catalog lacks kind"),
+    ("width", None, "catalog lacks width"),
+    ("patterns", None, "catalog lacks patterns"),
+    ("parameters", None, "catalog lacks parameters"),
+    ("patterns", 5, "catalog patterns must be a list, got 5"),
+    ("parameters", 5, "catalog parameters must be a dict, got 5"),
+])
+def test_catalog_with_a_missing_or_mistyped_field_is_a_value_error(field, value, message):
+    # a malformed top level is a ValueError, not a KeyError or TypeError
+    obj = io.catalog_to_obj(io.coxeter_catalog(1))
+    if value is None:
+        del obj[field]
+    else:
+        obj[field] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        io.catalog_from_json(json.dumps(obj))
+
+
 def test_tuples_from_empty_csv():
     with pytest.raises(ValueError):
         io.tuples_from_csv("")

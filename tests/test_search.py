@@ -83,6 +83,24 @@ def test_enumerate_w4_caps_its_workers(monkeypatch, w4_solutions):
     assert children == [workers - 1 for workers in (4, 3, 1, x1_values, 1, 1)]
 
 
+def test_bounded_searches_share_their_scan(monkeypatch):
+    # A --bounds search runs y_solutions -> enumerate_generic, which pass
+    # parallelism on.  Children run in this process here.
+    shares = []
+
+    def scan_in_process(boxes, firsts):
+        shares.append(firsts)
+        return lambda: yf.search._scan(boxes, firsts)
+
+    serial = yf.y_solutions(5, bounds=(20,) * 5)
+    monkeypatch.setattr(yf.search, "_fork_scan", scan_in_process)
+    monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 4)
+    assert yf.y_solutions(5, bounds=(20,) * 5, parallelism=2) == serial
+    assert shares == [range(2, 21, 2)]
+    assert yf.enumerate_generic(5, yf.SearchBox((20,) * 5), parallelism=3) == serial
+    assert shares[1:] == [range(2, 21, 3), range(3, 21, 3)]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="children are started with os.fork")
 def test_a_failed_child_is_an_error_and_is_reaped(monkeypatch):
     parent = os.getpid()
