@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: enumerate, verify, map, render, orbits.  Exit codes: 0 ok,
-1 verification failure, 2 usage or parse error, 3 capability/limit error
-(unsupported width, search box over the candidate ceiling or cutting a
-shift orbit in two).  The ceiling can be raised via the
+1 verification failure, 2 usage, parse or write error, 3 capability or
+limit error (unsupported width, search box over the candidate ceiling or
+cutting a shift orbit in two).  The ceiling can be raised via the
 FRIEZE_MAX_CANDIDATES environment variable.
 """
 
@@ -24,15 +24,17 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """_Failure(exit code, message) ends a command; main prints the message as one line."""
 
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _Failure(EXIT_USAGE, f"cannot write {output}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -54,51 +56,46 @@ def _parse_bounds(text: str) -> tuple[int, ...]:
 
 
 def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] = None,
-             parallelism: int = 1) -> "io.Catalog | int":
-    """Check the arguments enumerate, orbits and map share, then build the catalog.
-
-    Returns the catalog, or an exit code after printing a one-line error.
-    """
+             parallelism: int = 1) -> io.Catalog:
+    """Check the arguments enumerate, orbits and map share, then build the catalog."""
     from . import search, ymap
     if width < 1:
-        return _fail(EXIT_USAGE, f"width must be >= 1, got {width}")
+        raise _Failure(EXIT_USAGE, f"width must be >= 1, got {width}")
     if parallelism < 1:
-        return _fail(EXIT_USAGE, f"--parallelism must be >= 1, got {parallelism}")
+        raise _Failure(EXIT_USAGE, f"--parallelism must be >= 1, got {parallelism}")
     try:
         search.candidate_ceiling()
     except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+        raise _Failure(EXIT_USAGE, str(exc))
     kind = PatternKind(kind)
     bounds = None
     if bounds_text is not None:
         if kind is not PatternKind.Y:
-            return _fail(EXIT_USAGE, "--bounds applies to --kind y only")
+            raise _Failure(EXIT_USAGE, "--bounds applies to --kind y only")
         try:
             bounds = _parse_bounds(bounds_text)
         except ValueError as exc:
-            return _fail(EXIT_USAGE, str(exc))
+            raise _Failure(EXIT_USAGE, str(exc))
         if len(bounds) != width:
-            return _fail(EXIT_USAGE, f"--bounds needs {width} values, got {len(bounds)}")
+            raise _Failure(EXIT_USAGE, f"--bounds needs {width} values, got {len(bounds)}")
     if kind is PatternKind.COXETER:
         from . import coxeter
         if width > coxeter.MAX_ENUM_WIDTH:
-            return _fail(EXIT_LIMIT,
-                         f"coxeter enumeration supports widths up to {coxeter.MAX_ENUM_WIDTH}")
-    if kind is PatternKind.Y and width not in (1, 2, 3, 4) and bounds is None:
-        return _fail(EXIT_USAGE, f"width {width} has no proven boxes; pass --bounds")
+            raise _Failure(EXIT_LIMIT,
+                           f"coxeter enumeration supports widths up to {coxeter.MAX_ENUM_WIDTH}")
+        return io.coxeter_catalog(width)
+    if width not in (1, 2, 3, 4) and bounds is None:
+        raise _Failure(EXIT_USAGE, f"width {width} has no proven boxes; pass --bounds")
     try:
-        return io.build_catalog(kind, width, bounds=bounds, parallelism=parallelism)
+        return io.y_catalog(width, bounds=bounds, parallelism=parallelism)
     except search.BoxTooLarge as exc:
-        return _fail(EXIT_LIMIT, str(exc))
+        raise _Failure(EXIT_LIMIT, str(exc))
     except ymap.NotShiftClosed as exc:
-        return _fail(EXIT_LIMIT,
-                     f"the box cuts a shift orbit in two ({exc}); widen --bounds")
+        raise _Failure(EXIT_LIMIT, f"the box cuts a shift orbit in two ({exc}); widen --bounds")
 
 
 def cmd_enumerate(args) -> int:
     catalog = _catalog(args.kind, args.width, args.bounds, args.parallelism)
-    if isinstance(catalog, int):
-        return catalog
     kind = catalog.kind
     if args.format == "json":
         text = io.catalog_to_json(catalog)
@@ -126,20 +123,17 @@ def _verify_one(kind: PatternKind, width: int, rows) -> Optional[Violation]:
     return None
 
 
-def _load(path: str) -> "list | int":
-    """The raw patterns of a pattern or catalog file, or an exit code after
-    printing a one-line error."""
+def _load(path: str) -> list:
+    """The raw patterns of a pattern or catalog file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return io.raw_patterns_from_obj(json.load(fh))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        return _fail(EXIT_USAGE, f"cannot parse {path}: {exc}")
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise _Failure(EXIT_USAGE, f"cannot parse {path}: {exc}")
 
 
 def cmd_verify(args) -> int:
     raw = _load(args.input)
-    if isinstance(raw, int):
-        return raw
     violations = [_verify_one(*entry) for entry in raw]
     text = "".join(f"pattern {i}: {'ok' if v is None else v}\n" for i, v in enumerate(violations))
     ok = violations.count(None)
@@ -160,16 +154,12 @@ def _verdict(report: ymap.FiberReport) -> str:
 def cmd_map(args) -> int:
     from . import ymap
     if args.width == 1:
-        return _fail(EXIT_LIMIT, "width 1 has a single interior row, so the "
-                                 "transfer map is not computable there")
+        raise _Failure(EXIT_LIMIT, "width 1 has a single interior row, so the "
+                                   "transfer map is not computable there")
     if args.width > 4:
-        return _fail(EXIT_LIMIT, f"no enumerations available for width {args.width}")
-    sides = []
-    for kind in (PatternKind.COXETER, PatternKind.Y):
-        catalog = _catalog(kind, args.width)
-        if isinstance(catalog, int):
-            return catalog
-        sides.append([entry.pattern for entry in catalog.entries])
+        raise _Failure(EXIT_LIMIT, f"no enumerations available for width {args.width}")
+    sides = [[entry.pattern for entry in _catalog(kind, args.width).entries]
+             for kind in (PatternKind.COXETER, PatternKind.Y)]
     report = ymap.fiber_analysis(args.width, *sides)
     records = ymap.correspondence_table(args.width, *sides)
     verdict = _verdict(report)
@@ -202,8 +192,6 @@ def cmd_map(args) -> int:
 
 def cmd_orbits(args) -> int:
     catalog = _catalog(args.kind, args.width, args.bounds)
-    if isinstance(catalog, int):
-        return catalog
     members = {}
     for entry in catalog.entries:
         members.setdefault(entry.orbit_root, []).append(entry.id)
@@ -230,18 +218,15 @@ def cmd_orbits(args) -> int:
 
 def cmd_render(args) -> int:
     raw = _load(args.input)
-    if isinstance(raw, int):
-        return raw
     if args.index is not None:
         # the whole file is decoded, but only the drawn entry is built
         if not 0 <= args.index < len(raw):
-            return _fail(EXIT_USAGE, f"index {args.index} out of range "
-                                     f"(0..{len(raw) - 1})")
+            raise _Failure(EXIT_USAGE, f"index {args.index} out of range (0..{len(raw) - 1})")
         raw = [raw[args.index]]
     try:
         patterns = [PeriodicPattern(kind, width, rows) for kind, width, rows in raw]
     except InconsistentDomain as exc:
-        return _fail(EXIT_USAGE, f"{args.input} holds an invalid pattern: {exc}")
+        raise _Failure(EXIT_USAGE, f"{args.input} holds an invalid pattern: {exc}")
     text = "\n".join(io.render_ascii(p) for p in patterns)
     _emit(text, args.output)
     return EXIT_OK
@@ -296,7 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

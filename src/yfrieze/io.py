@@ -13,6 +13,10 @@ with generation parameters and per-pattern orbit metadata:
      "orbit_size": ..., "intrinsic_period": ..., "glide_shift": ...,
      "rows": [[...]]}, ...]}
 
+One decoder, raw_patterns_from_obj, checks the structure of both documents;
+catalog_from_obj adds only the checks that belong to catalogs.  Both raise
+only ValueError, naming the entry and field at fault.
+
 CSV catalogs carry only the identifying tuples (full entry tuple for Y,
 quiddity for Coxeter), one column per letter, in the same order as JSON.
 """
@@ -26,10 +30,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
-from .core import (PatternKind, PeriodicPattern, glide_shift, intrinsic_period)
+from .core import (InconsistentDomain, PatternKind, PeriodicPattern, glide_shift,
+                   intrinsic_period)
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
+KEY_NAMES = {PatternKind.Y: "tuple", PatternKind.COXETER: "quiddity"}
+ORBIT_FIELDS = ("orbit_root", "orbit_size", "intrinsic_period", "glide_shift")
 
 
 def _value_to_json(v: "int | Fraction"):
@@ -44,10 +51,22 @@ def _value_from_json(x) -> "int | Fraction":
     raise ValueError(f"pattern entries must be ints or 'p/q' strings, got {x!r}")
 
 
-def _rows_from_json(rows) -> list:
-    """A pattern's rows: lists of JSON ints as they are (one type scan), else value by value."""
-    if (type(rows) is list and set(map(type, rows)) <= {list}
-            and set(map(type, chain.from_iterable(rows))) <= {int}):
+def _require(where: str, obj: dict, fields: Sequence[str]) -> None:
+    missing = [name for name in fields if name not in obj]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+
+
+def _rows_from_json(pattern, index: Optional[int] = None) -> list:
+    """A pattern object's rows: all-int lists as they are (one type scan), else value by value."""
+    rows = pattern.get("rows") if type(pattern) is dict else None
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        where = "pattern" if index is None else f"catalog entry {index}"
+        if type(pattern) is not dict:
+            raise ValueError(f"{where} is not an object: {pattern!r}")
+        _require(where, pattern, ("rows",))
+        raise ValueError(f"{where} rows must be a list of lists, got {rows!r}")
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
         return rows
     return [[_value_from_json(v) for v in row] for row in rows]
 
@@ -137,28 +156,15 @@ def coxeter_catalog(width: int) -> Catalog:
     return _with_orbits(PatternKind.COXETER, width, parameters, keys, patterns)
 
 
-def build_catalog(kind: PatternKind, width: int,
-                  bounds: Optional[Sequence[int]] = None,
-                  parallelism: int = 1) -> Catalog:
-    if kind is PatternKind.Y:
-        return y_catalog(width, bounds=bounds, parallelism=parallelism)
-    return coxeter_catalog(width)
-
-
 def catalog_to_obj(catalog: Catalog) -> dict:
-    key_name = "tuple" if catalog.kind is PatternKind.Y else "quiddity"
+    key_name = KEY_NAMES[catalog.kind]
     patterns = []
     for entry in catalog.entries:
         obj = {"id": entry.id, key_name: list(entry.key_tuple)}
         if catalog.kind is PatternKind.Y:
             obj["diagonal"] = list(entry.key_tuple[:catalog.width])
-        obj.update({
-            "orbit_root": entry.orbit_root,
-            "orbit_size": entry.orbit_size,
-            "intrinsic_period": entry.intrinsic_period,
-            "glide_shift": entry.glide_shift,
-            "rows": pattern_to_obj(entry.pattern)["rows"],
-        })
+        obj.update({name: getattr(entry, name) for name in ORBIT_FIELDS})
+        obj["rows"] = pattern_to_obj(entry.pattern)["rows"]
         patterns.append(obj)
     return {
         "schema": CATALOG_SCHEMA,
@@ -170,30 +176,27 @@ def catalog_to_obj(catalog: Catalog) -> dict:
 
 
 def catalog_from_obj(obj: dict) -> Catalog:
+    """A catalog document as a Catalog; raises ValueError for a malformed one."""
     if _schema_of(obj) != CATALOG_SCHEMA:
         raise ValueError(f"expected schema {CATALOG_SCHEMA!r}, got {_schema_of(obj)!r}")
-    missing = [name for name in ("kind", "width", "parameters", "patterns") if name not in obj]
-    if missing:
-        raise ValueError(f"catalog lacks {', '.join(missing)}")
-    for name, expected in (("parameters", dict), ("patterns", list)):
-        if type(obj[name]) is not expected:
-            raise ValueError(f"catalog {name} must be a {expected.__name__}, got {obj[name]!r}")
-    kind = PatternKind(obj["kind"])
-    key_name = "tuple" if kind is PatternKind.Y else "quiddity"
-    orbit_fields = ("orbit_root", "orbit_size", "intrinsic_period", "glide_shift")
-    for i, pat in enumerate(obj["patterns"]):
-        if type(pat) is not dict:
-            raise ValueError(f"catalog entry {i} is not an object: {pat!r}")
-        missing = [name for name in ("id", key_name, *orbit_fields, "rows") if name not in pat]
-        if missing:
-            raise ValueError(f"catalog entry {i} lacks {', '.join(missing)}")
     raw = raw_patterns_from_obj(obj)
-    width = obj["width"]  # checked by raw_patterns_from_obj
-    entries = tuple(
-        CatalogEntry(pat["id"], tuple(pat[key_name]), PeriodicPattern(kind, width, rows),
-                     *[pat[name] for name in orbit_fields])
-        for pat, (_, _, rows) in zip(obj["patterns"], raw))
-    return Catalog(kind, width, dict(obj["parameters"]), entries)
+    _require("catalog", obj, ("parameters",))
+    if type(obj["parameters"]) is not dict:
+        raise ValueError(f"catalog parameters must be a dict, got {obj['parameters']!r}")
+    kind, width = PatternKind(obj["kind"]), obj["width"]  # checked by raw_patterns_from_obj
+    key_name = KEY_NAMES[kind]
+    entries = []
+    for i, (pat, (_, _, rows)) in enumerate(zip(obj["patterns"], raw)):
+        _require(f"catalog entry {i}", pat, ("id", key_name, *ORBIT_FIELDS))
+        if type(pat[key_name]) is not list:
+            raise ValueError(f"catalog entry {i} {key_name} must be a list, got {pat[key_name]!r}")
+        try:
+            pattern = PeriodicPattern(kind, width, rows)
+        except InconsistentDomain as exc:
+            raise ValueError(f"catalog entry {i} holds an invalid pattern: {exc}") from None
+        entries.append(CatalogEntry(pat["id"], tuple(pat[key_name]), pattern,
+                                    *[pat[name] for name in ORBIT_FIELDS]))
+    return Catalog(kind, width, dict(obj["parameters"]), tuple(entries))
 
 
 def _key_json(key: Sequence[int]) -> str:
@@ -225,7 +228,7 @@ def catalog_to_json(catalog: Catalog) -> str:
                        "width": catalog.width, "parameters": catalog.parameters},
                       indent=2)
     is_y = catalog.kind is PatternKind.Y
-    key_name = "tuple" if is_y else "quiddity"
+    key_name = KEY_NAMES[catalog.kind]
     entries = []
     for entry in catalog.entries:
         diagonal = (f'      "diagonal": {_key_json(entry.key_tuple[:catalog.width])},\n'
@@ -247,16 +250,25 @@ def catalog_from_json(text: str) -> Catalog:
 
 
 def raw_patterns_from_obj(obj: dict) -> list[tuple[PatternKind, int, list[list[Fraction]]]]:
-    """Accept either a single pattern object or a catalog; no validation."""
+    """The kind, width and rows of each pattern of a pattern or catalog document.
+
+    The one structural check of both documents: raises ValueError naming
+    the entry and field at fault, and checks no pattern invariant.
+    """
     schema = _schema_of(obj)
     if schema not in (PATTERN_SCHEMA, CATALOG_SCHEMA):
         raise ValueError(f"unrecognized schema {schema!r}")
+    name, body = ("pattern", "rows") if schema == PATTERN_SCHEMA else ("catalog", "patterns")
+    _require(name, obj, ("kind", "width", body))
     kind = PatternKind(obj["kind"])
     width = obj["width"]
     if type(width) is not int:  # JSON true and false load as bool, an int subclass
         raise ValueError(f"width must be an int, got {width!r}")
-    patterns = [obj] if schema == PATTERN_SCHEMA else obj["patterns"]
-    return [(kind, width, _rows_from_json(pat["rows"])) for pat in patterns]
+    if schema == PATTERN_SCHEMA:
+        return [(kind, width, _rows_from_json(obj))]
+    if type(obj["patterns"]) is not list:
+        raise ValueError(f"catalog patterns must be a list, got {obj['patterns']!r}")
+    return [(kind, width, _rows_from_json(pat, i)) for i, pat in enumerate(obj["patterns"])]
 
 
 def tuple_header(kind: PatternKind, width: int) -> tuple[str, ...]:

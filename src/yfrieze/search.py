@@ -288,14 +288,12 @@ def oracle_box_check(width: int, bound: int) -> SolutionSet:
     return _solution_set(3, found)
 
 
-def candidate_ceiling(max_candidates: Optional[int] = None) -> int:
-    """The generic search's volume ceiling: the argument if given, else
-    the FRIEZE_MAX_CANDIDATES environment variable, else 10^9.
+def candidate_ceiling() -> int:
+    """The generic search's volume ceiling: the FRIEZE_MAX_CANDIDATES
+    environment variable, else 10^9.
 
     Raises ValueError when the environment value is not a positive integer.
     """
-    if max_candidates is not None:
-        return max_candidates
     env = os.environ.get(MAX_CANDIDATES_ENV)
     if not env:
         return DEFAULT_MAX_CANDIDATES
@@ -304,8 +302,7 @@ def candidate_ceiling(max_candidates: Optional[int] = None) -> int:
     return int(env)
 
 
-def enumerate_generic(width: int, box: SearchBox, max_candidates: Optional[int] = None,
-                      parallelism: int = 1) -> SolutionSet:
+def enumerate_generic(width: int, box: SearchBox, parallelism: int = 1) -> SolutionSet:
     """Search every diagonal in `box` for closed arithmetic patterns.
 
     Works at any width; no completeness claim unless the box is proven to
@@ -317,7 +314,7 @@ def enumerate_generic(width: int, box: SearchBox, max_candidates: Optional[int] 
         raise ValueError(f"width must be >= 1, got {width}")
     if len(box.bounds) != width:
         raise ValueError(f"box must bound {width} diagonal values, got {len(box.bounds)}")
-    ceiling = candidate_ceiling(max_candidates)
+    ceiling = candidate_ceiling()
     if box.volume() > ceiling:
         raise BoxTooLarge(f"box volume {box.volume()} exceeds ceiling {ceiling}")
     return _search(width, [box], parallelism)

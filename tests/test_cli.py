@@ -199,6 +199,63 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
+# A malformed catalog document: (path to the field, new value or DELETE, message).
+DELETE = object()
+MALFORMED_CATALOGS = {
+    "rows [5]": (("patterns", 0, "rows"), [5], "catalog entry 0 rows must be a list of lists, "
+                                               "got [5]"),
+    "rows 5": (("patterns", 0, "rows"), 5, "catalog entry 0 rows must be a list of lists, got 5"),
+    "entry 5": (("patterns", 0), 5, "catalog entry 0 is not an object: 5"),
+    "no rows": (("patterns", 1, "rows"), DELETE, "catalog entry 1 lacks rows"),
+    "no kind": (("kind",), DELETE, "catalog lacks kind"),
+    "patterns {}": (("patterns",), {}, "catalog patterns must be a list, got {}"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("shape", sorted(MALFORMED_CATALOGS))
+def test_malformed_catalog_is_one_line_naming_the_field(tmp_path, capsys, command, shape):
+    # verify and render read the rows only, so a malformed key such as
+    # "quiddity": 5 is caught by io.catalog_from_json alone (see test_io).
+    from yfrieze import io
+    (*parents, last), value, message = MALFORMED_CATALOGS[shape]
+    obj = io.catalog_to_obj(io.coxeter_catalog(2))
+    target = obj
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"error: cannot parse {path}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot parse {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--kind", "y", "--width", "3"),
+    ("map", "--width", "2"),
+    ("orbits", "--kind", "coxeter", "--width", "3"),
+    ("render", "F", "--index", "0"),
+], ids=["enumerate", "map", "orbits", "render"])
+def test_unwritable_output_is_a_usage_error(coxeter3_catalog_file, tmp_path, capsys, argv):
+    target = tmp_path / "no-such-dir" / "out.txt"
+    argv = [str(coxeter3_catalog_file) if arg == "F" else arg for arg in argv]
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_verify_single_pattern_object(tmp_path, capsys):
     from yfrieze import io
     pattern = yf.expand_domain(yf.w3_domain((3, 8, 3)))

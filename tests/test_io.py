@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -78,6 +79,7 @@ def test_catalog_entry_missing_a_field_is_a_value_error():
     ("patterns", None, "catalog lacks patterns"),
     ("parameters", None, "catalog lacks parameters"),
     ("patterns", 5, "catalog patterns must be a list, got 5"),
+    ("patterns", {}, "catalog patterns must be a list, got {}"),
     ("parameters", 5, "catalog parameters must be a dict, got 5"),
 ])
 def test_catalog_with_a_missing_or_mistyped_field_is_a_value_error(field, value, message):
@@ -88,6 +90,33 @@ def test_catalog_with_a_missing_or_mistyped_field_is_a_value_error(field, value,
     else:
         obj[field] = value
     with pytest.raises(ValueError, match=f"^{message}$"):
+        io.catalog_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("rows", None, "catalog entry 0 lacks rows"),
+    ("rows", 5, "catalog entry 0 rows must be a list of lists, got 5"),
+    ("rows", [5], "catalog entry 0 rows must be a list of lists, got [5]"),
+    ("quiddity", 5, "catalog entry 0 quiddity must be a list, got 5"),
+])
+def test_catalog_entry_with_a_missing_or_mistyped_field_is_a_value_error(field, value,
+                                                                         message):
+    # named by entry and field, not a TypeError such as "'int' object is not iterable"
+    obj = io.catalog_to_obj(io.coxeter_catalog(1))
+    if value is None:
+        del obj["patterns"][0][field]
+    else:
+        obj["patterns"][0][field] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        io.catalog_from_json(json.dumps(obj))
+
+
+def test_catalog_entry_with_an_invalid_pattern_is_a_value_error():
+    obj = io.catalog_to_obj(io.coxeter_catalog(3))
+    obj["patterns"][2]["rows"][2][0] += 1
+    # a ValueError naming the entry, not the InconsistentDomain PeriodicPattern raises
+    with pytest.raises(ValueError, match="^catalog entry 2 holds an invalid pattern: "
+                                         "diamond violation at row 2, col 0: "):
         io.catalog_from_json(json.dumps(obj))
 
 

@@ -2,6 +2,7 @@
 `verify` or `render`, and any argv drawn from a small grammar, ends in a
 documented exit code, never a traceback."""
 
+import copy
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -61,6 +62,59 @@ def test_verify_and_render_exit_with_documented_codes(blob_path, blob):
         with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
             code = main([command, str(blob_path)])
         assert code in {0, 1, 2, 3}
+
+
+# Decoded JSON of real catalogs, one per kind, for tampered_catalogs to edit.
+CATALOGS = [io.catalog_to_obj(io.coxeter_catalog(2)), io.catalog_to_obj(io.y_catalog(3))]
+
+JSON_VALUES = st.recursive(
+    st.one_of(VALUES, st.integers(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def tampered_catalogs(draw):
+    """A real catalog with one field deleted, or one top-level field, entry,
+    entry field or row replaced by a drawn JSON value."""
+    obj = copy.deepcopy(draw(st.sampled_from(CATALOGS)))
+    i = draw(st.integers(0, len(obj["patterns"]) - 1))
+    entry, rows = obj["patterns"][i], obj["patterns"][i]["rows"]
+    action = draw(st.sampled_from(["delete", "delete-in-entry", "top", "entry",
+                                   "in-entry", "row"]))
+    if action == "delete":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif action == "delete-in-entry":
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    elif action == "top":
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(JSON_VALUES)
+    elif action == "entry":
+        obj["patterns"][i] = draw(JSON_VALUES)
+    elif action == "in-entry":
+        entry[draw(st.sampled_from(sorted(entry)))] = draw(JSON_VALUES)
+    else:
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(JSON_VALUES)
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=tampered_catalogs())
+def test_tampered_catalog_decodes_or_fails_in_one_line(blob_path, obj):
+    text = json.dumps(obj)
+    try:
+        io.catalog_from_json(text)
+    except ValueError:
+        pass
+    blob_path.write_text(text)
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main(["verify", str(blob_path)])
+    assert code in {0, 1, 2}
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
 
 
 # Small widths and bounds keep every draw under about a second and every

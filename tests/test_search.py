@@ -255,9 +255,10 @@ def test_generic_rejects_bad_arguments():
         yf.enumerate_generic(2, yf.SearchBox((5,)))
 
 
-def test_box_too_large():
+def test_box_too_large(monkeypatch):
+    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 6))
     with pytest.raises(yf.BoxTooLarge):
-        yf.enumerate_generic(3, yf.SearchBox((1000, 1000, 1000)), max_candidates=10 ** 6)
+        yf.enumerate_generic(3, yf.SearchBox((1000, 1000, 1000)))
 
 
 def test_candidate_ceiling_env_override(monkeypatch):
