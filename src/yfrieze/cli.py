@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
 from . import io
 from .core import (InconsistentDomain, PatternKind, PeriodicPattern, Violation,
-                   check_rows, glide_shift_of_rows)
+                   _rotate_rows, check_rows, glide_shift_of_rows)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -26,6 +27,25 @@ EXIT_LIMIT = 3
 
 class _Failure(Exception):
     """_Failure(exit code, message) ends a command; main prints the message as one line."""
+
+
+def _check_output(output: Optional[str]) -> None:
+    """Fail now if `output` cannot be opened for writing.
+
+    An existing file is opened for appending, so it keeps its bytes; a
+    missing one is created and removed again.
+    """
+    if not output:
+        return
+    try:
+        try:
+            open(output, "x").close()
+        except FileExistsError:
+            open(output, "a").close()
+        else:
+            os.remove(output)
+    except OSError as exc:
+        raise _Failure(EXIT_USAGE, f"cannot write {output}: {exc}")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -56,8 +76,9 @@ def _parse_bounds(text: str) -> tuple[int, ...]:
 
 
 def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] = None,
-             parallelism: int = 1) -> io.Catalog:
-    """Check the arguments enumerate, orbits and map share, then build the catalog."""
+             parallelism: int = 1, output: Optional[str] = None) -> io.Catalog:
+    """Check the arguments enumerate, orbits and map share, then that `output`
+    can be written, then build the catalog."""
     from . import search, ymap
     if width < 1:
         raise _Failure(EXIT_USAGE, f"width must be >= 1, got {width}")
@@ -83,9 +104,11 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
         if width > coxeter.MAX_ENUM_WIDTH:
             raise _Failure(EXIT_LIMIT,
                            f"coxeter enumeration supports widths up to {coxeter.MAX_ENUM_WIDTH}")
-        return io.coxeter_catalog(width)
-    if width not in (1, 2, 3, 4) and bounds is None:
+    elif width not in (1, 2, 3, 4) and bounds is None:
         raise _Failure(EXIT_USAGE, f"width {width} has no proven boxes; pass --bounds")
+    _check_output(output)
+    if kind is PatternKind.COXETER:
+        return io.coxeter_catalog(width)
     try:
         return io.y_catalog(width, bounds=bounds, parallelism=parallelism)
     except search.BoxTooLarge as exc:
@@ -95,7 +118,7 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
 
 
 def cmd_enumerate(args) -> int:
-    catalog = _catalog(args.kind, args.width, args.bounds, args.parallelism)
+    catalog = _catalog(args.kind, args.width, args.bounds, args.parallelism, args.output)
     kind = catalog.kind
     if args.format == "json":
         text = io.catalog_to_json(catalog)
@@ -132,9 +155,31 @@ def _load(path: str) -> list:
         raise _Failure(EXIT_USAGE, f"cannot parse {path}: {exc}")
 
 
+def _verify_all(raw: list) -> list[Optional[Violation]]:
+    """_verify_one of every entry, run once per rotation orbit.
+
+    Every check of _verify_one is rotation-invariant, so an entry whose rows
+    are a rotation of an entry that passed passes too.  `passed` maps each
+    rotation of a passing entry's rows to the first entry that passed.
+    """
+    passed: dict[tuple, int] = {}
+    violations = []
+    for i, (kind, width, rows) in enumerate(raw):
+        rows = tuple(map(tuple, rows))
+        if rows in passed:
+            violations.append(None)
+            continue
+        violation = _verify_one(kind, width, rows)
+        if violation is None:
+            for s in range(width + 3):
+                passed.setdefault(_rotate_rows(rows, s), i)
+        violations.append(violation)
+    return violations
+
+
 def cmd_verify(args) -> int:
     raw = _load(args.input)
-    violations = [_verify_one(*entry) for entry in raw]
+    violations = _verify_all(raw)
     text = "".join(f"pattern {i}: {'ok' if v is None else v}\n" for i, v in enumerate(violations))
     ok = violations.count(None)
     sys.stdout.write(f"{text}{ok}/{len(raw)} patterns ok\n")
@@ -158,10 +203,11 @@ def cmd_map(args) -> int:
                                    "transfer map is not computable there")
     if args.width > 4:
         raise _Failure(EXIT_LIMIT, f"no enumerations available for width {args.width}")
-    sides = [[entry.pattern for entry in _catalog(kind, args.width).entries]
-             for kind in (PatternKind.COXETER, PatternKind.Y)]
-    report = ymap.fiber_analysis(args.width, *sides)
-    records = ymap.correspondence_table(args.width, *sides)
+    friezes = _catalog(PatternKind.COXETER, args.width, output=args.output)
+    ypatterns = _catalog(PatternKind.Y, args.width)
+    report = ymap.fiber_analysis(args.width, [entry.pattern for entry in friezes.entries],
+                                 [entry.pattern for entry in ypatterns.entries])
+    records = ymap.correspondence_table(friezes, ypatterns)
     verdict = _verdict(report)
     if args.format == "json":
         text = json.dumps({
@@ -191,7 +237,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    catalog = _catalog(args.kind, args.width, args.bounds)
+    catalog = _catalog(args.kind, args.width, args.bounds, output=args.output)
     members = {}
     for entry in catalog.entries:
         members.setdefault(entry.orbit_root, []).append(entry.id)

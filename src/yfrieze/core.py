@@ -16,8 +16,11 @@ drawing row m shifted right by half a cell per row index.
 Entries are plain ints where a pattern is arithmetic and `fractions.Fraction`
 otherwise; every operation is exact and every value is immutable after
 construction, so everything here is safe to share across threads.  A pattern
-is validated once, when it is built; a cyclic shift is a new pattern, built
-and validated like any other.
+is validated once, when it is built.  Every check treats all columns alike
+and reads them mod the period: the shape, the constant boundary rows, the
+closure rows, each diamond, positivity and the glide.  So a rotation of a
+valid pattern is valid, and a cyclic shift of a built pattern is made by
+rotating its rows without checking them again.
 """
 
 from __future__ import annotations
@@ -320,13 +323,25 @@ def is_arithmetic(pattern: PeriodicPattern) -> bool:
                for row in pattern.interior() for v in row)
 
 
+def _rotate_rows(rows: Sequence[tuple], s: int) -> tuple[tuple, ...]:
+    """Every row rotated left by s columns, 0 <= s < its length."""
+    return tuple(row[s:] + row[:s] for row in rows)
+
+
+def _rotated(pattern: PeriodicPattern, s: int) -> PeriodicPattern:
+    """The pattern with every row rotated left by s columns, not checked again.
+
+    It takes a built pattern, which its constructor validated, and every
+    invariant is rotation-invariant (see the module docstring).
+    """
+    return tuple.__new__(PeriodicPattern,
+                         (pattern.kind, pattern.width, _rotate_rows(pattern.rows, s)))
+
+
 def cyclic_shift(pattern: PeriodicPattern, s: int) -> PeriodicPattern:
     """Rotate every row left by s columns (s reduced mod the period)."""
     s %= pattern.period
-    if s == 0:
-        return pattern
-    return PeriodicPattern(pattern.kind, pattern.width,
-                           tuple(row[s:] + row[:s] for row in pattern.rows))
+    return _rotated(pattern, s) if s else pattern
 
 
 def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Optional[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .core import FriezeError, PatternKind, PeriodicPattern, _div, _frac
+from .core import FriezeError, PatternKind, PeriodicPattern, _div, _frac, _rotated
 
 # Widths above this make the Catalan-sized generation pointless to run eagerly.
 MAX_ENUM_WIDTH = 9
@@ -153,12 +153,26 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
     return PeriodicPattern(PatternKind.COXETER, n, tuple(rows))
 
 
-def enumerate_frieze(n: int) -> list[PeriodicPattern]:
+class Friezes(list):
+    """The friezes of one width in triangulation order, as a list.
+
+    `orbits` partitions their indices into rotation orbits, each sorted,
+    in the order of ymap.orbit_decomposition: by size descending, then by
+    smallest member.
+    """
+
+    def __init__(self, friezes: Sequence[PeriodicPattern], orbits: list[list[int]]):
+        super().__init__(friezes)
+        self.orbits = orbits
+
+
+def enumerate_frieze(n: int) -> Friezes:
     """All arithmetic friezes of width n, one per triangulation of the (n+3)-gon.
 
     Rotating the quiddity rotates the frieze, so each rotation orbit is
-    propagated once, at its first member; every other member gets the
-    root's rows rotated, validated by the PeriodicPattern constructor.
+    propagated and validated once, at its first member, and every other
+    member gets the root's rows rotated.  The orbits found on the way are
+    returned too, as the result's `orbits`.
     """
     if not 1 <= n <= MAX_ENUM_WIDTH:
         raise ValueError(f"width must be in 1..{MAX_ENUM_WIDTH}, got {n}")
@@ -166,12 +180,18 @@ def enumerate_frieze(n: int) -> list[PeriodicPattern]:
     quiddities = [_quiddity(v, diagonals) for diagonals in _diagonal_tuples(v)]
     index = {q: i for i, q in enumerate(quiddities)}
     friezes: list = [None] * len(quiddities)
+    orbits = []
     for i, q in enumerate(quiddities):
         if friezes[i] is None:
             root = friezes[i] = frieze_from_quiddity(q)
+            members = [i]
             for s in range(1, v):
-                j = index[q[s:] + q[:s]]
-                if friezes[j] is None:
-                    friezes[j] = PeriodicPattern(PatternKind.COXETER, n,
-                                                 tuple(row[s:] + row[:s] for row in root.rows))
-    return friezes
+                shifted = _rotated(root, s)
+                j = index[shifted.rows[2]]
+                if j == i:  # s is the orbit's size
+                    break
+                friezes[j] = shifted
+                members.append(j)
+            orbits.append(sorted(members))
+    orbits.sort(key=lambda orbit: (-len(orbit), orbit[0]))
+    return Friezes(friezes, orbits)

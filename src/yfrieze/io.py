@@ -14,8 +14,9 @@ with generation parameters and per-pattern orbit metadata:
      "rows": [[...]]}, ...]}
 
 One decoder, raw_patterns_from_obj, checks the structure of both documents;
-catalog_from_obj adds only the checks that belong to catalogs.  Both raise
-only ValueError, naming the entry and field at fault.
+catalog_from_obj adds only the checks that belong to catalogs.  The decoder,
+pattern_from_obj and catalog_from_obj raise only ValueError, naming the
+entry and field at fault.
 
 CSV catalogs carry only the identifying tuples (full entry tuple for Y,
 quiddity for Coxeter), one column per letter, in the same order as JSON.
@@ -92,9 +93,17 @@ def raw_pattern_from_obj(obj: dict) -> tuple[PatternKind, int, list[list[Fractio
     return raw_patterns_from_obj(obj)[0]
 
 
+def _pattern(where: str, kind: PatternKind, width: int, rows) -> PeriodicPattern:
+    try:
+        return PeriodicPattern(kind, width, rows)
+    except InconsistentDomain as exc:
+        raise ValueError(f"{where} holds an invalid pattern: {exc}") from None
+
+
 def pattern_from_obj(obj: dict) -> PeriodicPattern:
-    kind, width, rows = raw_pattern_from_obj(obj)
-    return PeriodicPattern(kind, width, tuple(tuple(r) for r in rows))
+    """A pattern document as a PeriodicPattern; raises ValueError for a malformed
+    or invalid one."""
+    return _pattern("pattern document", *raw_pattern_from_obj(obj))
 
 
 class CatalogEntry(NamedTuple):
@@ -115,13 +124,13 @@ class Catalog(NamedTuple):
 
 
 def _with_orbits(kind: PatternKind, width: int, parameters: dict,
-                 keys: Sequence[tuple[int, ...]],
-                 patterns: Sequence[PeriodicPattern]) -> Catalog:
-    from . import ymap
-    # intrinsic_period and glide_shift are invariant under cyclic shifts,
-    # so each orbit's are computed once, at its root.
+                 keys: Sequence[tuple[int, ...]], patterns: Sequence[PeriodicPattern],
+                 orbits: Sequence[Sequence[int]]) -> Catalog:
+    # `orbits` partitions the pattern indices into cyclic-shift orbits, each
+    # sorted.  intrinsic_period and glide_shift are invariant under cyclic
+    # shifts, so each orbit's are computed once, at its root.
     fields = {}
-    for orbit in ymap.orbit_decomposition(patterns):
+    for orbit in orbits:
         root = patterns[orbit[0]]
         shared = (orbit[0], len(orbit), intrinsic_period(root), glide_shift(root))
         fields.update(dict.fromkeys(orbit, shared))
@@ -134,7 +143,7 @@ def _with_orbits(kind: PatternKind, width: int, parameters: dict,
 def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
               parallelism: int = 1) -> Catalog:
     """Catalog of all arithmetic Y patterns of a width, sorted by diagonal."""
-    from . import search
+    from . import search, ymap
     sols = search.y_solutions(width, bounds=bounds, parallelism=parallelism)
     patterns = search.patterns_of(sols)
     if width in (3, 4) and bounds is None:
@@ -143,7 +152,8 @@ def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
     else:
         used = bounds if bounds is not None else search.DEFAULT_GENERIC_BOUNDS[width]
         parameters = {"mode": "generic", "bounds": list(used)}
-    return _with_orbits(PatternKind.Y, width, parameters, sols.full_tuples, patterns)
+    return _with_orbits(PatternKind.Y, width, parameters, sols.full_tuples, patterns,
+                        ymap.orbit_decomposition(patterns))
 
 
 def coxeter_catalog(width: int) -> Catalog:
@@ -153,7 +163,8 @@ def coxeter_catalog(width: int) -> Catalog:
     patterns = coxeter.enumerate_frieze(width)
     keys = [p.rows[2] for p in patterns]
     parameters = {"mode": "triangulations", "polygon": width + 3}
-    return _with_orbits(PatternKind.COXETER, width, parameters, keys, patterns)
+    return _with_orbits(PatternKind.COXETER, width, parameters, keys, patterns,
+                        patterns.orbits)
 
 
 def catalog_to_obj(catalog: Catalog) -> dict:
@@ -190,10 +201,7 @@ def catalog_from_obj(obj: dict) -> Catalog:
         _require(f"catalog entry {i}", pat, ("id", key_name, *ORBIT_FIELDS))
         if type(pat[key_name]) is not list:
             raise ValueError(f"catalog entry {i} {key_name} must be a list, got {pat[key_name]!r}")
-        try:
-            pattern = PeriodicPattern(kind, width, rows)
-        except InconsistentDomain as exc:
-            raise ValueError(f"catalog entry {i} holds an invalid pattern: {exc}") from None
+        pattern = _pattern(f"catalog entry {i}", kind, width, rows)
         entries.append(CatalogEntry(pat["id"], tuple(pat[key_name]), pattern,
                                     *[pat[name] for name in ORBIT_FIELDS]))
     return Catalog(kind, width, dict(obj["parameters"]), tuple(entries))

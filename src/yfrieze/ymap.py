@@ -9,10 +9,13 @@ being a bijection at each width.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .core import (ClosureFailure, FriezeError, PatternKind, PeriodicPattern,
+from .core import (ClosureFailure, FriezeError, PatternKind, PeriodicPattern, _rotate_rows,
                    is_arithmetic, propagate_y)
+
+if TYPE_CHECKING:
+    from .io import Catalog
 
 
 class NotShiftClosed(FriezeError, ValueError):
@@ -83,7 +86,7 @@ def orbit_decomposition(patterns: Sequence[PeriodicPattern]) -> list[list[int]]:
             continue
         members = set()
         for s in range(p.period):
-            shifted = tuple(row[s:] + row[:s] for row in p.rows)
+            shifted = _rotate_rows(p.rows, s)
             if shifted not in index:
                 raise NotShiftClosed(f"pattern set not closed under shifts "
                                      f"(shift {s} of pattern {i} is missing)")
@@ -115,25 +118,21 @@ def fiber_analysis(width: int, friezes: Sequence[PeriodicPattern],
                        injective=all(s <= 1 for s in sizes))
 
 
-def correspondence_table(width: int, friezes: Sequence[PeriodicPattern],
-                         ypatterns: Sequence[PeriodicPattern]) -> list[CorrespondenceRecord]:
+def correspondence_table(friezes: Catalog, ypatterns: Catalog) -> list[CorrespondenceRecord]:
     """One record per frieze orbit: its size s and its image orbit's size t.
 
-    Equivariance with cyclic shifts makes the image orbit well defined by
-    any representative.
+    Takes the Coxeter and the Y catalog of one width and reads the orbits
+    off their orbit_root and orbit_size fields.  Records are in the order of
+    orbit_decomposition.  Equivariance with cyclic shifts makes the image
+    orbit well defined by any representative.
     """
-    yindex = {p: i for i, p in enumerate(ypatterns)}
-    yorbit_of = {}
-    yorbits = orbit_decomposition(ypatterns)
-    for orbit in yorbits:
-        for member in orbit:
-            yorbit_of[member] = orbit
+    yentry = {entry.pattern: entry for entry in ypatterns.entries}
+    roots = sorted((entry for entry in friezes.entries if entry.orbit_root == entry.id),
+                   key=lambda entry: (-entry.orbit_size, entry.id))
     records = []
-    for orbit in orbit_decomposition(friezes):
-        rep = orbit[0]
-        image = apply_p(friezes[rep])
-        target = yorbit_of[yindex[image]]
-        records.append(CorrespondenceRecord(frieze_id=rep, yfrieze_id=target[0],
-                                            frieze_orbit_size=len(orbit),
-                                            y_orbit_size=len(target)))
+    for root in roots:
+        target = yentry[apply_p(root.pattern)]
+        records.append(CorrespondenceRecord(frieze_id=root.id, yfrieze_id=target.orbit_root,
+                                            frieze_orbit_size=root.orbit_size,
+                                            y_orbit_size=target.orbit_size))
     return records

@@ -172,7 +172,7 @@ def test_verify_rejects_tampered_entry(coxeter3_catalog_file, tmp_path, capsys):
     assert "diamond violation at row" in out
 
 
-def test_verify_checks_each_pattern_once(coxeter3_catalog_file, capsys, monkeypatch):
+def test_verify_checks_each_orbit_once(coxeter3_catalog_file, capsys, monkeypatch):
     from yfrieze import cli, core
     calls = []
     check_rows = core.check_rows
@@ -185,7 +185,8 @@ def test_verify_checks_each_pattern_once(coxeter3_catalog_file, capsys, monkeypa
     monkeypatch.setattr(core, "check_rows", counting_check_rows)
     code, _, _ = run(capsys, "verify", str(coxeter3_catalog_file))
     assert code == 0
-    assert len(calls) == 14
+    # 14 friezes in 4 rotation orbits: one check per orbit
+    assert len(calls) == 4
 
 
 def test_verify_rejects_malformed_file(tmp_path, capsys):
@@ -254,6 +255,40 @@ def test_unwritable_output_is_a_usage_error(coxeter3_catalog_file, tmp_path, cap
     code, out, err = run(capsys, *argv, "--output", str(target))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--kind", "coxeter", "--width", "8", "--format", "json"),
+    ("map", "--width", "4"),
+    ("orbits", "--kind", "coxeter", "--width", "8"),
+], ids=["enumerate", "map", "orbits"])
+def test_unwritable_output_fails_before_the_catalog_is_built(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    from yfrieze import io
+
+    def no_catalog(width):
+        raise AssertionError("the catalog was built before --output was checked")
+
+    monkeypatch.setattr(io, "coxeter_catalog", no_catalog)
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot write {target}: "
+                   f"[Errno 2] No such file or directory: '{target}'\n")
+
+
+def test_output_check_keeps_an_existing_file_and_leaves_no_new_one(tmp_path, capsys):
+    # this box cuts a width-5 shift orbit in two, so the command exits 3
+    # after it has checked --output and searched the box
+    argv = ("enumerate", "--kind", "y", "--width", "5", "--bounds", "20,20,20,20,20")
+    existing, missing = tmp_path / "existing.csv", tmp_path / "missing.csv"
+    existing.write_text("keep\n")
+    for target in (existing, missing):
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 3 and out == ""
+        assert err.startswith("error: the box cuts a shift orbit") and err.count("\n") == 1
+    assert existing.read_text() == "keep\n"
+    assert sorted(tmp_path.iterdir()) == [existing]
 
 
 def test_verify_single_pattern_object(tmp_path, capsys):
@@ -404,6 +439,23 @@ def test_map_enumerates_each_side_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "map", "--width", "4")
     assert code == 0
     assert sorted(calls) == ["enumerate_frieze", "y_solutions"]
+
+
+def test_map_decomposes_orbits_once(capsys, monkeypatch):
+    # the Y catalog's decomposition; the Coxeter catalog takes its orbits
+    # from generation, and correspondence_table reads both catalogs' fields
+    from yfrieze import ymap
+    sizes = []
+    orbit_decomposition = ymap.orbit_decomposition
+
+    def counting_orbit_decomposition(patterns):
+        sizes.append(len(patterns))
+        return orbit_decomposition(patterns)
+
+    monkeypatch.setattr(ymap, "orbit_decomposition", counting_orbit_decomposition)
+    code, _, _ = run(capsys, "map", "--width", "4")
+    assert code == 0
+    assert sizes == [42]
 
 
 # sha256 of the map output, recorded before map built its sides through

@@ -120,6 +120,15 @@ def test_catalog_entry_with_an_invalid_pattern_is_a_value_error():
         io.catalog_from_json(json.dumps(obj))
 
 
+def test_pattern_document_with_an_invalid_pattern_is_a_value_error():
+    obj = io.pattern_to_obj(yf.enumerate_frieze(3)[0])
+    obj["rows"][2][0] += 1
+    # the wording of catalog_from_obj, not the InconsistentDomain PeriodicPattern raises
+    with pytest.raises(ValueError, match="^pattern document holds an invalid pattern: "
+                                         "diamond violation at row 2, col 0: "):
+        io.pattern_from_obj(obj)
+
+
 def test_tuples_from_empty_csv():
     with pytest.raises(ValueError):
         io.tuples_from_csv("")
@@ -159,7 +168,7 @@ def test_catalog_from_json_rejects_a_width_that_is_not_an_int(width):
         io.catalog_from_json(json.dumps(obj))
 
 
-def test_coxeter_catalog_validates_each_pattern_once(monkeypatch):
+def test_coxeter_catalog_validates_each_orbit_once(monkeypatch):
     from yfrieze import core
     calls = []
     check_rows = core.check_rows
@@ -170,7 +179,27 @@ def test_coxeter_catalog_validates_each_pattern_once(monkeypatch):
 
     monkeypatch.setattr(core, "check_rows", counting_check_rows)
     assert len(io.coxeter_catalog(5).entries) == 132
-    assert len(calls) == 132
+    # 132 friezes in 19 rotation orbits: one check per orbit
+    assert len(calls) == 19
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_coxeter_catalog_entries_pass_the_checks_generation_skips(width):
+    # generation validates one root per rotation orbit and rotates it for
+    # the other members: every entry must still pass the full checks, and
+    # the orbits must be those found by rotating every entry's rows.
+    from yfrieze import cli, coxeter
+    catalog = io.coxeter_catalog(width)
+    patterns = [entry.pattern for entry in catalog.entries]
+    for pattern in patterns:
+        assert yf.check_rows(pattern.kind, width, pattern.rows) is None
+        assert cli._verify_one(pattern.kind, width, pattern.rows) is None
+    orbits = yf.orbit_decomposition(patterns)
+    assert coxeter.enumerate_frieze(width).orbits == orbits
+    for orbit in orbits:
+        for i in orbit:
+            entry = catalog.entries[i]
+            assert (entry.orbit_root, entry.orbit_size) == (orbit[0], len(orbit))
 
 
 @pytest.mark.parametrize("width,digest", [

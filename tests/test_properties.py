@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
 from yfrieze import io
-from yfrieze.cli import main
+from yfrieze.cli import _verify_all, _verify_one, main
 
 # Real patterns to mutate, so that valid and nearly valid files are drawn too.
 BASES = [(p.kind.value, p.width, io.pattern_to_obj(p)["rows"])
@@ -115,6 +115,50 @@ def test_tampered_catalog_decodes_or_fails_in_one_line(blob_path, obj):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     else:
         assert err.getvalue() == ""
+
+
+# The raw entries of the width-4 catalogs, one per kind, as verify reads them.
+W4_RAW = [io.raw_patterns_from_obj(io.catalog_to_obj(catalog))
+          for catalog in (io.coxeter_catalog(4), io.y_catalog(4))]
+
+
+@st.composite
+def edited_entry_lists(draw):
+    """A width-4 catalog's raw entries with a cell changed, or entries
+    duplicated, dropped or permuted, or a rotated copy of an entry appended
+    after its valid siblings, left as it is or with a cell changed."""
+    raw = copy.deepcopy(draw(st.sampled_from(W4_RAW)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(raw) - 1))
+        kind, width, rows = copy.deepcopy(raw[i])
+        action = draw(st.sampled_from(["cell", "duplicate", "drop", "permute", "rotated",
+                                       "rotated-cell"]))
+        if action == "duplicate":
+            raw.insert(draw(st.integers(0, len(raw))), (kind, width, rows))
+        elif action == "drop" and len(raw) > 1:
+            raw.pop(i)
+        elif action == "permute":
+            raw = draw(st.permutations(raw))
+        elif action in ("cell", "rotated", "rotated-cell"):
+            if action != "cell":
+                s = draw(st.integers(1, width + 2))
+                rows = [row[s:] + row[:s] for row in rows]
+            if action != "rotated":
+                m = draw(st.integers(0, len(rows) - 1))
+                rows[m][draw(st.integers(0, width + 2))] += draw(st.sampled_from([-2, -1, 1]))
+            if action == "cell":
+                raw[i] = (kind, width, rows)
+            else:
+                raw.append((kind, width, rows))
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=edited_entry_lists())
+def test_verify_checks_once_per_orbit_with_the_per_entry_verdicts(raw):
+    # verify skips the checks on a rotation of an entry that passed; its
+    # report must be the one the full check of every entry gives.
+    assert _verify_all(raw) == [_verify_one(*entry) for entry in raw]
 
 
 # Small widths and bounds keep every draw under about a second and every

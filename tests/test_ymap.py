@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import yfrieze as yf
+from yfrieze import io
 
 
 # ----------------------------------------------------------------- apply_p
@@ -127,8 +128,8 @@ def test_apply_p_commutes_with_shifts(frieze3, frieze4):
 
 # ----------------------------------------------------------- correspondence
 
-def test_correspondence_width_3(frieze3, y3_patterns):
-    records = yf.correspondence_table(3, friezes=frieze3, ypatterns=y3_patterns)
+def test_correspondence_width_3():
+    records = yf.correspondence_table(friezes=io.coxeter_catalog(3), ypatterns=io.y_catalog(3))
     pairs = Counter((r.frieze_orbit_size, r.y_orbit_size) for r in records)
     assert pairs == Counter({(3, 3): 2, (6, 3): 1, (2, 1): 1})
     assert sum(r.frieze_orbit_size for r in records) == 14
@@ -137,8 +138,8 @@ def test_correspondence_width_3(frieze3, y3_patterns):
     assert all(r.frieze_orbit_size / r.y_orbit_size in (1.0, 2.0) for r in records)
 
 
-def test_correspondence_width_4(frieze4, y4_patterns):
-    records = yf.correspondence_table(4, friezes=frieze4, ypatterns=y4_patterns)
+def test_correspondence_width_4():
+    records = yf.correspondence_table(friezes=io.coxeter_catalog(4), ypatterns=io.y_catalog(4))
     assert len(records) == 6
     assert all(r.frieze_orbit_size == r.y_orbit_size == 7 for r in records)
     # bijectivity forces every Y orbit to be hit exactly once
@@ -146,6 +147,5 @@ def test_correspondence_width_4(frieze4, y4_patterns):
 
 
 def test_correspondence_width_2():
-    records = yf.correspondence_table(2, yf.enumerate_frieze(2),
-                                      yf.patterns_of(yf.y_solutions(2)))
+    records = yf.correspondence_table(io.coxeter_catalog(2), io.y_catalog(2))
     assert [(r.frieze_orbit_size, r.y_orbit_size) for r in records] == [(5, 5)]
