@@ -22,7 +22,7 @@ _EXPORTS = {
     "coxeter": "NonPositive NotClosed Triangulation all_triangulations enumerate_frieze "
                "frieze_from_quiddity quiddity_of",
     "search": "BoxTooLarge SearchBox SolutionSet enumerate_generic enumerate_w3 enumerate_w4 "
-              "oracle_box_check patterns_of w3_boxes w4_boxes y_solutions",
+              "oracle_box_check w3_boxes w4_boxes y_solutions",
     "ymap": "CorrespondenceRecord FiberReport MapFailure apply_p correspondence_table "
             "fiber_analysis orbit_decomposition",
 }

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import io
 from .core import (InconsistentDomain, PatternKind, PeriodicPattern, Violation,
@@ -48,15 +48,24 @@ def _check_output(output: Optional[str]) -> None:
         raise _Failure(EXIT_USAGE, f"cannot write {output}: {exc}")
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        try:
+def _write(output: Optional[str], write: Callable[[TextIO], object]) -> None:
+    """Call write on the opened `output` file, or on stdout.  An OSError from
+    a write or the close, a closed pipe included, ends the command with one line."""
+    try:
+        if output:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _Failure(EXIT_USAGE, f"cannot write {output}: {exc}")
-    else:
-        sys.stdout.write(text)
+                write(fh)
+        else:
+            write(sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not output:  # point stdout at /dev/null, so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _Failure(EXIT_USAGE, f"cannot write {output or 'stdout'}: {exc}")
+
+
+def _emit(text: str, output: Optional[str]) -> None:
+    _write(output, lambda fh: fh.write(text))
 
 
 def _table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -66,13 +75,6 @@ def _table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
     lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
     return "\n".join(lines) + "\n"
-
-
-def _parse_bounds(text: str) -> tuple[int, ...]:
-    bounds = tuple(int(part) for part in text.split(","))
-    if any(b < 1 for b in bounds):
-        raise ValueError(f"bounds must be positive, got {text!r}")
-    return bounds
 
 
 def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] = None,
@@ -94,9 +96,12 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
         if kind is not PatternKind.Y:
             raise _Failure(EXIT_USAGE, "--bounds applies to --kind y only")
         try:
-            bounds = _parse_bounds(bounds_text)
-        except ValueError as exc:
-            raise _Failure(EXIT_USAGE, str(exc))
+            bounds = tuple(map(int, bounds_text.split(",")))
+        except ValueError:
+            bounds = (0,)
+        if min(bounds) < 1:
+            raise _Failure(EXIT_USAGE, "--bounds must be comma-separated positive integers, "
+                                       f"got {bounds_text!r}")
         if len(bounds) != width:
             raise _Failure(EXIT_USAGE, f"--bounds needs {width} values, got {len(bounds)}")
     if kind is PatternKind.COXETER:
@@ -119,15 +124,13 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
 
 def cmd_enumerate(args) -> int:
     catalog = _catalog(args.kind, args.width, args.bounds, args.parallelism, args.output)
-    kind = catalog.kind
     if args.format == "json":
-        text = io.catalog_to_json(catalog)
+        _write(args.output, lambda fh: io.write_catalog_json(catalog, fh))
     elif args.format == "csv":
-        text = io.catalog_to_csv(catalog)
+        _emit(io.catalog_to_csv(catalog), args.output)
     else:
-        header = io.tuple_header(kind, args.width)
-        text = _table(header, [entry.key_tuple for entry in catalog.entries])
-    _emit(text, args.output)
+        header = io.tuple_header(catalog.kind, args.width)
+        _emit(_table(header, [entry.key_tuple for entry in catalog.entries]), args.output)
     return EXIT_OK
 
 

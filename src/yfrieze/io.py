@@ -13,6 +13,13 @@ with generation parameters and per-pattern orbit metadata:
      "orbit_size": ..., "intrinsic_period": ..., "glide_shift": ...,
      "rows": [[...]]}, ...]}
 
+write_catalog_json streams a catalog's text one entry at a time, and
+renders the cells of each rotation orbit once.  A valid pattern is fixed by
+its key row (row 2 for Coxeter, row 1 for Y): with an interior of positive
+ints, every cell below that row is solved with a divisor (1 + N, or N >= 1)
+that is not zero.  So an entry whose key row is a kept arithmetic pattern's
+rotated by s is written from that pattern's cell strings rotated by s.
+
 One decoder, raw_patterns_from_obj, checks the structure of both documents;
 catalog_from_obj adds only the checks that belong to catalogs.  The decoder,
 pattern_from_obj and catalog_from_obj raise only ValueError, naming the
@@ -29,10 +36,10 @@ import re
 import string
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .core import (InconsistentDomain, PatternKind, PeriodicPattern, glide_shift,
-                   intrinsic_period)
+                   intrinsic_period, is_arithmetic)
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
@@ -145,7 +152,7 @@ def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
     """Catalog of all arithmetic Y patterns of a width, sorted by diagonal."""
     from . import search, ymap
     sols = search.y_solutions(width, bounds=bounds, parallelism=parallelism)
-    patterns = search.patterns_of(sols)
+    patterns = sols.patterns
     if width in (3, 4) and bounds is None:
         boxes = search.w3_boxes() if width == 3 else search.w4_boxes()
         parameters = {"mode": "proven-boxes", "boxes": [list(b.bounds) for b in boxes]}
@@ -207,50 +214,64 @@ def catalog_from_obj(obj: dict) -> Catalog:
     return Catalog(kind, width, dict(obj["parameters"]), tuple(entries))
 
 
-def _key_json(key: Sequence[int]) -> str:
-    """A key tuple of ints as it reads in its catalog entry."""
-    return "[\n        " + ",\n        ".join(map(str, key)) + "\n      ]"
-
-
+_KEY_SEP = ",\n" + " " * 8
 _CELL_SEP = ",\n" + " " * 10
 _ROW_SEP = "\n        ],\n        [\n          "
 
 
-def _rows_json(rows: Sequence[Sequence]) -> str:
-    """A pattern's rows of ints and Fractions as they read in its catalog entry."""
-    cells = _ROW_SEP.join([_CELL_SEP.join(map(str, row)) for row in rows])
-    if "/" in cells:  # a non-integral Fraction, written as a "p/q" string
-        cells = _ROW_SEP.join([_CELL_SEP.join(json.dumps(_value_to_json(v)) for v in row)
-                               for row in rows])
-    return "[\n        [\n          " + cells + "\n        ]\n      ]"
+def _key_json(cells: Iterable[str]) -> str:
+    """A key tuple, given as the strings of its ints, as it reads in its catalog entry."""
+    return "[\n        " + _KEY_SEP.join(cells) + "\n      ]"
 
 
-def catalog_to_json(catalog: Catalog) -> str:
-    """The text of json.dumps(catalog_to_obj(catalog), indent=2) + "\\n".
-
-    Each entry is written from a fixed template, its key and counts as the
-    ints a built catalog holds: with an indent, json.dumps runs its
-    pure-Python encoder, several times slower on large catalogs.
-    """
+def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
+    """The text of json.dumps(catalog_to_obj(catalog), indent=2) + "\\n": the
+    head, each entry, then the tail.  An entry is written from a fixed
+    template, its key and counts as the ints a built catalog holds (with an
+    indent, json.dumps runs its pure-Python encoder, several times slower)."""
     head = json.dumps({"schema": CATALOG_SCHEMA, "kind": catalog.kind.value,
                        "width": catalog.width, "parameters": catalog.parameters},
                       indent=2)
+    yield head[:-2] + ',\n  "patterns": ['
     is_y = catalog.kind is PatternKind.Y
-    key_name = KEY_NAMES[catalog.kind]
-    entries = []
-    for entry in catalog.entries:
-        diagonal = (f'      "diagonal": {_key_json(entry.key_tuple[:catalog.width])},\n'
+    key_name, key_row = KEY_NAMES[catalog.kind], 1 if is_y else 2
+    rotations: dict[tuple, tuple[list, int]] = {}  # key row -> (kept cells, s)
+    strs: dict = {}  # one string per cell value, shared by the kept cells
+    for i, entry in enumerate(catalog.entries):
+        rows = entry.pattern.rows
+        key_values = rows[key_row]
+        cells, s = rotations.get(key_values, (None, 0))
+        if cells is None and is_arithmetic(entry.pattern):
+            cells = [list(map(strs.setdefault, row, map(str, row))) for row in rows]
+            for t in range(len(key_values)):
+                rotations.setdefault(key_values[t:] + key_values[:t], (cells, t))
+        elif cells is None:  # a non-integral Fraction is written as a "p/q" string
+            cells = [[json.dumps(_value_to_json(v)) for v in row] for row in rows]
+        if s:
+            cells = [row[s:] + row[:s] for row in cells]
+        key = cells[2] if not is_y and entry.key_tuple == rows[2] else map(str, entry.key_tuple)
+        diagonal = (f'      "diagonal": {_key_json(map(str, entry.key_tuple[:catalog.width]))},\n'
                     if is_y else "")
-        entries.append(
-            f'    {{\n      "id": {entry.id},\n'
-            f'      "{key_name}": {_key_json(entry.key_tuple)},\n{diagonal}'
+        yield (
+            f'{"," if i else ""}\n    {{\n      "id": {entry.id},\n'
+            f'      "{key_name}": {_key_json(key)},\n{diagonal}'
             f'      "orbit_root": {entry.orbit_root},\n'
             f'      "orbit_size": {entry.orbit_size},\n'
             f'      "intrinsic_period": {entry.intrinsic_period},\n'
             f'      "glide_shift": {"null" if entry.glide_shift is None else entry.glide_shift},\n'
-            f'      "rows": {_rows_json(entry.pattern.rows)}\n    }}')
-    patterns = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    return head[:-2] + f',\n  "patterns": {patterns}\n}}\n'
+            f'      "rows": [\n        [\n          '
+            f'{_ROW_SEP.join([_CELL_SEP.join(row) for row in cells])}\n        ]\n      ]\n    }}')
+    yield "\n  ]\n}\n" if catalog.entries else "]\n}\n"
+
+
+def write_catalog_json(catalog: Catalog, fh: TextIO) -> None:
+    """Write catalog_to_json(catalog) to the text file fh, each entry as it is formed."""
+    fh.writelines(_catalog_json_parts(catalog))
+
+
+def catalog_to_json(catalog: Catalog) -> str:
+    """The text of json.dumps(catalog_to_obj(catalog), indent=2) + "\\n"."""
+    return "".join(_catalog_json_parts(catalog))
 
 
 def catalog_from_json(text: str) -> Catalog:

@@ -320,11 +320,6 @@ def enumerate_generic(width: int, box: SearchBox, parallelism: int = 1) -> Solut
     return _search(width, [box], parallelism)
 
 
-def patterns_of(sols: SolutionSet) -> list[PeriodicPattern]:
-    """Every solution as a full Y pattern, in catalog order."""
-    return list(sols.patterns)
-
-
 def y_solutions(width: int, bounds: Optional[Sequence[int]] = None,
                 parallelism: int = 1) -> SolutionSet:
     """Solution set for a width: proven boxes for 3 and 4, generic otherwise.

@@ -37,12 +37,12 @@ def w4_solutions():
 
 @pytest.fixture(scope="session")
 def y3_patterns(w3_solutions):
-    return yf.patterns_of(w3_solutions)
+    return list(w3_solutions.patterns)
 
 
 @pytest.fixture(scope="session")
 def y4_patterns(w4_solutions):
-    return yf.patterns_of(w4_solutions)
+    return list(w4_solutions.patterns)
 
 
 @pytest.fixture(scope="session")

@@ -100,6 +100,14 @@ def test_width_5_box_holding_every_orbit(capsys, monkeypatch):
     assert len(out.strip().splitlines()) == 121  # header + 120 patterns
 
 
+@pytest.mark.parametrize("command", ["enumerate", "orbits"])
+@pytest.mark.parametrize("bounds", ["1,,2,3,4", "a,b", "", "1,2,3,4,0", "1.5"])
+def test_malformed_bounds_are_one_usage_line(capsys, command, bounds):
+    code, out, err = run(capsys, command, "--kind", "y", "--width", "5", "--bounds", bounds)
+    assert code == 2 and out == ""
+    assert err == f"error: --bounds must be comma-separated positive integers, got {bounds!r}\n"
+
+
 def test_enumerate_generic_width_via_bounds(capsys):
     code, out, _ = run(capsys, "enumerate", "--kind", "y", "--width", "2",
                        "--format", "csv")
@@ -115,6 +123,45 @@ def test_enumerate_output_file(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["schema"] == "frieze-catalog/1"
     assert len(payload["patterns"]) == 10
+
+
+@pytest.mark.parametrize("kind,width", [("coxeter", 5), ("y", 4)])
+def test_enumerate_json_streams_the_same_bytes_to_stdout_and_output(tmp_path, capsys,
+                                                                     monkeypatch, kind, width):
+    from yfrieze import io
+    catalog = io.coxeter_catalog(width) if kind == "coxeter" else io.y_catalog(width)
+    expected = json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n"
+
+    def no_text(catalog):
+        raise AssertionError("enumerate built the whole catalog text")
+
+    monkeypatch.setattr(io, "catalog_to_json", no_text)
+    argv = ("enumerate", "--kind", kind, "--width", str(width), "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+    target = tmp_path / "cat.json"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_streamed_json_to_a_full_device_is_one_write_error(capsys):
+    # /dev/full takes the open and fails every write with ENOSPC
+    code, out, err = run(capsys, "enumerate", "--kind", "coxeter", "--width", "7",
+                         "--format", "json", "--output", "/dev/full")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write /dev/full: [Errno 28] ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    # and as stdout, in a child whose stdout is the device
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "yfrieze.cli", "enumerate", "--kind",
+                               "coxeter", "--width", "7", "--format", "json"],
+                              env=env, stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("error: cannot write stdout: [Errno 28] ")
+    assert proc.stderr.count(b"\n") == 1
 
 
 def test_cli_output_deterministic_across_parallelism(tmp_path, capsys):
@@ -504,7 +551,7 @@ def test_orbits_json_matches_orbit_decomposition(capsys, kind, width):
                        "--format", "json")
     assert code == 0
     if kind == "y":
-        patterns = yf.patterns_of(yf.y_solutions(width))
+        patterns = yf.y_solutions(width).patterns
     else:
         patterns = yf.enumerate_frieze(width)
     orbits = yf.orbit_decomposition(patterns)
@@ -575,6 +622,23 @@ def test_render_index_out_of_range(coxeter3_catalog_file, capsys):
 def test_render_missing_file(capsys):
     code, _, _ = run(capsys, "render", "/nonexistent/path.json")
     assert code == 2
+
+
+# An unbuffered stdout writes the CSV text in one call, and a short write
+# there is dropped without an error, so CSV runs buffered only.
+@pytest.mark.parametrize("fmt,unbuffered", [("json", "1"), ("json", ""), ("csv", "")])
+def test_stdout_closed_by_its_reader_is_one_write_error(fmt, unbuffered):
+    # the reader takes a few bytes of the 11 MB catalog and leaves, as `| head` does
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)),
+               PYTHONUNBUFFERED=unbuffered)
+    argv = ["enumerate", "--kind", "coxeter", "--width", "8", "--format", fmt]
+    with subprocess.Popen([sys.executable, "-m", "yfrieze.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def _loaded_modules(argv=None):

@@ -333,7 +333,7 @@ def oracle_check_rows(kind, width, rows):
     return None
 
 
-TAMPER_BASES = [*(p for w in (1, 2, 3, 4) for p in yf.patterns_of(yf.y_solutions(w))),
+TAMPER_BASES = [*(p for w in (1, 2, 3, 4) for p in yf.y_solutions(w).patterns),
                 *(p for w in (1, 2, 3, 4, 5) for p in yf.enumerate_frieze(w))]
 CELL_VALUES = st.one_of(st.integers(-2, 12), st.booleans(),
                         st.fractions(-3, 12, max_denominator=4))

@@ -224,15 +224,56 @@ def _writer_catalogs():
                      (io.CatalogEntry(0, (2, 1), half, 0, 2, 2, None),))
 
 
-def test_catalog_json_writer_matches_json_dumps(monkeypatch):
-    # catalog_to_json writes the text itself; catalog_to_obj plus json.dumps
-    # is the reference layout.
+def _written(catalog, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        io.write_catalog_json(catalog, fh)
+    return path.read_text(encoding="utf-8")
+
+
+def test_catalog_json_writer_matches_json_dumps(monkeypatch, tmp_path):
+    # catalog_to_json and write_catalog_json write the text themselves;
+    # catalog_to_obj plus json.dumps is the reference layout.
     catalogs = list(_writer_catalogs())
     monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
     catalogs.append(io.y_catalog(5, bounds=(64,) * 5))
     for catalog in catalogs:
         expected = json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n"
         assert io.catalog_to_json(catalog) == expected
+        assert _written(catalog, tmp_path / "catalog.json") == expected
+
+
+def test_writer_takes_each_entry_from_its_own_rows_and_key(tmp_path):
+    # the writer renders each rotation orbit's cells once; a loaded catalog
+    # may name any orbit_root and key, so each entry must still show its own
+    catalog = io.catalog_from_json(io.catalog_to_json(io.coxeter_catalog(5)))
+    roots = sorted({entry.orbit_root for entry in catalog.entries})
+    assert len(roots) == 19
+
+    def elsewhere(entry):  # the root of another orbit, which differs between members
+        others = [root for root in roots if root != entry.orbit_root]
+        return entry._replace(orbit_root=others[entry.id % len(others)],
+                              key_tuple=entry.key_tuple[::-1])
+
+    tampered = catalog._replace(entries=tuple(map(elsewhere, catalog.entries)))
+    expected = json.dumps(io.catalog_to_obj(tampered), indent=2) + "\n"
+    assert _written(tampered, tmp_path / "catalog.json") == expected
+
+
+def test_streaming_the_width_7_catalog_holds_under_half_its_text(tmp_path):
+    # the joined text alone would be 2.8 MB; the writer keeps one entry's
+    # text and the cell strings of each orbit root (about 0.4 MB)
+    import tracemalloc
+    catalog = io.coxeter_catalog(7)
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "catalog.json", "w", encoding="utf-8") as fh:
+            io.write_catalog_json(catalog, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "catalog.json").stat().st_size
+    assert size > 2_700_000
+    assert peak < size / 2
 
 
 def test_orbit_fields_equal_per_pattern_values(monkeypatch):
@@ -290,7 +331,7 @@ def test_render_constant_width_3_pattern():
 
 def test_render_width_1_pattern():
     sols = yf.y_solutions(1)
-    pattern = yf.patterns_of(sols)[0]
+    pattern = sols.patterns[0]
     lines = io.render_ascii(pattern).splitlines()
     assert len(lines) == 3
     assert lines[1].split() == ["1"] * 8

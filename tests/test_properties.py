@@ -17,7 +17,7 @@ from yfrieze.cli import _verify_all, _verify_one, main
 # Real patterns to mutate, so that valid and nearly valid files are drawn too.
 BASES = [(p.kind.value, p.width, io.pattern_to_obj(p)["rows"])
          for p in (*yf.enumerate_frieze(1), *yf.enumerate_frieze(3),
-                   *yf.patterns_of(yf.enumerate_w3()),
+                   *yf.enumerate_w3().patterns,
                    yf.expand_domain(yf.w3_domain((1, 1, 1))))]
 
 VALUES = st.one_of(st.integers(-2, 12), st.booleans(), st.none(),

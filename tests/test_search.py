@@ -187,7 +187,7 @@ def test_patterns_of_matches_domain_rebuild(width):
     sols = yf.y_solutions(width)
     rebuilt = [yf.expand_domain(yf.FundamentalDomain.from_entry_tuple(width, t))
                for t in sols.full_tuples]
-    patterns = yf.patterns_of(sols)
+    patterns = list(sols.patterns)
     assert patterns == rebuilt
     assert all(type(v) is int for p in patterns for row in p.rows for v in row)
 

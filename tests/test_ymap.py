@@ -58,7 +58,7 @@ def test_fiber_analysis_width_4(frieze4, y4_patterns):
 
 
 def test_fiber_analysis_width_2():
-    report = yf.fiber_analysis(2, yf.enumerate_frieze(2), yf.patterns_of(yf.y_solutions(2)))
+    report = yf.fiber_analysis(2, yf.enumerate_frieze(2), yf.y_solutions(2).patterns)
     assert report.surjective and report.injective
     assert report.image_size == 5
 
