@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from io import FileIO
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import io
@@ -50,10 +51,15 @@ def _check_output(output: Optional[str]) -> None:
 
 def _write(output: Optional[str], write: Callable[[TextIO], object]) -> None:
     """Call write on the opened `output` file, or on stdout.  An OSError from
-    a write or the close, a closed pipe included, ends the command with one line."""
+    a write or the close, a closed pipe included, ends the command with one
+    line.  An unbuffered stdout would drop the rest of a short write without
+    an error, so it is written through a buffered file on its descriptor."""
     try:
         if output:
             with open(output, "w", encoding="utf-8") as fh:
+                write(fh)
+        elif isinstance(getattr(sys.stdout, "buffer", None), FileIO):
+            with open(sys.stdout.fileno(), "w", encoding="utf-8", closefd=False) as fh:
                 write(fh)
         else:
             write(sys.stdout)
@@ -185,7 +191,7 @@ def cmd_verify(args) -> int:
     violations = _verify_all(raw)
     text = "".join(f"pattern {i}: {'ok' if v is None else v}\n" for i, v in enumerate(violations))
     ok = violations.count(None)
-    sys.stdout.write(f"{text}{ok}/{len(raw)} patterns ok\n")
+    _emit(f"{text}{ok}/{len(raw)} patterns ok\n", None)
     return EXIT_OK if ok == len(raw) else EXIT_VERIFY
 
 

@@ -66,6 +66,11 @@ class InconsistentDomain(FriezeError):
         self.violation = violation
 
 
+class NotShiftClosed(FriezeError, ValueError):
+    """A pattern set lacks a cyclic shift of one of its members, as when a
+    search box cuts a shift orbit in two."""
+
+
 class Violation(NamedTuple):
     """First failed structural check of a raw grid, with coordinates."""
 
@@ -342,6 +347,36 @@ def cyclic_shift(pattern: PeriodicPattern, s: int) -> PeriodicPattern:
     """Rotate every row left by s columns (s reduced mod the period)."""
     s %= pattern.period
     return _rotated(pattern, s) if s else pattern
+
+
+def rotation_orbits(keys: Sequence[tuple]) -> list[list[int]]:
+    """Partition the indices of distinct tuple keys into rotation orbits.
+
+    orbit[s] is the index of orbit[0]'s key rotated left by s, and orbit[0]
+    is the smallest; orbits are sorted by size descending, then by root.
+    Raises ValueError on a repeated key, NotShiftClosed on a missing rotation.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+    if len(index) != len(keys):
+        raise ValueError("keys must be distinct")
+    seen: set[int] = set()
+    orbits = []
+    for i, key in enumerate(keys):
+        if i in seen:
+            continue
+        orbit = [i]
+        for s in range(1, len(key)):
+            j = index.get(key[s:] + key[:s])
+            if j is None:
+                raise NotShiftClosed(f"pattern set not closed under shifts "
+                                     f"(shift {s} of pattern {i} is missing)")
+            if j == i:  # s is the orbit's size
+                break
+            orbit.append(j)
+        seen.update(orbit)
+        orbits.append(orbit)
+    orbits.sort(key=lambda orbit: (-len(orbit), orbit[0]))
+    return orbits
 
 
 def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Optional[int]:

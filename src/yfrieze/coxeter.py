@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .core import FriezeError, PatternKind, PeriodicPattern, _div, _frac, _rotated
+from .core import FriezeError, PatternKind, PeriodicPattern, _div, _frac, _rotated, rotation_orbits
 
 # Widths above this make the Catalan-sized generation pointless to run eagerly.
 MAX_ENUM_WIDTH = 9
@@ -169,29 +169,19 @@ class Friezes(list):
 def enumerate_frieze(n: int) -> Friezes:
     """All arithmetic friezes of width n, one per triangulation of the (n+3)-gon.
 
-    Rotating the quiddity rotates the frieze, so each rotation orbit is
-    propagated and validated once, at its first member, and every other
-    member gets the root's rows rotated.  The orbits found on the way are
-    returned too, as the result's `orbits`.
+    Rotating the quiddity rotates the frieze, so each rotation orbit of the
+    quiddities is propagated and validated once, at its root, and every
+    other member gets the root's rows rotated.  The orbits are returned
+    too, as the result's `orbits`.
     """
     if not 1 <= n <= MAX_ENUM_WIDTH:
         raise ValueError(f"width must be in 1..{MAX_ENUM_WIDTH}, got {n}")
     v = n + 3
     quiddities = [_quiddity(v, diagonals) for diagonals in _diagonal_tuples(v)]
-    index = {q: i for i, q in enumerate(quiddities)}
+    orbits = rotation_orbits(quiddities)
     friezes: list = [None] * len(quiddities)
-    orbits = []
-    for i, q in enumerate(quiddities):
-        if friezes[i] is None:
-            root = friezes[i] = frieze_from_quiddity(q)
-            members = [i]
-            for s in range(1, v):
-                shifted = _rotated(root, s)
-                j = index[shifted.rows[2]]
-                if j == i:  # s is the orbit's size
-                    break
-                friezes[j] = shifted
-                members.append(j)
-            orbits.append(sorted(members))
-    orbits.sort(key=lambda orbit: (-len(orbit), orbit[0]))
-    return Friezes(friezes, orbits)
+    for orbit in orbits:
+        root = friezes[orbit[0]] = frieze_from_quiddity(quiddities[orbit[0]])
+        for s in range(1, len(orbit)):
+            friezes[orbit[s]] = _rotated(root, s)
+    return Friezes(friezes, [sorted(orbit) for orbit in orbits])

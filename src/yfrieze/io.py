@@ -38,8 +38,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
-from .core import (InconsistentDomain, PatternKind, PeriodicPattern, glide_shift,
-                   intrinsic_period, is_arithmetic)
+from .core import InconsistentDomain, PatternKind, PeriodicPattern, glide_shift, is_arithmetic
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
@@ -133,13 +132,11 @@ class Catalog(NamedTuple):
 def _with_orbits(kind: PatternKind, width: int, parameters: dict,
                  keys: Sequence[tuple[int, ...]], patterns: Sequence[PeriodicPattern],
                  orbits: Sequence[Sequence[int]]) -> Catalog:
-    # `orbits` partitions the pattern indices into cyclic-shift orbits, each
-    # sorted.  intrinsic_period and glide_shift are invariant under cyclic
-    # shifts, so each orbit's are computed once, at its root.
+    # Each of the cyclic-shift `orbits` is led by its smallest index.  Its size
+    # is the intrinsic period, and glide_shift is shift-invariant: one per orbit.
     fields = {}
     for orbit in orbits:
-        root = patterns[orbit[0]]
-        shared = (orbit[0], len(orbit), intrinsic_period(root), glide_shift(root))
+        shared = (orbit[0], len(orbit), len(orbit), glide_shift(patterns[orbit[0]]))
         fields.update(dict.fromkeys(orbit, shared))
     entries = tuple(
         CatalogEntry(i, tuple(keys[i]), patterns[i], *fields[i])

@@ -3,24 +3,20 @@ orbit bookkeeping.
 
 The map sends a width-n frieze (n >= 2) to the Y pattern whose first row is
 the frieze's second interior row.  It commutes with cyclic column shifts,
-so it descends to shift orbits; the fiber report records how far it is from
-being a bijection at each width.
+so it descends to shift orbits (found by core.rotation_orbits; an orbit's
+size is its patterns' intrinsic period).  The fiber report records how far
+the map is from being a bijection at each width.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .core import (ClosureFailure, FriezeError, PatternKind, PeriodicPattern, _rotate_rows,
-                   is_arithmetic, propagate_y)
+from .core import (ClosureFailure, FriezeError, NotShiftClosed, PatternKind,
+                   PeriodicPattern, is_arithmetic, propagate_y, rotation_orbits)
 
 if TYPE_CHECKING:
     from .io import Catalog
-
-
-class NotShiftClosed(FriezeError, ValueError):
-    """A pattern set lacks a cyclic shift of one of its members, as when a
-    search box cuts a shift orbit in two."""
 
 
 class MapFailure(FriezeError):
@@ -69,32 +65,9 @@ def apply_p(frieze: PeriodicPattern) -> PeriodicPattern:
 
 
 def orbit_decomposition(patterns: Sequence[PeriodicPattern]) -> list[list[int]]:
-    """Partition pattern indices into cyclic-shift orbits.
-
-    Orbits are sorted by size descending, then by smallest member index.
-    A pattern is looked up by its rows, which fix its kind and width, and
-    its shifts are its rows rotated.  The input must be closed under cyclic
-    shifts; NotShiftClosed is raised otherwise.
-    """
-    index = {p.rows: i for i, p in enumerate(patterns)}
-    if len(index) != len(patterns):
-        raise ValueError("patterns must be distinct")
-    seen: set[int] = set()
-    orbits: list[list[int]] = []
-    for i, p in enumerate(patterns):
-        if i in seen:
-            continue
-        members = set()
-        for s in range(p.period):
-            shifted = _rotate_rows(p.rows, s)
-            if shifted not in index:
-                raise NotShiftClosed(f"pattern set not closed under shifts "
-                                     f"(shift {s} of pattern {i} is missing)")
-            members.add(index[shifted])
-        seen |= members
-        orbits.append(sorted(members))
-    orbits.sort(key=lambda orbit: (-len(orbit), orbit[0]))
-    return orbits
+    """core.rotation_orbits of the patterns, each orbit sorted.  A pattern's
+    key is its columns, which fix its kind and width and rotate with it."""
+    return [sorted(orbit) for orbit in rotation_orbits([tuple(zip(*p.rows)) for p in patterns])]
 
 
 def fiber_analysis(width: int, friezes: Sequence[PeriodicPattern],

@@ -624,14 +624,19 @@ def test_render_missing_file(capsys):
     assert code == 2
 
 
-# An unbuffered stdout writes the CSV text in one call, and a short write
-# there is dropped without an error, so CSV runs buffered only.
-@pytest.mark.parametrize("fmt,unbuffered", [("json", "1"), ("json", ""), ("csv", "")])
-def test_stdout_closed_by_its_reader_is_one_write_error(fmt, unbuffered):
-    # the reader takes a few bytes of the 11 MB catalog and leaves, as `| head` does
+@pytest.mark.parametrize("fmt,unbuffered", [("json", "1"), ("json", ""), ("csv", "1"),
+                                             ("csv", ""), ("verify", "1"), ("verify", "")])
+def test_stdout_closed_by_its_reader_is_one_write_error(fmt, unbuffered, tmp_path):
+    # the reader takes a few bytes of the 11 MB catalog, or of verify's 82 kB
+    # report on it (more than a pipe holds), and leaves, as `| head` does
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)),
                PYTHONUNBUFFERED=unbuffered)
     argv = ["enumerate", "--kind", "coxeter", "--width", "8", "--format", fmt]
+    if fmt == "verify":
+        from yfrieze import io
+        argv = ["verify", str(tmp_path / "cox8.json")]
+        with open(argv[1], "w", encoding="utf-8") as fh:
+            io.write_catalog_json(io.coxeter_catalog(8), fh)
     with subprocess.Popen([sys.executable, "-m", "yfrieze.cli", *argv], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(10)) == 10

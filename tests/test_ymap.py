@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 import yfrieze as yf
-from yfrieze import io
+from yfrieze import io, ymap
+from yfrieze.core import NotShiftClosed, rotation_orbits
 
 
 # ----------------------------------------------------------------- apply_p
@@ -108,12 +109,28 @@ def test_orbit_decomposition_matches_cyclic_shift_reference(monkeypatch):
                     *([entry.pattern for entry in c.entries] for c in y_catalogs),
                     [half, yf.cyclic_shift(half, 1)]]
     for patterns in pattern_sets:
-        assert yf.orbit_decomposition(patterns) == reference_orbit_decomposition(patterns)
+        reference = reference_orbit_decomposition(patterns)
+        assert yf.orbit_decomposition(patterns) == reference
+        # rotation_orbits on the key rows (quiddities, Y first rows) lists
+        # each orbit in shift order from its smallest index
+        keys = [p.rows[2 if p.kind is yf.PatternKind.COXETER else 1] for p in patterns]
+        orbits = rotation_orbits(keys)
+        assert [sorted(orbit) for orbit in orbits] == reference
+        for orbit in orbits:
+            root = keys[orbit[0]]
+            assert orbit[0] == min(orbit)
+            assert [keys[i] for i in orbit] == [root[s:] + root[:s] for s in range(len(orbit))]
 
 
 def test_orbit_decomposition_requires_shift_closure(y3_patterns):
-    with pytest.raises(ValueError):
+    with pytest.raises(NotShiftClosed):
         yf.orbit_decomposition(y3_patterns[:4])
+    assert ymap.NotShiftClosed is NotShiftClosed  # the class cli catches
+    quiddities = [f.rows[2] for f in yf.enumerate_frieze(2)]  # one orbit of five
+    with pytest.raises(NotShiftClosed):
+        rotation_orbits(quiddities[1:])
+    with pytest.raises(ValueError, match="distinct"):
+        rotation_orbits([*quiddities, quiddities[0]])
 
 
 # --------------------------------------------------------------- equivariance
