@@ -17,8 +17,8 @@ from io import FileIO
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import io
-from .core import (InconsistentDomain, PatternKind, PeriodicPattern, Violation,
-                   _rotate_rows, check_rows, glide_shift_of_rows)
+from .core import (InconsistentDomain, NotShiftClosed, PatternKind, PeriodicPattern, Violation,
+                   check_rows, glide_shift_of_rows)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -75,11 +75,13 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    cells = [[str(v) for v in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
+    """Right-aligned columns.  The rows are read twice, for the widths and
+    for the lines, so no cell's text is kept."""
+    widths = list(map(len, header))
+    for row in rows:
+        widths = list(map(max, widths, map(len, map(str, row))))
+    lines = ["  ".join(map(str.rjust, header, widths))]
+    lines += ["  ".join(map(str.rjust, map(str, row), widths)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -87,7 +89,7 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
              parallelism: int = 1, output: Optional[str] = None) -> io.Catalog:
     """Check the arguments enumerate, orbits and map share, then that `output`
     can be written, then build the catalog."""
-    from . import search, ymap
+    from . import search
     if width < 1:
         raise _Failure(EXIT_USAGE, f"width must be >= 1, got {width}")
     if parallelism < 1:
@@ -124,7 +126,7 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
         return io.y_catalog(width, bounds=bounds, parallelism=parallelism)
     except search.BoxTooLarge as exc:
         raise _Failure(EXIT_LIMIT, str(exc))
-    except ymap.NotShiftClosed as exc:
+    except NotShiftClosed as exc:
         raise _Failure(EXIT_LIMIT, f"the box cuts a shift orbit in two ({exc}); widen --bounds")
 
 
@@ -169,19 +171,23 @@ def _verify_all(raw: list) -> list[Optional[Violation]]:
 
     Every check of _verify_one is rotation-invariant, so an entry whose rows
     are a rotation of an entry that passed passes too.  `passed` maps each
-    rotation of a passing entry's rows to the first entry that passed.
+    rotation of a passing entry's columns to the first entry that passed; a
+    rotation of a tuple of shared column tuples is one slice.  Columns fix
+    the rows only when every row has one cell per column (zip truncates a
+    longer row), so only such entries are looked up.
     """
     passed: dict[tuple, int] = {}
     violations = []
     for i, (kind, width, rows) in enumerate(raw):
-        rows = tuple(map(tuple, rows))
-        if rows in passed:
+        period = width + 3
+        columns = tuple(zip(*rows)) if all(len(row) == period for row in rows) else None
+        if columns in passed:
             violations.append(None)
             continue
         violation = _verify_one(kind, width, rows)
-        if violation is None:
-            for s in range(width + 3):
-                passed.setdefault(_rotate_rows(rows, s), i)
+        if violation is None:  # a passing entry has one cell per column in every row
+            for s in range(period):
+                passed.setdefault(columns[s:] + columns[:s], i)
         violations.append(violation)
     return violations
 
@@ -216,7 +222,7 @@ def cmd_map(args) -> int:
     ypatterns = _catalog(PatternKind.Y, args.width)
     report = ymap.fiber_analysis(args.width, [entry.pattern for entry in friezes.entries],
                                  [entry.pattern for entry in ypatterns.entries])
-    records = ymap.correspondence_table(friezes, ypatterns)
+    records = ymap.correspondence_table(friezes, ypatterns, report)
     verdict = _verdict(report)
     if args.format == "json":
         text = json.dumps({
@@ -247,10 +253,7 @@ def cmd_map(args) -> int:
 
 def cmd_orbits(args) -> int:
     catalog = _catalog(args.kind, args.width, args.bounds, output=args.output)
-    members = {}
-    for entry in catalog.entries:
-        members.setdefault(entry.orbit_root, []).append(entry.id)
-    orbits = sorted(members.values(), key=lambda orbit: (-len(orbit), orbit[0]))
+    orbits = io.catalog_orbits(catalog)
     if args.format == "json":
         text = json.dumps({
             "kind": catalog.kind.value,

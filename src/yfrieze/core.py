@@ -353,7 +353,8 @@ def rotation_orbits(keys: Sequence[tuple]) -> list[list[int]]:
     """Partition the indices of distinct tuple keys into rotation orbits.
 
     orbit[s] is the index of orbit[0]'s key rotated left by s, and orbit[0]
-    is the smallest; orbits are sorted by size descending, then by root.
+    is the smallest; orbits are sorted by orbit_order: size descending,
+    then root.
     Raises ValueError on a repeated key, NotShiftClosed on a missing rotation.
     """
     index = {key: i for i, key in enumerate(keys)}
@@ -375,8 +376,17 @@ def rotation_orbits(keys: Sequence[tuple]) -> list[list[int]]:
             orbit.append(j)
         seen.update(orbit)
         orbits.append(orbit)
-    orbits.sort(key=lambda orbit: (-len(orbit), orbit[0]))
+    orbits.sort(key=orbit_order)
     return orbits
+
+
+def orbit_order(orbit: Sequence[int]) -> tuple[int, int]:
+    """The sort key of rotation orbits: size descending, then root.
+
+    The root, orbit[0], is the orbit's smallest index, whether the orbit
+    is listed in shift order or sorted.
+    """
+    return -len(orbit), orbit[0]
 
 
 def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Optional[int]:

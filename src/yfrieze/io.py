@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import json
 import re
-import string
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from operator import eq
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .core import InconsistentDomain, PatternKind, PeriodicPattern, glide_shift, is_arithmetic
+from .core import (InconsistentDomain, PatternKind, PeriodicPattern, glide_shift, is_arithmetic,
+                   orbit_order)
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
@@ -126,27 +128,45 @@ class Catalog(NamedTuple):
     kind: PatternKind
     width: int
     parameters: dict
-    entries: tuple[CatalogEntry, ...]
+    entries: Sequence[CatalogEntry]  # a tuple, or entries held per rotation orbit
 
 
-def _with_orbits(kind: PatternKind, width: int, parameters: dict,
-                 keys: Sequence[tuple[int, ...]], patterns: Sequence[PeriodicPattern],
-                 orbits: Sequence[Sequence[int]]) -> Catalog:
-    # Each of the cyclic-shift `orbits` is led by its smallest index.  Its size
-    # is the intrinsic period, and glide_shift is shift-invariant: one per orbit.
-    fields = {}
-    for orbit in orbits:
-        shared = (orbit[0], len(orbit), len(orbit), glide_shift(patterns[orbit[0]]))
-        fields.update(dict.fromkeys(orbit, shared))
-    entries = tuple(
-        CatalogEntry(i, tuple(keys[i]), patterns[i], *fields[i])
-        for i in range(len(patterns)))
-    return Catalog(kind, width, parameters, entries)
+class _OrbitEntries(Sequence):
+    """The entries of a Coxeter catalog, held as its coxeter.Friezes: entry i
+    is built when it is read, from its orbit's root rotated by its shift and
+    the orbit's fields.  It compares equal to the tuple of the same entries.
+
+    An orbit's size is its intrinsic period, and glide_shift is
+    shift-invariant, so both are found once per orbit, at its root.
+    """
+
+    def __init__(self, friezes):
+        self._friezes = friezes
+        self._glides = [glide_shift(root) for root in friezes.roots]
+
+    def __len__(self) -> int:
+        return len(self._friezes)
+
+    def __getitem__(self, i: int) -> CatalogEntry:
+        i = range(len(self))[i]
+        k, _ = self._friezes.locate(i)
+        orbit, pattern = self._friezes.shift_orbits[k], self._friezes[i]
+        return CatalogEntry(i, pattern.rows[2], pattern, orbit[0], len(orbit), len(orbit),
+                            self._glides[k])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _OrbitEntries)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
               parallelism: int = 1) -> Catalog:
-    """Catalog of all arithmetic Y patterns of a width, sorted by diagonal."""
+    """Catalog of all arithmetic Y patterns of a width, sorted by diagonal.
+
+    Every search hit was re-verified, so its entries are a tuple; the orbit
+    fields are found once per orbit, as for a Coxeter catalog.
+    """
     from . import search, ymap
     sols = search.y_solutions(width, bounds=bounds, parallelism=parallelism)
     patterns = sols.patterns
@@ -156,19 +176,32 @@ def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
     else:
         used = bounds if bounds is not None else search.DEFAULT_GENERIC_BOUNDS[width]
         parameters = {"mode": "generic", "bounds": list(used)}
-    return _with_orbits(PatternKind.Y, width, parameters, sols.full_tuples, patterns,
-                        ymap.orbit_decomposition(patterns))
+    fields = {}
+    for orbit in ymap.orbit_decomposition(patterns):
+        shared = (orbit[0], len(orbit), len(orbit), glide_shift(patterns[orbit[0]]))
+        fields.update(dict.fromkeys(orbit, shared))
+    entries = tuple(CatalogEntry(i, tuple(key), pattern, *fields[i])
+                    for i, (key, pattern) in enumerate(zip(sols.full_tuples, patterns)))
+    return Catalog(PatternKind.Y, width, parameters, entries)
 
 
 def coxeter_catalog(width: int) -> Catalog:
     """Catalog of all arithmetic Coxeter friezes of a width, one per
-    triangulation, keyed by quiddity."""
+    triangulation, keyed by quiddity.  Its entries hold one root pattern
+    per rotation orbit and build each entry when it is read."""
     from . import coxeter
-    patterns = coxeter.enumerate_frieze(width)
-    keys = [p.rows[2] for p in patterns]
     parameters = {"mode": "triangulations", "polygon": width + 3}
-    return _with_orbits(PatternKind.COXETER, width, parameters, keys, patterns,
-                        patterns.orbits)
+    return Catalog(PatternKind.COXETER, width, parameters,
+                   _OrbitEntries(coxeter.enumerate_frieze(width)))
+
+
+def catalog_orbits(catalog: Catalog) -> list[list[int]]:
+    """The entry ids of each rotation orbit of a catalog, grouped by their
+    orbit_root, in the order of core.rotation_orbits (core.orbit_order)."""
+    members: dict[int, list[int]] = {}
+    for entry in catalog.entries:
+        members.setdefault(entry.orbit_root, []).append(entry.id)
+    return sorted(members.values(), key=orbit_order)
 
 
 def catalog_to_obj(catalog: Catalog) -> dict:
@@ -303,7 +336,7 @@ def tuple_header(kind: PatternKind, width: int) -> tuple[str, ...]:
         return tuple(f"q{i}" for i in range(width + 3))
     count = width * (width + 3) // 2
     if count <= 26:
-        return tuple(string.ascii_lowercase[:count])
+        return tuple("abcdefghijklmnopqrstuvwxyz"[:count])
     return tuple(f"v{i:02d}" for i in range(count))
 
 

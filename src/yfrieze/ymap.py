@@ -10,13 +10,11 @@ the map is from being a bijection at each width.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (ClosureFailure, FriezeError, NotShiftClosed, PatternKind,
-                   PeriodicPattern, is_arithmetic, propagate_y, rotation_orbits)
-
-if TYPE_CHECKING:
-    from .io import Catalog
+                   PeriodicPattern, _rotated, is_arithmetic, propagate_y, rotation_orbits)
+from .io import Catalog, catalog_orbits
 
 
 class MapFailure(FriezeError):
@@ -37,13 +35,15 @@ class CorrespondenceRecord(NamedTuple):
 
 
 class FiberReport(NamedTuple):
-    """Preimage sizes of every width-n Y pattern under the transfer map."""
+    """Preimage sizes of every width-n Y pattern under the transfer map, and
+    the map itself: image_of[i] is the index in ypatterns of frieze i's image."""
 
     width: int
     fiber_sizes: tuple[int, ...]
     image_size: int
     surjective: bool
     injective: bool
+    image_of: tuple[int, ...]
 
 
 def apply_p(frieze: PeriodicPattern) -> PeriodicPattern:
@@ -74,38 +74,46 @@ def fiber_analysis(width: int, friezes: Sequence[PeriodicPattern],
                    ypatterns: Sequence[PeriodicPattern]) -> FiberReport:
     """Push every width-n frieze through the map and count hits per Y pattern.
 
+    The map commutes with cyclic shifts, so apply_p runs once per rotation
+    orbit: a rotation of a frieze already mapped gets that image rotated.
     `ypatterns` must hold every width-n Y pattern the friezes map to;
     MapFailure is raised otherwise.
     """
     index = {p: i for i, p in enumerate(ypatterns)}
-    sizes = [0] * len(ypatterns)
+    images: dict[PeriodicPattern, PeriodicPattern] = {}  # rotations of mapped friezes
+    image_of = []
     for frieze in friezes:
-        image = apply_p(frieze)
+        image = images.get(frieze)
+        if image is None:
+            image = apply_p(frieze)
+            images.update((_rotated(frieze, s), _rotated(image, s)) for s in range(frieze.period))
         if image not in index:
             raise MapFailure("frieze image is not among the enumerated Y patterns; "
                              "the supplied Y enumeration is incomplete")
-        sizes[index[image]] += 1
+        image_of.append(index[image])
+    sizes = [0] * len(ypatterns)
+    for j in image_of:
+        sizes[j] += 1
     image_size = sum(1 for s in sizes if s)
     return FiberReport(width=width, fiber_sizes=tuple(sizes), image_size=image_size,
                        surjective=image_size == len(ypatterns),
-                       injective=all(s <= 1 for s in sizes))
+                       injective=all(s <= 1 for s in sizes), image_of=tuple(image_of))
 
 
-def correspondence_table(friezes: Catalog, ypatterns: Catalog) -> list[CorrespondenceRecord]:
+def correspondence_table(friezes: Catalog, ypatterns: Catalog,
+                         report: FiberReport) -> list[CorrespondenceRecord]:
     """One record per frieze orbit: its size s and its image orbit's size t.
 
-    Takes the Coxeter and the Y catalog of one width and reads the orbits
-    off their orbit_root and orbit_size fields.  Records are in the order of
-    orbit_decomposition.  Equivariance with cyclic shifts makes the image
-    orbit well defined by any representative.
+    Takes the Coxeter and the Y catalog of one width and the fiber_analysis
+    of their patterns.  The orbits are read off the catalogs' orbit fields
+    (io.catalog_orbits gives their order), and each root's image off
+    report.image_of.  Equivariance with cyclic shifts makes the image orbit
+    well defined by any representative.
     """
-    yentry = {entry.pattern: entry for entry in ypatterns.entries}
-    roots = sorted((entry for entry in friezes.entries if entry.orbit_root == entry.id),
-                   key=lambda entry: (-entry.orbit_size, entry.id))
     records = []
-    for root in roots:
-        target = yentry[apply_p(root.pattern)]
-        records.append(CorrespondenceRecord(frieze_id=root.id, yfrieze_id=target.orbit_root,
-                                            frieze_orbit_size=root.orbit_size,
+    for orbit in catalog_orbits(friezes):
+        target = ypatterns.entries[report.image_of[orbit[0]]]
+        records.append(CorrespondenceRecord(frieze_id=orbit[0], yfrieze_id=target.orbit_root,
+                                            frieze_orbit_size=len(orbit),
                                             y_orbit_size=target.orbit_size))
     return records

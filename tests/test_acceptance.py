@@ -83,7 +83,10 @@ def test_criterion_06_orbit_structure(frieze3, y3_patterns):
     y_sizes = sorted(map(len, yf.orbit_decomposition(y3_patterns)), reverse=True)
     assert frieze_sizes == [6, 3, 3, 2]
     assert y_sizes == [3, 3, 3, 1]
-    records = yf.correspondence_table(friezes=io.coxeter_catalog(3), ypatterns=io.y_catalog(3))
+    friezes, ypatterns = io.coxeter_catalog(3), io.y_catalog(3)
+    rep = yf.fiber_analysis(3, [e.pattern for e in friezes.entries],
+                            [e.pattern for e in ypatterns.entries])
+    records = yf.correspondence_table(friezes, ypatterns, rep)
     st_multiset = Counter((r.frieze_orbit_size, r.y_orbit_size) for r in records)
     assert st_multiset == Counter({(3, 3): 2, (6, 3): 1, (2, 1): 1})
     report("criterion 6",

@@ -236,6 +236,20 @@ def test_verify_checks_each_orbit_once(coxeter3_catalog_file, capsys, monkeypatc
     assert len(calls) == 4
 
 
+def test_verify_reports_a_ragged_rotation_of_a_passing_entry_as_shape(coxeter3_catalog_file):
+    # The table of passing entries is keyed by columns, and zip drops the
+    # extra cell of a longer row: such an entry must still get every check.
+    from yfrieze import cli, io
+    raw = io.raw_patterns_from_obj(json.loads(coxeter3_catalog_file.read_text()))
+    kind, width, rows = raw[0]
+    ragged = [row[2:] + row[:2] for row in rows]
+    ragged[3] = ragged[3] + [1]
+    violations = cli._verify_all([*raw, (kind, width, ragged)])
+    assert violations[:-1] == [None] * len(raw)
+    assert violations[-1].check == "shape"
+    assert violations[-1] == cli._verify_one(kind, width, ragged)
+
+
 def test_verify_rejects_malformed_file(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -505,6 +519,23 @@ def test_map_decomposes_orbits_once(capsys, monkeypatch):
     assert sizes == [42]
 
 
+def test_map_applies_the_transfer_map_once_per_frieze_orbit(capsys, monkeypatch):
+    # 42 width-4 friezes in 6 rotation orbits; the map commutes with
+    # rotation, so fiber_analysis and correspondence_table share 6 images.
+    from yfrieze import ymap
+    calls = []
+    propagate_y = ymap.propagate_y
+
+    def counting_propagate_y(*args):
+        calls.append(args)
+        return propagate_y(*args)
+
+    monkeypatch.setattr(ymap, "propagate_y", counting_propagate_y)
+    code, _, _ = run(capsys, "map", "--width", "4")
+    assert code == 0
+    assert len(calls) == 6
+
+
 # sha256 of the map output, recorded before map built its sides through
 # the catalog front.
 MAP_DIGESTS = {
@@ -682,6 +713,17 @@ def test_width_4_y_enumeration_loads_only_the_search_modules():
     assert _in_packages(modules, "yfrieze", "concurrent", "multiprocessing") == [
         "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.io", "yfrieze.search", "yfrieze.ymap"]
     assert out == (Path(__file__).parent / "data" / "w4_golden.csv").read_bytes()
+
+
+def test_coxeter_enumeration_loads_neither_the_transfer_map_nor_string():
+    # search is loaded for the candidate ceiling that every catalog command checks.
+    out, modules = _loaded_modules(["enumerate", "--kind", "coxeter", "--width", "4",
+                                    "--format", "csv"])
+    assert _in_packages(modules, "yfrieze", "string") == [
+        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.coxeter", "yfrieze.io",
+        "yfrieze.search"]
+    assert out.decode().splitlines()[1:] == [
+        ",".join(map(str, f.rows[2])) for f in yf.enumerate_frieze(4)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -164,8 +164,10 @@ def test_enumerate_frieze_propagates_once_per_rotation_orbit(monkeypatch):
         return frieze_from_quiddity(quiddity)
 
     monkeypatch.setattr(coxeter, "frieze_from_quiddity", counting_frieze_from_quiddity)
-    assert len(yf.enumerate_frieze(7)) == 1430
+    friezes = yf.enumerate_frieze(7)
+    assert len(friezes) == 1430
     assert len(calls) == 150
+    assert len(friezes.roots) == 150
 
 
 def test_enumerate_frieze_width_1_quiddities():

@@ -276,8 +276,34 @@ def test_streaming_the_width_7_catalog_holds_under_half_its_text(tmp_path):
     assert peak < size / 2
 
 
+def test_building_and_streaming_the_width_8_catalog_holds_its_orbit_roots_only(tmp_path):
+    # 4,862 friezes in 442 rotation orbits: the catalog keeps one root per
+    # orbit and builds every other entry when the writer reads it.
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "catalog.json", "w", encoding="utf-8") as fh:
+            io.write_catalog_json(io.coxeter_catalog(8), fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+
+
+def test_coxeter_catalog_entries_compare_as_the_tuple_of_their_entries():
+    entries = io.coxeter_catalog(4).entries
+    built = tuple(entries)
+    assert entries == built and built == entries and not entries != built
+    assert entries == io.coxeter_catalog(4).entries
+    assert entries != built[:-1] and entries != (*built[:-1], built[0])
+    assert entries != list(built)
+    assert entries[-1] == built[41] and entries[-1].id == 41
+    with pytest.raises(IndexError):
+        entries[42]
+
+
 def test_orbit_fields_equal_per_pattern_values(monkeypatch):
-    # _with_orbits computes intrinsic_period and glide_shift once per orbit,
+    # catalogs compute intrinsic_period and glide_shift once per orbit,
     # at its root; every entry must read what its own pattern gives.
     monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
     catalogs = [*(io.coxeter_catalog(w) for w in range(1, 9)),

@@ -145,8 +145,15 @@ def test_apply_p_commutes_with_shifts(frieze3, frieze4):
 
 # ----------------------------------------------------------- correspondence
 
+def _records(width):
+    friezes, ypatterns = io.coxeter_catalog(width), io.y_catalog(width)
+    report = yf.fiber_analysis(width, [e.pattern for e in friezes.entries],
+                               [e.pattern for e in ypatterns.entries])
+    return yf.correspondence_table(friezes, ypatterns, report)
+
+
 def test_correspondence_width_3():
-    records = yf.correspondence_table(friezes=io.coxeter_catalog(3), ypatterns=io.y_catalog(3))
+    records = _records(3)
     pairs = Counter((r.frieze_orbit_size, r.y_orbit_size) for r in records)
     assert pairs == Counter({(3, 3): 2, (6, 3): 1, (2, 1): 1})
     assert sum(r.frieze_orbit_size for r in records) == 14
@@ -156,7 +163,7 @@ def test_correspondence_width_3():
 
 
 def test_correspondence_width_4():
-    records = yf.correspondence_table(friezes=io.coxeter_catalog(4), ypatterns=io.y_catalog(4))
+    records = _records(4)
     assert len(records) == 6
     assert all(r.frieze_orbit_size == r.y_orbit_size == 7 for r in records)
     # bijectivity forces every Y orbit to be hit exactly once
@@ -164,5 +171,5 @@ def test_correspondence_width_4():
 
 
 def test_correspondence_width_2():
-    records = yf.correspondence_table(io.coxeter_catalog(2), io.y_catalog(2))
+    records = _records(2)
     assert [(r.frieze_orbit_size, r.y_orbit_size) for r in records] == [(5, 5)]
