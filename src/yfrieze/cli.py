@@ -253,7 +253,7 @@ def cmd_map(args) -> int:
 
 def cmd_orbits(args) -> int:
     catalog = _catalog(args.kind, args.width, args.bounds, output=args.output)
-    orbits = io.catalog_orbits(catalog)
+    orbits = catalog.entries.orbits
     if args.format == "json":
         text = json.dumps({
             "kind": catalog.kind.value,

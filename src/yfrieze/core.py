@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 
 class PatternKind(Enum):
@@ -353,8 +353,7 @@ def rotation_orbits(keys: Sequence[tuple]) -> list[list[int]]:
     """Partition the indices of distinct tuple keys into rotation orbits.
 
     orbit[s] is the index of orbit[0]'s key rotated left by s, and orbit[0]
-    is the smallest; orbits are sorted by orbit_order: size descending,
-    then root.
+    is the smallest; orbits are sorted by size descending, then root.
     Raises ValueError on a repeated key, NotShiftClosed on a missing rotation.
     """
     index = {key: i for i, key in enumerate(keys)}
@@ -376,17 +375,46 @@ def rotation_orbits(keys: Sequence[tuple]) -> list[list[int]]:
             orbit.append(j)
         seen.update(orbit)
         orbits.append(orbit)
-    orbits.sort(key=orbit_order)
+    orbits.sort(key=lambda orbit: (-len(orbit), orbit[0]))
     return orbits
 
 
-def orbit_order(orbit: Sequence[int]) -> tuple[int, int]:
-    """The sort key of rotation orbits: size descending, then root.
+class OrbitPatterns(Sequence):
+    """A rotation-closed list of patterns, held as one root per rotation
+    orbit: every other pattern is built when it is read.
 
-    The root, orbit[0], is the orbit's smallest index, whether the orbit
-    is listed in shift order or sorted.
+    The pattern at index i has key keys[i], a tuple that fixes it and
+    rotates with it; `shift_orbits` are the rotation_orbits of the keys,
+    `roots[k]` is build(shift_orbits[k][0]), and `shift_orbits[k][s]` is
+    the index of that root rotated left by s.  `orbits` lists the same
+    orbits with their members sorted.
     """
-    return -len(orbit), orbit[0]
+
+    def __init__(self, keys: Sequence[tuple], build: Callable[[int], PeriodicPattern]):
+        from array import array
+        self.shift_orbits = rotation_orbits(keys)
+        self.roots = [build(orbit[0]) for orbit in self.shift_orbits]
+        self._orbit, self._shift = array("l", [0]) * len(keys), array("l", [0]) * len(keys)
+        for k, orbit in enumerate(self.shift_orbits):
+            for s, i in enumerate(orbit):
+                self._orbit[i], self._shift[i] = k, s
+
+    def locate(self, i: int) -> tuple[int, int]:
+        """(k, s) such that the pattern at index i is roots[k] rotated left by s."""
+        return self._orbit[i], self._shift[i]
+
+    def __len__(self) -> int:
+        return len(self._orbit)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        k, s = self.locate(i)
+        return _rotated(self.roots[k], s) if s else self.roots[k]
+
+    @property
+    def orbits(self) -> list[list[int]]:
+        return [sorted(orbit) for orbit in self.shift_orbits]
 
 
 def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Optional[int]:

@@ -12,12 +12,11 @@ orbit roots are held.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import FriezeError, PatternKind, PeriodicPattern, _div, _frac, _rotated, rotation_orbits
+from .core import FriezeError, OrbitPatterns, PatternKind, PeriodicPattern, _div, _frac
 
 # Widths above this make the Catalan-sized generation pointless to run eagerly.
 MAX_ENUM_WIDTH = 9
@@ -156,53 +155,16 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
     return PeriodicPattern(PatternKind.COXETER, n, tuple(rows))
 
 
-class Friezes(Sequence):
-    """The friezes of one width in triangulation order, held as one root per
-    rotation orbit: every other frieze is built when it is read.
-
-    `roots[k]` is the frieze at index `shift_orbits[k][0]`, the orbit's
-    smallest, and `shift_orbits[k][s]` is the index of that root rotated
-    left by s (the orbits of core.rotation_orbits).  `orbits` lists the same
-    orbits with their members sorted, in the order of
-    ymap.orbit_decomposition: by size descending, then by smallest member.
-    """
-
-    def __init__(self, roots: list[PeriodicPattern], shift_orbits: list[list[int]]):
-        self.roots = roots
-        self.shift_orbits = shift_orbits
-        count = sum(map(len, shift_orbits))
-        self._orbit, self._shift = array("l", [0]) * count, array("b", [0]) * count
-        for k, orbit in enumerate(shift_orbits):
-            for s, i in enumerate(orbit):
-                self._orbit[i], self._shift[i] = k, s
-
-    def locate(self, i: int) -> tuple[int, int]:
-        """(k, s) such that the frieze at index i is roots[k] rotated left by s."""
-        return self._orbit[i], self._shift[i]
-
-    def __len__(self) -> int:
-        return len(self._orbit)
-
-    def __getitem__(self, i: int) -> PeriodicPattern:
-        k, s = self.locate(i)
-        return _rotated(self.roots[k], s) if s else self.roots[k]
-
-    @property
-    def orbits(self) -> list[list[int]]:
-        return [sorted(orbit) for orbit in self.shift_orbits]
-
-
-def enumerate_frieze(n: int) -> Friezes:
+def enumerate_frieze(n: int) -> OrbitPatterns:
     """All arithmetic friezes of width n, one per triangulation of the (n+3)-gon.
 
     Rotating the quiddity rotates the frieze, so each rotation orbit of the
     quiddities is propagated and validated once, at its root, and only the
-    roots are kept: every other member is the root's rows rotated, built
-    when it is read.
+    roots are kept, in a core.OrbitPatterns keyed by quiddity: every other
+    member is the root's rows rotated, built when it is read.
     """
     if not 1 <= n <= MAX_ENUM_WIDTH:
         raise ValueError(f"width must be in 1..{MAX_ENUM_WIDTH}, got {n}")
     v = n + 3
     quiddities = [_quiddity(v, diagonals) for diagonals in _diagonal_tuples(v)]
-    orbits = rotation_orbits(quiddities)
-    return Friezes([frieze_from_quiddity(quiddities[orbit[0]]) for orbit in orbits], orbits)
+    return OrbitPatterns(quiddities, lambda i: frieze_from_quiddity(quiddities[i]))

@@ -13,12 +13,10 @@ with generation parameters and per-pattern orbit metadata:
      "orbit_size": ..., "intrinsic_period": ..., "glide_shift": ...,
      "rows": [[...]]}, ...]}
 
-write_catalog_json streams a catalog's text one entry at a time, and
-renders the cells of each rotation orbit once.  A valid pattern is fixed by
-its key row (row 2 for Coxeter, row 1 for Y): with an interior of positive
-ints, every cell below that row is solved with a divisor (1 + N, or N >= 1)
-that is not zero.  So an entry whose key row is a kept arithmetic pattern's
-rotated by s is written from that pattern's cell strings rotated by s.
+A built catalog holds its patterns as core.OrbitPatterns, one root per
+rotation orbit, found once, when the patterns are generated; its entries
+are built when they are read.  write_catalog_json streams a catalog's text
+one entry at a time, and renders each distinct cell value once.
 
 One decoder, raw_patterns_from_obj, checks the structure of both documents;
 catalog_from_obj adds only the checks that belong to catalogs.  The decoder,
@@ -39,8 +37,8 @@ from itertools import chain
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .core import (InconsistentDomain, PatternKind, PeriodicPattern, glide_shift, is_arithmetic,
-                   orbit_order)
+from .core import (InconsistentDomain, OrbitPatterns, PatternKind, PeriodicPattern, domain_of,
+                   glide_shift)
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
@@ -128,61 +126,63 @@ class Catalog(NamedTuple):
     kind: PatternKind
     width: int
     parameters: dict
-    entries: Sequence[CatalogEntry]  # a tuple, or entries held per rotation orbit
+    entries: Sequence[CatalogEntry]  # built: held per rotation orbit; loaded: a tuple
 
 
 class _OrbitEntries(Sequence):
-    """The entries of a Coxeter catalog, held as its coxeter.Friezes: entry i
-    is built when it is read, from its orbit's root rotated by its shift and
-    the orbit's fields.  It compares equal to the tuple of the same entries.
+    """The entries of a built catalog, held as the core.OrbitPatterns of its
+    patterns: entry i is built when it is read, from its orbit's root
+    rotated by its shift and the orbit's fields.  It compares equal to the
+    tuple of the same entries, and a slice of it is that tuple's slice.
 
     An orbit's size is its intrinsic period, and glide_shift is
     shift-invariant, so both are found once per orbit, at its root.
     """
 
-    def __init__(self, friezes):
-        self._friezes = friezes
-        self._glides = [glide_shift(root) for root in friezes.roots]
+    def __init__(self, patterns: OrbitPatterns):
+        self._patterns = patterns
+        self._glides = [glide_shift(root) for root in patterns.roots]
 
     def __len__(self) -> int:
-        return len(self._friezes)
+        return len(self._patterns)
 
-    def __getitem__(self, i: int) -> CatalogEntry:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
         i = range(len(self))[i]
-        k, _ = self._friezes.locate(i)
-        orbit, pattern = self._friezes.shift_orbits[k], self._friezes[i]
-        return CatalogEntry(i, pattern.rows[2], pattern, orbit[0], len(orbit), len(orbit),
-                            self._glides[k])
+        k, _ = self._patterns.locate(i)
+        orbit, pattern = self._patterns.shift_orbits[k], self._patterns[i]
+        key = (pattern.rows[2] if pattern.kind is PatternKind.COXETER
+               else domain_of(pattern).entry_tuple())
+        return CatalogEntry(i, key, pattern, orbit[0], len(orbit), len(orbit), self._glides[k])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, _OrbitEntries)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
+    @property
+    def orbits(self) -> list[list[int]]:
+        """The entry ids of each rotation orbit, sorted, in the order of
+        core.rotation_orbits: size descending, then smallest id."""
+        return self._patterns.orbits
+
 
 def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
               parallelism: int = 1) -> Catalog:
-    """Catalog of all arithmetic Y patterns of a width, sorted by diagonal.
-
-    Every search hit was re-verified, so its entries are a tuple; the orbit
-    fields are found once per orbit, as for a Coxeter catalog.
-    """
-    from . import search, ymap
-    sols = search.y_solutions(width, bounds=bounds, parallelism=parallelism)
-    patterns = sols.patterns
+    """Catalog of all arithmetic Y patterns of a width, sorted by diagonal:
+    the re-verified search hits, held as one root per rotation orbit keyed
+    by its first row, and each entry built when it is read."""
+    from . import search
+    patterns = search.y_solutions(width, bounds=bounds, parallelism=parallelism).patterns
     if width in (3, 4) and bounds is None:
         boxes = search.w3_boxes() if width == 3 else search.w4_boxes()
         parameters = {"mode": "proven-boxes", "boxes": [list(b.bounds) for b in boxes]}
     else:
         used = bounds if bounds is not None else search.DEFAULT_GENERIC_BOUNDS[width]
         parameters = {"mode": "generic", "bounds": list(used)}
-    fields = {}
-    for orbit in ymap.orbit_decomposition(patterns):
-        shared = (orbit[0], len(orbit), len(orbit), glide_shift(patterns[orbit[0]]))
-        fields.update(dict.fromkeys(orbit, shared))
-    entries = tuple(CatalogEntry(i, tuple(key), pattern, *fields[i])
-                    for i, (key, pattern) in enumerate(zip(sols.full_tuples, patterns)))
-    return Catalog(PatternKind.Y, width, parameters, entries)
+    held = OrbitPatterns([p.rows[1] for p in patterns], patterns.__getitem__)
+    return Catalog(PatternKind.Y, width, parameters, _OrbitEntries(held))
 
 
 def coxeter_catalog(width: int) -> Catalog:
@@ -193,15 +193,6 @@ def coxeter_catalog(width: int) -> Catalog:
     parameters = {"mode": "triangulations", "polygon": width + 3}
     return Catalog(PatternKind.COXETER, width, parameters,
                    _OrbitEntries(coxeter.enumerate_frieze(width)))
-
-
-def catalog_orbits(catalog: Catalog) -> list[list[int]]:
-    """The entry ids of each rotation orbit of a catalog, grouped by their
-    orbit_root, in the order of core.rotation_orbits (core.orbit_order)."""
-    members: dict[int, list[int]] = {}
-    for entry in catalog.entries:
-        members.setdefault(entry.orbit_root, []).append(entry.id)
-    return sorted(members.values(), key=orbit_order)
 
 
 def catalog_to_obj(catalog: Catalog) -> dict:
@@ -254,6 +245,15 @@ def _key_json(cells: Iterable[str]) -> str:
     return "[\n        " + _KEY_SEP.join(cells) + "\n      ]"
 
 
+class _CellJson(dict):
+    """Cell value -> its JSON text, each value rendered once; an int and a
+    Fraction that are equal render the same."""
+
+    def __missing__(self, value) -> str:
+        self[value] = text = json.dumps(_value_to_json(value))
+        return text
+
+
 def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     """The text of json.dumps(catalog_to_obj(catalog), indent=2) + "\\n": the
     head, each entry, then the tail.  An entry is written from a fixed
@@ -264,33 +264,21 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
                       indent=2)
     yield head[:-2] + ',\n  "patterns": ['
     is_y = catalog.kind is PatternKind.Y
-    key_name, key_row = KEY_NAMES[catalog.kind], 1 if is_y else 2
-    rotations: dict[tuple, tuple[list, int]] = {}  # key row -> (kept cells, s)
-    strs: dict = {}  # one string per cell value, shared by the kept cells
+    key_name = KEY_NAMES[catalog.kind]
+    cell = _CellJson().__getitem__
     for i, entry in enumerate(catalog.entries):
-        rows = entry.pattern.rows
-        key_values = rows[key_row]
-        cells, s = rotations.get(key_values, (None, 0))
-        if cells is None and is_arithmetic(entry.pattern):
-            cells = [list(map(strs.setdefault, row, map(str, row))) for row in rows]
-            for t in range(len(key_values)):
-                rotations.setdefault(key_values[t:] + key_values[:t], (cells, t))
-        elif cells is None:  # a non-integral Fraction is written as a "p/q" string
-            cells = [[json.dumps(_value_to_json(v)) for v in row] for row in rows]
-        if s:
-            cells = [row[s:] + row[:s] for row in cells]
-        key = cells[2] if not is_y and entry.key_tuple == rows[2] else map(str, entry.key_tuple)
         diagonal = (f'      "diagonal": {_key_json(map(str, entry.key_tuple[:catalog.width]))},\n'
                     if is_y else "")
         yield (
             f'{"," if i else ""}\n    {{\n      "id": {entry.id},\n'
-            f'      "{key_name}": {_key_json(key)},\n{diagonal}'
+            f'      "{key_name}": {_key_json(map(str, entry.key_tuple))},\n{diagonal}'
             f'      "orbit_root": {entry.orbit_root},\n'
             f'      "orbit_size": {entry.orbit_size},\n'
             f'      "intrinsic_period": {entry.intrinsic_period},\n'
             f'      "glide_shift": {"null" if entry.glide_shift is None else entry.glide_shift},\n'
             f'      "rows": [\n        [\n          '
-            f'{_ROW_SEP.join([_CELL_SEP.join(row) for row in cells])}\n        ]\n      ]\n    }}')
+            f'{_ROW_SEP.join([_CELL_SEP.join(map(cell, row)) for row in entry.pattern.rows])}'
+            f'\n        ]\n      ]\n    }}')
     yield "\n  ]\n}\n" if catalog.entries else "]\n}\n"
 
 

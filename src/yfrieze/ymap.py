@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 from .core import (ClosureFailure, FriezeError, NotShiftClosed, PatternKind,
                    PeriodicPattern, _rotated, is_arithmetic, propagate_y, rotation_orbits)
-from .io import Catalog, catalog_orbits
+from .io import Catalog
 
 
 class MapFailure(FriezeError):
@@ -104,14 +104,14 @@ def correspondence_table(friezes: Catalog, ypatterns: Catalog,
                          report: FiberReport) -> list[CorrespondenceRecord]:
     """One record per frieze orbit: its size s and its image orbit's size t.
 
-    Takes the Coxeter and the Y catalog of one width and the fiber_analysis
-    of their patterns.  The orbits are read off the catalogs' orbit fields
-    (io.catalog_orbits gives their order), and each root's image off
-    report.image_of.  Equivariance with cyclic shifts makes the image orbit
-    well defined by any representative.
+    Takes the built Coxeter and Y catalogs of one width and the
+    fiber_analysis of their patterns.  The frieze orbits are the ones
+    generation found, each image orbit is read off its entry's orbit
+    fields, and each root's image off report.image_of.  Equivariance with
+    cyclic shifts makes the image orbit well defined by any representative.
     """
     records = []
-    for orbit in catalog_orbits(friezes):
+    for orbit in friezes.entries.orbits:
         target = ypatterns.entries[report.image_of[orbit[0]]]
         records.append(CorrespondenceRecord(frieze_id=orbit[0], yfrieze_id=target.orbit_root,
                                             frieze_orbit_size=len(orbit),

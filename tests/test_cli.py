@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -503,8 +504,8 @@ def test_map_enumerates_each_side_once(capsys, monkeypatch):
 
 
 def test_map_decomposes_orbits_once(capsys, monkeypatch):
-    # the Y catalog's decomposition; the Coxeter catalog takes its orbits
-    # from generation, and correspondence_table reads both catalogs' fields
+    # not even once: both catalogs take their orbits from generation, and
+    # correspondence_table reads the orbits and fields the catalogs hold
     from yfrieze import ymap
     sizes = []
     orbit_decomposition = ymap.orbit_decomposition
@@ -516,7 +517,7 @@ def test_map_decomposes_orbits_once(capsys, monkeypatch):
     monkeypatch.setattr(ymap, "orbit_decomposition", counting_orbit_decomposition)
     code, _, _ = run(capsys, "map", "--width", "4")
     assert code == 0
-    assert sizes == [42]
+    assert sizes == []
 
 
 def test_map_applies_the_transfer_map_once_per_frieze_orbit(capsys, monkeypatch):
@@ -707,11 +708,12 @@ def test_reader_commands_load_only_the_reader_modules(coxeter3_catalog_file, arg
 
 
 def test_width_4_y_enumeration_loads_only_the_search_modules():
-    # No Coxeter or closed-form code, and no process pool, at any --parallelism.
+    # No Coxeter, closed-form or transfer-map code, and no process pool, at
+    # any --parallelism.
     out, modules = _loaded_modules(["enumerate", "--kind", "y", "--width", "4",
                                     "--format", "csv", "--parallelism", "2"])
     assert _in_packages(modules, "yfrieze", "concurrent", "multiprocessing") == [
-        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.io", "yfrieze.search", "yfrieze.ymap"]
+        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.io", "yfrieze.search"]
     assert out == (Path(__file__).parent / "data" / "w4_golden.csv").read_bytes()
 
 
@@ -757,3 +759,32 @@ def test_every_public_name_resolves_on_first_access():
         yf.no_such_name
     with pytest.raises(ImportError):
         exec("from yfrieze import no_such_name", {})
+
+
+# ----------------------------------------------------------------- README
+
+def _readme_block(language, heading):
+    """The first fenced `language` block after `heading` in README.md."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    start = text.index(f"```{language}\n", text.index(heading)) + len(language) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_python_block_runs():
+    exec(_readme_block("python", "## Library"), {})
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    # each line in order, in one directory (verify and render read the file
+    # an earlier line wrote), with the environment the line sets
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("sh", "## CLI").replace("\\\n", " ").splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        with monkeypatch.context() as env:
+            while "=" in words[0]:
+                env.setenv(*words.pop(0).split("=", 1))
+            assert words[0] == "yfrieze"
+            code, _, err = run(capsys, *words[1:])
+            assert (code, err) == (0, ""), words

@@ -290,6 +290,53 @@ def test_building_and_streaming_the_width_8_catalog_holds_its_orbit_roots_only(t
     assert peak < 6_000_000
 
 
+def test_writer_memory_does_not_grow_with_the_entry_count(tmp_path):
+    # with the catalog built first, writing its 4,862 entries keeps one
+    # entry's text and one string per distinct cell value, not a table of
+    # every rotation of every key row
+    import tracemalloc
+    catalog = io.coxeter_catalog(8)
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "catalog.json", "w", encoding="utf-8") as fh:
+            io.write_catalog_json(catalog, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+SLICES = [(None, None), (0, 2), (2, -2), (-3, None), (None, -20), (5, 5), (3, 1), (-1, 3)]
+
+
+def test_held_patterns_and_entries_slice_as_a_list_and_a_tuple():
+    # enumerate_frieze slices as the list of its friezes, and a built
+    # catalog's entries as the tuple of its entries, which they equal
+    friezes = yf.enumerate_frieze(3)
+    for a, b in SLICES:
+        assert friezes[a:b] == list(friezes)[a:b]
+    assert friezes[::-2] == list(friezes)[::-2]
+    for entries in (io.coxeter_catalog(3).entries, io.y_catalog(3).entries):
+        for a, b in SLICES:
+            assert entries[a:b] == tuple(list(entries)[a:b])
+        assert entries[::-2] == tuple(list(entries)[::-2])
+
+
+def test_y_catalogs_equal_the_search_patterns_with_per_pattern_fields(monkeypatch):
+    # a Y catalog holds one root per orbit, found by generation; its entries
+    # must be those built from every search hit and its own orbit and fields
+    from yfrieze import search
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
+    for width, bounds in [(1, None), (2, None), (3, None), (4, None), (5, (64,) * 5)]:
+        sols = search.y_solutions(width, bounds=bounds)
+        orbit_of = {i: orbit for orbit in yf.orbit_decomposition(sols.patterns) for i in orbit}
+        expected = tuple(
+            io.CatalogEntry(i, key, p, orbit_of[i][0], len(orbit_of[i]), yf.intrinsic_period(p),
+                            yf.glide_shift(p))
+            for i, (key, p) in enumerate(zip(sols.full_tuples, sols.patterns)))
+        assert io.y_catalog(width, bounds=bounds).entries == expected
+
+
 def test_coxeter_catalog_entries_compare_as_the_tuple_of_their_entries():
     entries = io.coxeter_catalog(4).entries
     built = tuple(entries)
