@@ -157,17 +157,35 @@ def _verify_one(kind: PatternKind, width: int, rows) -> Optional[Violation]:
     return None
 
 
-def _load(path: str) -> list:
-    """The raw patterns of a pattern or catalog file."""
+def _read(path: str, consume: Callable):
+    """io.read_patterns(path, consume), a malformed file ending the command with one line."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return io.raw_patterns_from_obj(json.load(fh))
+        return io.read_patterns(path, consume)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise _Failure(EXIT_USAGE, f"cannot parse {path}: {exc}")
 
 
-def _verify_all(raw: list) -> list[Optional[Violation]]:
-    """_verify_one of every entry, run once per rotation orbit.
+def _entry_violation(i: int, kind: PatternKind, width: int, rows,
+                     entry: dict) -> Optional[Violation]:
+    """The id or key of catalog entry i that disagrees with its place or its
+    valid rows: the id must be i, the key the one io.key_of_rows reads off."""
+    if type(entry.get("id")) is not int or entry["id"] != i:
+        return Violation("id", -1, -1, f"id {entry.get('id')!r} is not the entry's index {i}")
+    key = list(map(int, io.key_of_rows(kind, width, rows)))
+    fields = [(io.KEY_NAMES[kind], key)]
+    if kind is PatternKind.Y:
+        fields.append(("diagonal", key[:width]))
+    for name, expected in fields:
+        value = entry.get(name)
+        if type(value) is not list or value != expected or not all(type(v) is int for v in value):
+            return Violation("key", -1, -1,
+                             f"{name} {value!r} is not {expected}, read off the rows")
+    return None
+
+
+def _verify_all(entries) -> list[Optional[Violation]]:
+    """_verify_one of every (kind, width, rows, entry), run once per rotation
+    orbit, then _entry_violation of each passing catalog entry.
 
     Every check of _verify_one is rotation-invariant, so an entry whose rows
     are a rotation of an entry that passed passes too.  `passed` maps each
@@ -178,27 +196,28 @@ def _verify_all(raw: list) -> list[Optional[Violation]]:
     """
     passed: dict[tuple, int] = {}
     violations = []
-    for i, (kind, width, rows) in enumerate(raw):
+    for i, (kind, width, rows, entry) in enumerate(entries):
         period = width + 3
         columns = tuple(zip(*rows)) if all(len(row) == period for row in rows) else None
         if columns in passed:
-            violations.append(None)
-            continue
-        violation = _verify_one(kind, width, rows)
-        if violation is None:  # a passing entry has one cell per column in every row
-            for s in range(period):
-                passed.setdefault(columns[s:] + columns[:s], i)
+            violation = None
+        else:
+            violation = _verify_one(kind, width, rows)
+            if violation is None:  # a passing entry has one cell per column in every row
+                for s in range(period):
+                    passed.setdefault(columns[s:] + columns[:s], i)
+        if violation is None and entry is not None:
+            violation = _entry_violation(i, kind, width, rows, entry)
         violations.append(violation)
     return violations
 
 
 def cmd_verify(args) -> int:
-    raw = _load(args.input)
-    violations = _verify_all(raw)
+    violations = _read(args.input, _verify_all)
     text = "".join(f"pattern {i}: {'ok' if v is None else v}\n" for i, v in enumerate(violations))
     ok = violations.count(None)
-    _emit(f"{text}{ok}/{len(raw)} patterns ok\n", None)
-    return EXIT_OK if ok == len(raw) else EXIT_VERIFY
+    _emit(f"{text}{ok}/{len(violations)} patterns ok\n", None)
+    return EXIT_OK if ok == len(violations) else EXIT_VERIFY
 
 
 def _verdict(report: ymap.FiberReport) -> str:
@@ -220,8 +239,7 @@ def cmd_map(args) -> int:
         raise _Failure(EXIT_LIMIT, f"no enumerations available for width {args.width}")
     friezes = _catalog(PatternKind.COXETER, args.width, output=args.output)
     ypatterns = _catalog(PatternKind.Y, args.width)
-    report = ymap.fiber_analysis(args.width, [entry.pattern for entry in friezes.entries],
-                                 [entry.pattern for entry in ypatterns.entries])
+    report = ymap.fiber_analysis(args.width, friezes.entries.patterns, ypatterns.entries.patterns)
     records = ymap.correspondence_table(friezes, ypatterns, report)
     verdict = _verdict(report)
     if args.format == "json":
@@ -275,14 +293,21 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_render(args) -> int:
-    raw = _load(args.input)
-    if args.index is not None:
-        # the whole file is decoded, but only the drawn entry is built
-        if not 0 <= args.index < len(raw):
-            raise _Failure(EXIT_USAGE, f"index {args.index} out of range (0..{len(raw) - 1})")
-        raw = [raw[args.index]]
+    def pick(entries) -> list:
+        """Every entry, or entry --index alone: decoding stops there, and
+        reads on to the end only to count the entries for the error."""
+        if args.index is None:
+            return list(entries)
+        n = 0
+        for entry in entries:
+            if n == args.index:
+                return [entry]
+            n += 1
+        raise _Failure(EXIT_USAGE, f"index {args.index} out of range (0..{n - 1})")
+
     try:
-        patterns = [PeriodicPattern(kind, width, rows) for kind, width, rows in raw]
+        patterns = [PeriodicPattern(kind, width, rows)
+                    for kind, width, rows, _ in _read(args.input, pick)]
     except InconsistentDomain as exc:
         raise _Failure(EXIT_USAGE, f"{args.input} holds an invalid pattern: {exc}")
     text = "\n".join(io.render_ascii(p) for p in patterns)

@@ -74,7 +74,7 @@ class NotShiftClosed(FriezeError, ValueError):
 class Violation(NamedTuple):
     """First failed structural check of a raw grid, with coordinates."""
 
-    check: str  # shape | boundary | diamond | positivity | glide
+    check: str  # shape | boundary | diamond | positivity | glide | id | key
     row: int
     col: int
     detail: str

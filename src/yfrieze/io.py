@@ -18,10 +18,11 @@ rotation orbit, found once, when the patterns are generated; its entries
 are built when they are read.  write_catalog_json streams a catalog's text
 one entry at a time, and renders each distinct cell value once.
 
-One decoder, raw_patterns_from_obj, checks the structure of both documents;
-catalog_from_obj adds only the checks that belong to catalogs.  The decoder,
-pattern_from_obj and catalog_from_obj raise only ValueError, naming the
-entry and field at fault.
+read_patterns streams a catalog file, one entry at a time, and reads any
+other file, or one the streamed read fails on, whole with json.load, so
+errors read as json.load's.  Both paths share the head and entry checks of
+raw_patterns_from_obj; catalog_from_obj adds the catalog-only ones.  These
+raise ValueError naming the field at fault.
 
 CSV catalogs carry only the identifying tuples (full entry tuple for Y,
 quiddity for Coxeter), one column per letter, in the same order as JSON.
@@ -35,15 +36,17 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 from operator import eq
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .core import (InconsistentDomain, OrbitPatterns, PatternKind, PeriodicPattern, domain_of,
-                   glide_shift)
+from .core import (FundamentalDomain, InconsistentDomain, OrbitPatterns, PatternKind,
+                   PeriodicPattern, glide_shift)
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
 KEY_NAMES = {PatternKind.Y: "tuple", PatternKind.COXETER: "quiddity"}
 ORBIT_FIELDS = ("orbit_root", "orbit_size", "intrinsic_period", "glide_shift")
+_CHUNK = 1 << 16  # characters read_patterns reads at a time
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # as json counts it
 
 
 def _value_to_json(v: "int | Fraction"):
@@ -81,6 +84,15 @@ def _rows_from_json(pattern, index: Optional[int] = None) -> list:
 def _schema_of(obj) -> Optional[str]:
     """The schema a decoded JSON value names: None unless it is an object."""
     return obj.get("schema") if isinstance(obj, dict) else None
+
+
+def key_of_rows(kind: PatternKind, width: int, rows) -> tuple:
+    """A catalog entry's key read off its rows: row 2 of a Coxeter frieze, or
+    the entry tuple of a Y pattern's fundamental domain (as core.domain_of)."""
+    if kind is PatternKind.COXETER:
+        return tuple(rows[2])
+    domain = [row[:width + 2 - m] for m, row in enumerate(rows[1:width + 1], start=1)]
+    return FundamentalDomain(width, domain).entry_tuple()
 
 
 def pattern_to_obj(p: PeriodicPattern) -> dict:
@@ -140,20 +152,19 @@ class _OrbitEntries(Sequence):
     """
 
     def __init__(self, patterns: OrbitPatterns):
-        self._patterns = patterns
+        self.patterns = patterns
         self._glides = [glide_shift(root) for root in patterns.roots]
 
     def __len__(self) -> int:
-        return len(self._patterns)
+        return len(self.patterns)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         i = range(len(self))[i]
-        k, _ = self._patterns.locate(i)
-        orbit, pattern = self._patterns.shift_orbits[k], self._patterns[i]
-        key = (pattern.rows[2] if pattern.kind is PatternKind.COXETER
-               else domain_of(pattern).entry_tuple())
+        k, _ = self.patterns.locate(i)
+        orbit, pattern = self.patterns.shift_orbits[k], self.patterns[i]
+        key = key_of_rows(pattern.kind, pattern.width, pattern.rows)
         return CatalogEntry(i, key, pattern, orbit[0], len(orbit), len(orbit), self._glides[k])
 
     def __eq__(self, other) -> bool:
@@ -165,7 +176,7 @@ class _OrbitEntries(Sequence):
     def orbits(self) -> list[list[int]]:
         """The entry ids of each rotation orbit, sorted, in the order of
         core.rotation_orbits: size descending, then smallest id."""
-        return self._patterns.orbits
+        return self.patterns.orbits
 
 
 def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
@@ -218,14 +229,14 @@ def catalog_from_obj(obj: dict) -> Catalog:
     """A catalog document as a Catalog; raises ValueError for a malformed one."""
     if _schema_of(obj) != CATALOG_SCHEMA:
         raise ValueError(f"expected schema {CATALOG_SCHEMA!r}, got {_schema_of(obj)!r}")
-    raw = raw_patterns_from_obj(obj)
+    raw = list(_entries_of_obj(obj))
     _require("catalog", obj, ("parameters",))
     if type(obj["parameters"]) is not dict:
         raise ValueError(f"catalog parameters must be a dict, got {obj['parameters']!r}")
-    kind, width = PatternKind(obj["kind"]), obj["width"]  # checked by raw_patterns_from_obj
+    kind, width = _head(obj)
     key_name = KEY_NAMES[kind]
     entries = []
-    for i, (pat, (_, _, rows)) in enumerate(zip(obj["patterns"], raw)):
+    for i, (_, _, rows, pat) in enumerate(raw):
         _require(f"catalog entry {i}", pat, ("id", key_name, *ORBIT_FIELDS))
         if type(pat[key_name]) is not list:
             raise ValueError(f"catalog entry {i} {key_name} must be a list, got {pat[key_name]!r}")
@@ -296,12 +307,9 @@ def catalog_from_json(text: str) -> Catalog:
     return catalog_from_obj(json.loads(text))
 
 
-def raw_patterns_from_obj(obj: dict) -> list[tuple[PatternKind, int, list[list[Fraction]]]]:
-    """The kind, width and rows of each pattern of a pattern or catalog document.
-
-    The one structural check of both documents: raises ValueError naming
-    the entry and field at fault, and checks no pattern invariant.
-    """
+def _head(obj) -> tuple[PatternKind, int]:
+    """The kind and width of a pattern or catalog document, checked with its
+    top-level fields: raises ValueError naming the field at fault."""
     schema = _schema_of(obj)
     if schema not in (PATTERN_SCHEMA, CATALOG_SCHEMA):
         raise ValueError(f"unrecognized schema {schema!r}")
@@ -311,11 +319,121 @@ def raw_patterns_from_obj(obj: dict) -> list[tuple[PatternKind, int, list[list[F
     width = obj["width"]
     if type(width) is not int:  # JSON true and false load as bool, an int subclass
         raise ValueError(f"width must be an int, got {width!r}")
-    if schema == PATTERN_SCHEMA:
-        return [(kind, width, _rows_from_json(obj))]
-    if type(obj["patterns"]) is not list:
+    if schema == CATALOG_SCHEMA and type(obj["patterns"]) is not list:
         raise ValueError(f"catalog patterns must be a list, got {obj['patterns']!r}")
-    return [(kind, width, _rows_from_json(pat, i)) for i, pat in enumerate(obj["patterns"])]
+    return kind, width
+
+
+def _entries_of_obj(obj) -> Iterator[tuple]:
+    """read_patterns' (kind, width, rows, entry) of each pattern of a decoded document."""
+    kind, width = _head(obj)
+    if _schema_of(obj) == PATTERN_SCHEMA:
+        yield kind, width, _rows_from_json(obj), None
+    else:
+        for i, entry in enumerate(obj["patterns"]):
+            yield kind, width, _rows_from_json(entry, i), entry
+
+
+def raw_patterns_from_obj(obj: dict) -> list[tuple[PatternKind, int, list[list[Fraction]]]]:
+    """The kind, width and rows of each pattern of a pattern or catalog document.
+
+    Raises ValueError naming the entry and field at fault, and checks no
+    pattern invariant.
+    """
+    return [raw[:3] for raw in _entries_of_obj(obj)]
+
+
+class _Unstreamable(Exception):
+    """The streamed read stopped short: read the file whole."""
+
+
+def _streamed(fh: TextIO) -> Iterator[tuple]:
+    """read_patterns' entries of a catalog file, read _CHUNK characters at a
+    time: the top-level object is walked key by key, and each entry decoded
+    when it is reached.  A value that fails to decode, or ends the buffer (a
+    number may go on), is decoded again after a read twice the last one.
+    Raises _Unstreamable on any error, and unless the file is a catalog
+    object with distinct keys whose schema, kind and width precede patterns.
+    """
+    buf, pos, eof = "", 0, False
+    decode = json.JSONDecoder().raw_decode
+
+    def more(size: int) -> None:
+        nonlocal buf, pos, eof
+        text = fh.read(size)
+        buf, pos, eof = buf[pos:] + text, 0, not text
+
+    def peek() -> str:
+        """The next character that is not whitespace, "" at the end of the file."""
+        nonlocal pos
+        while (pos := _WHITESPACE.match(buf, pos).end()) == len(buf) and not eof:
+            more(_CHUNK)
+        return buf[pos:pos + 1]
+
+    def take(chars: str) -> str:
+        nonlocal pos
+        if not peek() or buf[pos] not in chars:
+            raise _Unstreamable
+        pos += 1
+        return buf[pos - 1]
+
+    def value():
+        nonlocal pos
+        size = _CHUNK
+        while True:
+            peek()
+            try:
+                obj, end = decode(buf, pos)
+                if end < len(buf) or eof:
+                    pos = end
+                    return obj
+            except json.JSONDecodeError:
+                if eof:
+                    raise
+            more(size)
+            size *= 2
+
+    try:
+        take("{")
+        head: dict = {}
+        sep = take("}") if peek() == "}" else ","
+        while sep == ",":
+            key = value()
+            take(":")
+            if type(key) is not str or key in head:
+                raise _Unstreamable
+            if key == "patterns":
+                if _schema_of(head) != CATALOG_SCHEMA:
+                    raise _Unstreamable
+                kind, width = _head({**head, key: []})  # kind or width yet to come: ValueError
+                take("[")
+                sep, i = take("]") if peek() == "]" else ",", 0
+                while sep == ",":
+                    entry = value()
+                    yield kind, width, _rows_from_json(entry, i), entry
+                    sep, i = take(",]"), i + 1
+            head[key] = None if key == "patterns" else value()
+            sep = take(",}")
+        if peek() or "patterns" not in head:
+            raise _Unstreamable
+    except (ValueError, RecursionError):  # RecursionError: JSON nested too deep
+        raise _Unstreamable from None
+
+
+def read_patterns(path: str, consume: Callable[[Iterator[tuple]], object]):
+    """consume(the (kind, width, rows, entry) of each pattern of the pattern or
+    catalog file at path), entry being the catalog entry object or None.
+
+    A catalog is streamed as consume reads it.  Any other file, or one the
+    streamed read stops short on, is read whole and consume starts again; a
+    malformed file raises what raw_patterns_from_obj(json.load(file)) would.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return consume(_streamed(fh))
+        except _Unstreamable:
+            fh.seek(0)
+            return consume(_entries_of_obj(json.load(fh)))
 
 
 def tuple_header(kind: PatternKind, width: int) -> tuple[str, ...]:

@@ -241,11 +241,11 @@ def test_verify_reports_a_ragged_rotation_of_a_passing_entry_as_shape(coxeter3_c
     # The table of passing entries is keyed by columns, and zip drops the
     # extra cell of a longer row: such an entry must still get every check.
     from yfrieze import cli, io
-    raw = io.raw_patterns_from_obj(json.loads(coxeter3_catalog_file.read_text()))
-    kind, width, rows = raw[0]
+    raw = io.read_patterns(str(coxeter3_catalog_file), list)
+    kind, width, rows, _ = raw[0]
     ragged = [row[2:] + row[:2] for row in rows]
     ragged[3] = ragged[3] + [1]
-    violations = cli._verify_all([*raw, (kind, width, ragged)])
+    violations = cli._verify_all([*raw, (kind, width, ragged, None)])
     assert violations[:-1] == [None] * len(raw)
     assert violations[-1].check == "shape"
     assert violations[-1] == cli._verify_one(kind, width, ragged)
@@ -278,8 +278,8 @@ MALFORMED_CATALOGS = {
 @pytest.mark.parametrize("command", ["verify", "render"])
 @pytest.mark.parametrize("shape", sorted(MALFORMED_CATALOGS))
 def test_malformed_catalog_is_one_line_naming_the_field(tmp_path, capsys, command, shape):
-    # verify and render read the rows only, so a malformed key such as
-    # "quiddity": 5 is caught by io.catalog_from_json alone (see test_io).
+    # a malformed key such as "quiddity": 5 is no parse error: verify names
+    # it as a key violation (exit 1), and render reads the rows only.
     from yfrieze import io
     (*parents, last), value, message = MALFORMED_CATALOGS[shape]
     obj = io.catalog_to_obj(io.coxeter_catalog(2))
@@ -428,6 +428,114 @@ def test_verify_report_is_pinned(tmp_path, capsys, kind):
     code, out, err = run(capsys, "verify", str(path))
     assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), code) == VERIFY_DIGESTS[kind]
     assert err == ""
+
+
+# An entry field tampered with: (kind, entry index, field, new value or
+# DELETE, the check verify names for that entry and its detail).
+READ_OFF = "read off the rows"
+TAMPERED_FIELDS = {
+    "id 77": ("coxeter", 1, "id", 77, "id", "id 77 is not the entry's index 1"),
+    "quiddity 9s": ("coxeter", 0, "quiddity", [9] * 6, "key",
+                    f"quiddity [9, 9, 9, 9, 9, 9] is not [4, 1, 2, 2, 2, 1], {READ_OFF}"),
+    "quiddity 5": ("coxeter", 3, "quiddity", 5, "key",
+                   f"quiddity 5 is not [2, 1, 4, 1, 2, 2], {READ_OFF}"),
+    "quiddity true": ("coxeter", 0, "quiddity", [4, True, 2, 2, 2, True], "key",
+                      f"quiddity [4, True, 2, 2, 2, True] is not [4, 1, 2, 2, 2, 1], {READ_OFF}"),
+    "no id": ("y", 2, "id", DELETE, "id", "id None is not the entry's index 2"),
+    "tuple": ("y", 0, "tuple", [1] * 9, "key",
+              f"tuple [1, 1, 1, 1, 1, 1, 1, 1, 1] is not [1, 1, 2, 2, 9, 5, 5, 4, 1], {READ_OFF}"),
+    "diagonal": ("y", 0, "diagonal", [1, 2, 4], "key",
+                 f"diagonal [1, 2, 4] is not [1, 1, 2], {READ_OFF}"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TAMPERED_FIELDS))
+def test_verify_names_an_entry_whose_id_or_key_disagrees(tmp_path, capsys, shape):
+    from yfrieze import io
+    kind, i, field, value, check, detail = TAMPERED_FIELDS[shape]
+    catalog = io.coxeter_catalog(3) if kind == "coxeter" else io.y_catalog(3)
+    obj = io.catalog_to_obj(catalog)
+    if value is DELETE:
+        del obj["patterns"][i][field]
+    else:
+        obj["patterns"][i][field] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj, indent=2))
+    code, out, err = run(capsys, "verify", str(path))
+    n = len(catalog.entries)
+    line = f"{check} violation at row -1, col -1: {detail}"
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [f"pattern {j}: {line if j == i else 'ok'}" for j in range(n)] \
+        + [f"{n - 1}/{n} patterns ok"]
+
+
+def _json_error(text: str) -> str:
+    """The message json.loads gives for a malformed text."""
+    with pytest.raises(json.JSONDecodeError) as excinfo:
+        json.loads(text)
+    return str(excinfo.value)
+
+
+def test_reader_follows_json_load_on_key_order_duplicates_and_broken_files(
+        coxeter3_catalog_file, tmp_path, capsys):
+    from yfrieze import io
+    text = coxeter3_catalog_file.read_text()
+    obj = json.loads(text)
+    expected = io.read_patterns(str(coxeter3_catalog_file), list)
+    verified = run(capsys, "verify", str(coxeter3_catalog_file))
+    assert verified[:2] == (0, "".join(f"pattern {i}: ok\n" for i in range(14))
+                            + "14/14 patterns ok\n")
+    path = tmp_path / "edited.json"
+
+    # patterns before kind and width: read whole, with the same entries
+    path.write_text(json.dumps({"patterns": obj["patterns"],
+                                **{k: v for k, v in obj.items() if k != "patterns"}}))
+    with open(path, encoding="utf-8") as fh, pytest.raises(io._Unstreamable):
+        list(io._streamed(fh))
+    assert io.read_patterns(str(path), list) == expected
+    assert run(capsys, "verify", str(path)) == verified
+
+    # a pattern document is one pattern, whatever other keys it holds
+    path.write_text(json.dumps({"schema": "frieze/1", "kind": "coxeter", "width": 3,
+                                "rows": obj["patterns"][0]["rows"], "patterns": obj["patterns"]}))
+    assert io.read_patterns(str(path), list) == [(*expected[0][:3], None)]
+
+    # a duplicate kind, before or after the patterns: the last one counts
+    body = text.rstrip()[:-1]
+    path.write_text(body.replace('"kind": "coxeter"', '"kind": "y", "kind": "coxeter"') + "}")
+    assert run(capsys, "verify", str(path)) == verified
+    path.write_text(body + ', "kind": "coxeter"}')
+    assert run(capsys, "verify", str(path)) == verified
+    path.write_text(body + ', "kind": "y"}')
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out.splitlines()[-1], err) == (1, "0/14 patterns ok", "")
+    assert "pattern 0: shape violation at row 7, col -1" in out
+
+    # trailing data, and a file cut off inside an entry: json's own error
+    for broken in (text + "{}", text + "x", text[:len(text) // 2]):
+        path.write_text(broken)
+        message = f"error: cannot parse {path}: {_json_error(broken)}\n"
+        assert run(capsys, "verify", str(path)) == (2, "", message)
+        assert run(capsys, "render", str(path)) == (2, "", message)
+
+
+def test_verify_memory_does_not_grow_with_the_entry_count(tmp_path, capsys):
+    # verify keeps one entry's text and objects, a verdict per entry and its
+    # table of passing columns; render --index 100 stops after entry 100
+    import tracemalloc
+    from yfrieze import io
+    path = tmp_path / "cox8.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        io.write_catalog_json(io.coxeter_catalog(8), fh)
+    for argv in (("verify", str(path)), ("render", str(path), "--index", "100")):
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0 and peak < 4 * 1024 * 1024, (argv, peak)
 
 
 # --------------------------------------------------------------------- map
@@ -643,6 +751,20 @@ def test_render_index_builds_the_drawn_entry_only(coxeter3_catalog_file, tmp_pat
     assert code == 0 and err == ""
     assert out == io.render_ascii(entry.pattern)
     assert len(calls) == 1
+
+
+def test_render_index_stops_decoding_after_the_drawn_entry(coxeter3_catalog_file, tmp_path,
+                                                           capsys):
+    # render --index 0 never reads entry 1; the whole-file commands still fail on it
+    obj = json.loads(coxeter3_catalog_file.read_text())
+    del obj["patterns"][1]["rows"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj, indent=2))
+    code, out, err = run(capsys, "render", str(bad), "--index", "0")
+    assert (code, err) == (0, "") and out.splitlines()[1].split() == ["1"] * 12
+    message = f"error: cannot parse {bad}: catalog entry 1 lacks rows\n"
+    for argv in (("render", str(bad)), ("verify", str(bad)), ("render", str(bad), "--index", "5")):
+        assert run(capsys, *argv) == (2, "", message)
 
 
 def test_render_index_out_of_range(coxeter3_catalog_file, capsys):

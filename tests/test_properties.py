@@ -6,6 +6,7 @@ import copy
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,7 +159,8 @@ def edited_entry_lists(draw):
 def test_verify_checks_once_per_orbit_with_the_per_entry_verdicts(raw):
     # verify skips the checks on a rotation of an entry that passed; its
     # report must be the one the full check of every entry gives.
-    assert _verify_all(raw) == [_verify_one(*entry) for entry in raw]
+    # (an entry object of None leaves out the id and key checks)
+    assert _verify_all([(*entry, None) for entry in raw]) == [_verify_one(*entry) for entry in raw]
 
 
 # Small widths and bounds keep every draw under about a second and every
@@ -204,3 +206,45 @@ def test_cli_argv_exits_with_documented_codes(argv):
             assert exc.code == 2
             return
     assert code in {0, 1, 2, 3}
+
+
+# Catalogs of both kinds at widths 1-4, for the streamed reader to read back.
+READER_CATALOGS = [io.catalog_to_obj(catalog) for width in range(1, 5)
+                   for catalog in (io.coxeter_catalog(width), io.y_catalog(width))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=st.sampled_from(READER_CATALOGS), indent=st.sampled_from([None, 0, 2]),
+       separators=st.sampled_from([(",", ":"), (", ", ": ")]),
+       chunk=st.one_of(st.integers(1, 40), st.sampled_from([1 << 10, 1 << 16])),
+       width=st.sampled_from([None, 10, 98765]))
+def test_streamed_entries_equal_the_decoded_document(obj, indent, separators, chunk, width):
+    # whatever the layout and wherever a chunk cuts a value, the streamed
+    # read (not its fallback) yields what json.loads and the decoder give;
+    # the reader leaves the rows unchecked, so a width of several digits,
+    # which a chunk may cut, may stand in the head
+    if width is not None:
+        obj = {**obj, "width": width}
+    text = json.dumps(obj, indent=indent, separators=separators)
+    with mock.patch.object(io, "_CHUNK", chunk):
+        entries = list(io._streamed(StringIO(text)))
+    assert [entry[:3] for entry in entries] == io.raw_patterns_from_obj(json.loads(text))
+    assert [entry[3] for entry in entries] == obj["patterns"]
+
+
+class _CountingReads(StringIO):
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_streamed_read_doubles_while_a_value_is_cut():
+    # with one-character chunks, an entry of n characters takes about
+    # log2(n) reads, not n, and so is not decoded again n times
+    obj = READER_CATALOGS[-1]
+    fh = _CountingReads(json.dumps(obj, separators=(",", ":")))
+    with mock.patch.object(io, "_CHUNK", 1):
+        assert len(list(io._streamed(fh))) == len(obj["patterns"]) == 42
+    assert fh.reads < 20 * 42
