@@ -405,7 +405,7 @@ def _streamed(fh: TextIO) -> Iterator[tuple]:
             if key == "patterns":
                 if _schema_of(head) != CATALOG_SCHEMA:
                     raise _Unstreamable
-                kind, width = _head({**head, key: []})  # kind or width yet to come: ValueError
+                kind, width = _head({**head, key: []})  # kind or width after it: ValueError
                 take("[")
                 sep, i = take("]") if peek() == "]" else ",", 0
                 while sep == ",":
