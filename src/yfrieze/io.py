@@ -46,6 +46,7 @@ CATALOG_SCHEMA = "frieze-catalog/1"
 KEY_NAMES = {PatternKind.Y: "tuple", PatternKind.COXETER: "quiddity"}
 ORBIT_FIELDS = ("orbit_root", "orbit_size", "intrinsic_period", "glide_shift")
 _CHUNK = 1 << 16  # characters read_patterns reads at a time
+_MAX_VALUE = 1 << 22  # characters of one value it holds before it reads the file whole
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # as json counts it
 
 
@@ -351,9 +352,10 @@ def _streamed(fh: TextIO) -> Iterator[tuple]:
     """read_patterns' entries of a catalog file, read _CHUNK characters at a
     time: the top-level object is walked key by key, and each entry decoded
     when it is reached.  A value that fails to decode, or ends the buffer (a
-    number may go on), is decoded again after a read twice the last one.
-    Raises _Unstreamable on any error, and unless the file is a catalog
-    object with distinct keys whose schema, kind and width precede patterns.
+    number may go on), is decoded again after a read twice the last one, up
+    to _MAX_VALUE characters.  Raises _Unstreamable on any error, and unless
+    the file is a catalog object with distinct keys whose schema, kind and
+    width precede patterns.
     """
     buf, pos, eof = "", 0, False
     decode = json.JSONDecoder().raw_decode
@@ -388,7 +390,7 @@ def _streamed(fh: TextIO) -> Iterator[tuple]:
                     pos = end
                     return obj
             except json.JSONDecodeError:
-                if eof:
+                if eof or len(buf) - pos > _MAX_VALUE:  # a syntax error reads no further
                     raise
             more(size)
             size *= 2

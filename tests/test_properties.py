@@ -248,3 +248,14 @@ def test_streamed_read_doubles_while_a_value_is_cut():
     with mock.patch.object(io, "_CHUNK", 1):
         assert len(list(io._streamed(fh))) == len(obj["patterns"]) == 42
     assert fh.reads < 20 * 42
+
+
+def test_streamed_read_of_a_broken_entry_stops_at_the_value_limit():
+    # a syntax error in entry 0 is not read on to the end of the file: the
+    # read gives up once the value outgrows _MAX_VALUE
+    text = json.dumps(READER_CATALOGS[-1], indent=2)
+    fh = StringIO(text.replace('"rows"', 'x"rows"', 1))
+    with mock.patch.object(io, "_CHUNK", 16), mock.patch.object(io, "_MAX_VALUE", 1000):
+        with pytest.raises(io._Unstreamable):
+            list(io._streamed(fh))
+    assert fh.tell() < 4000 < len(text)
