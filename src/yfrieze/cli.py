@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, TextIO
 
 from . import io
 from .core import (InconsistentDomain, NotShiftClosed, PatternKind, PeriodicPattern, Violation,
-                   check_rows, glide_shift_of_rows)
+                   check_rows, glide_shift_of_rows, key_of_rows)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -138,7 +138,7 @@ def cmd_enumerate(args) -> int:
         _emit(io.catalog_to_csv(catalog), args.output)
     else:
         header = io.tuple_header(catalog.kind, args.width)
-        _emit(_table(header, [entry.key_tuple for entry in catalog.entries]), args.output)
+        _emit(_table(header, list(io.entry_keys(catalog))), args.output)
     return EXIT_OK
 
 
@@ -168,10 +168,10 @@ def _read(path: str, consume: Callable):
 def _entry_violation(i: int, kind: PatternKind, width: int, rows,
                      entry: dict) -> Optional[Violation]:
     """The id or key of catalog entry i that disagrees with its place or its
-    valid rows: the id must be i, the key the one io.key_of_rows reads off."""
+    valid rows: the id must be i, the key the one core.key_of_rows reads off."""
     if type(entry.get("id")) is not int or entry["id"] != i:
         return Violation("id", -1, -1, f"id {entry.get('id')!r} is not the entry's index {i}")
-    key = list(map(int, io.key_of_rows(kind, width, rows)))
+    key = list(map(int, key_of_rows(kind, width, rows)))
     fields = [(io.KEY_NAMES[kind], key)]
     if kind is PatternKind.Y:
         fields.append(("diagonal", key[:width]))
@@ -303,7 +303,8 @@ def cmd_render(args) -> int:
             if n == args.index:
                 return [entry]
             n += 1
-        raise _Failure(EXIT_USAGE, f"index {args.index} out of range (0..{n - 1})")
+        raise _Failure(EXIT_USAGE, f"index {args.index} out of range (0..{n - 1})" if n
+                       else f"{args.input} holds no patterns")
 
     try:
         patterns = [PeriodicPattern(kind, width, rows)

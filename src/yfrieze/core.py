@@ -276,11 +276,8 @@ class FundamentalDomain(NamedTuple("FundamentalDomain", [
 
     def entry_tuple(self) -> tuple[Fraction, ...]:
         """Entries flattened diagonal-major: column 0 top-down, column 1, ..."""
-        out = []
-        for j in range(self.width + 1):
-            for m in range(1, min(self.width, self.width + 1 - j) + 1):
-                out.append(self.rows[m - 1][j])
-        return tuple(out)
+        # domain row m holds the leading entries of pattern row m; row 0 is never read
+        return key_of_rows(PatternKind.Y, self.width, ((),) + self.rows)
 
     @classmethod
     def from_entry_tuple(cls, width: int, values: Sequence) -> "FundamentalDomain":
@@ -288,13 +285,19 @@ class FundamentalDomain(NamedTuple("FundamentalDomain", [
         if len(vals) != width * (width + 3) // 2:
             raise ValueError(f"expected {width * (width + 3) // 2} entries for "
                              f"width {width}, got {len(vals)}")
-        rows = [[] for _ in range(width)]
-        pos = 0
-        for j in range(width + 1):
-            for m in range(1, min(width, width + 1 - j) + 1):
-                rows[m - 1].append(vals[pos])
-                pos += 1
-        return cls(width, tuple(tuple(r) for r in rows))
+        # the row of each entry; the entries of one row come in column order
+        row = key_of_rows(PatternKind.Y, width, [[m] * (width + 3) for m in range(width + 1)])
+        return cls(width, [[v for m, v in zip(row, vals) if m == r] for r in range(1, width + 1)])
+
+
+def key_of_rows(kind: PatternKind, width: int, rows: Sequence[Sequence], shift: int = 0) -> tuple:
+    """A catalog entry's key, read off a pattern's rows rotated left by shift: a Coxeter
+    frieze's row 2, or a Y pattern's rows 1..width read diagonal-major (column 0 top-down, ...)."""
+    period = width + 3
+    if kind is PatternKind.COXETER:
+        return tuple(rows[2][shift % period:]) + tuple(rows[2][:shift % period])
+    return tuple(rows[m][(j + shift) % period]
+                 for j in range(width + 1) for m in range(1, min(width, width + 1 - j) + 1))
 
 
 def expand_domain(dom: FundamentalDomain) -> PeriodicPattern:

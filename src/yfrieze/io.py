@@ -15,8 +15,9 @@ with generation parameters and per-pattern orbit metadata:
 
 A built catalog holds its patterns as core.OrbitPatterns, one root per
 rotation orbit, found once, when the patterns are generated; its entries
-are built when they are read.  write_catalog_json streams a catalog's text
-one entry at a time, and renders each distinct cell value once.
+are built when they are read, and entry_keys reads their keys off the roots.
+write_catalog_json streams a catalog's text one entry at a time, and renders
+each distinct cell value once.
 
 read_patterns streams a catalog file, one entry at a time, and reads any
 other file, or one the streamed read fails on, whole with json.load, so
@@ -38,8 +39,8 @@ from itertools import chain
 from operator import eq
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .core import (FundamentalDomain, InconsistentDomain, OrbitPatterns, PatternKind,
-                   PeriodicPattern, glide_shift)
+from .core import (InconsistentDomain, OrbitPatterns, PatternKind, PeriodicPattern, glide_shift,
+                   key_of_rows)
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
@@ -85,15 +86,6 @@ def _rows_from_json(pattern, index: Optional[int] = None) -> list:
 def _schema_of(obj) -> Optional[str]:
     """The schema a decoded JSON value names: None unless it is an object."""
     return obj.get("schema") if isinstance(obj, dict) else None
-
-
-def key_of_rows(kind: PatternKind, width: int, rows) -> tuple:
-    """A catalog entry's key read off its rows: row 2 of a Coxeter frieze, or
-    the entry tuple of a Y pattern's fundamental domain (as core.domain_of)."""
-    if kind is PatternKind.COXETER:
-        return tuple(rows[2])
-    domain = [row[:width + 2 - m] for m, row in enumerate(rows[1:width + 1], start=1)]
-    return FundamentalDomain(width, domain).entry_tuple()
 
 
 def pattern_to_obj(p: PeriodicPattern) -> dict:
@@ -144,29 +136,33 @@ class Catalog(NamedTuple):
 
 class _OrbitEntries(Sequence):
     """The entries of a built catalog, held as the core.OrbitPatterns of its
-    patterns: entry i is built when it is read, from its orbit's root
-    rotated by its shift and the orbit's fields.  It compares equal to the
-    tuple of the same entries, and a slice of it is that tuple's slice.
+    patterns: entry i is built when it is read, from its orbit's root at its
+    shift (key(i) reads the key alone) and the orbit's fields.  It compares
+    equal to the tuple of the same entries, and a slice of it is that tuple's slice.
 
     An orbit's size is its intrinsic period, and glide_shift is
-    shift-invariant, so both are found once per orbit, at its root.
+    shift-invariant, so the orbit's fields are found once, at its root.
     """
 
     def __init__(self, patterns: OrbitPatterns):
         self.patterns = patterns
-        self._glides = [glide_shift(root) for root in patterns.roots]
+        self._fields = [(orbit[0], len(orbit), len(orbit), glide_shift(root))
+                        for orbit, root in zip(patterns.shift_orbits, patterns.roots)]
 
     def __len__(self) -> int:
         return len(self.patterns)
+
+    def key(self, i: int) -> tuple:
+        k, s = self.patterns.locate(i)
+        root = self.patterns.roots[k]
+        return key_of_rows(root.kind, root.width, root.rows, s)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         i = range(len(self))[i]
         k, _ = self.patterns.locate(i)
-        orbit, pattern = self.patterns.shift_orbits[k], self.patterns[i]
-        key = key_of_rows(pattern.kind, pattern.width, pattern.rows)
-        return CatalogEntry(i, key, pattern, orbit[0], len(orbit), len(orbit), self._glides[k])
+        return CatalogEntry(i, self.key(i), self.patterns[i], *self._fields[k])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, _OrbitEntries)):
@@ -448,10 +444,19 @@ def tuple_header(kind: PatternKind, width: int) -> tuple[str, ...]:
     return tuple(f"v{i:02d}" for i in range(count))
 
 
+def entry_keys(catalog: Catalog) -> Iterator[tuple]:
+    """The key of each entry in catalog order, building no entry: a built
+    catalog's read off its orbit roots, a loaded one's as its file states it."""
+    entries = catalog.entries
+    if isinstance(entries, _OrbitEntries):
+        return map(entries.key, range(len(entries)))
+    return (entry.key_tuple for entry in entries)
+
+
 def catalog_to_csv(catalog: Catalog) -> str:
     header = tuple_header(catalog.kind, catalog.width)
     lines = [",".join(header)]
-    lines += [",".join(str(v) for v in entry.key_tuple) for entry in catalog.entries]
+    lines += [",".join(map(str, key)) for key in entry_keys(catalog)]
     return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,7 @@ from itertools import chain
 from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .core import PeriodicPattern, FriezeError, domain_of, is_arithmetic, propagate_y
+from .core import PeriodicPattern, FriezeError, is_arithmetic, key_of_rows, propagate_y
 
 DEFAULT_MAX_CANDIDATES = 10 ** 9
 MAX_CANDIDATES_ENV = "FRIEZE_MAX_CANDIDATES"
@@ -211,7 +211,7 @@ def _solution_set(width: int, first_rows: Iterable[tuple[int, ...]]) -> Solution
         pattern = propagate_y(row, width)
         if not is_arithmetic(pattern):
             raise FriezeError(f"first row {row} fails re-verification")
-        full = domain_of(pattern).entry_tuple()
+        full = key_of_rows(pattern.kind, width, pattern.rows)
         found[full[:width]] = full, pattern
     diags = tuple(sorted(found))
     return SolutionSet(width, diags, tuple(found[d][0] for d in diags),

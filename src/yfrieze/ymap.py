@@ -105,15 +105,16 @@ def correspondence_table(friezes: Catalog, ypatterns: Catalog,
     """One record per frieze orbit: its size s and its image orbit's size t.
 
     Takes the built Coxeter and Y catalogs of one width and the
-    fiber_analysis of their patterns.  The frieze orbits are the ones
-    generation found, each image orbit is read off its entry's orbit
-    fields, and each root's image off report.image_of.  Equivariance with
-    cyclic shifts makes the image orbit well defined by any representative.
+    fiber_analysis of their patterns.  Both sides' orbits are the ones
+    generation found, and each frieze root's image is read off
+    report.image_of.  Equivariance with cyclic shifts makes the image orbit
+    well defined by any representative.
     """
+    held = ypatterns.entries.patterns
     records = []
     for orbit in friezes.entries.orbits:
-        target = ypatterns.entries[report.image_of[orbit[0]]]
-        records.append(CorrespondenceRecord(frieze_id=orbit[0], yfrieze_id=target.orbit_root,
+        target = held.shift_orbits[held.locate(report.image_of[orbit[0]])[0]]
+        records.append(CorrespondenceRecord(frieze_id=orbit[0], yfrieze_id=target[0],
                                             frieze_orbit_size=len(orbit),
-                                            y_orbit_size=target.orbit_size))
+                                            y_orbit_size=len(target)))
     return records

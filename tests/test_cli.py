@@ -192,6 +192,50 @@ def test_bounded_width_5_csv_is_the_same_at_any_parallelism(monkeypatch, capsys)
         "8bdcbcc8c60410573ac0e1f38acddc7ebfd89036b53677d68a33d2e959d5fbfa")
 
 
+# sha256 of enumerate's csv and table output, recorded when both still built
+# every catalog entry to read its key.
+ENUMERATE_DIGESTS = {
+    ("coxeter", 1, "csv"): "ccb724dbc56b26eb5402672ffadbf09a8d908821452fbf0ee8ac70bb942df57e",
+    ("coxeter", 1, "table"): "81bbb7b0d6f4d7e84957f6935e0d1ee8664cc53da96bb125c5e84c957a3b3f08",
+    ("coxeter", 2, "csv"): "5942fecdbedc7c14606a55eaa0f23f7064969bf08a24c8b733f21b317485c5a9",
+    ("coxeter", 2, "table"): "249296415c0eff9cf8dfabc613921af1d77facd4274d474ae51606f438383923",
+    ("coxeter", 3, "csv"): "beb10d78bbaf3ea8416ddd8d08d74f2697f29d446a03589160538e4696ebba31",
+    ("coxeter", 3, "table"): "f33a3a510479daf9c9483efc0a1156a800b729b25ecc2bc12f5b683248dc8a63",
+    ("coxeter", 4, "csv"): "8bbf0725db05632365db582206b6d1db0df07a71f37ef39dfc43086ae02a985d",
+    ("coxeter", 4, "table"): "def5768073d1b63eb0d5ab93e7962aded594079342998a994bb2c83cd76b477c",
+    ("coxeter", 5, "csv"): "d640e76934b34cb54e772b01e7afab3010f411f4b7523cc5c4339699c89c40de",
+    ("coxeter", 5, "table"): "926dbeb1d8712d3e2a351312c01341d100727b9a7b15a63032fc022e20bef23f",
+    ("coxeter", 6, "csv"): "4b85096013d00104650240fdbf2e9c6c47f691c7966483e44a8006ae8af10e26",
+    ("coxeter", 6, "table"): "36d874ae1d877a471b8d8be7e2c52a8bbc13737e2c8c972f7c5ef2fc25a7b572",
+    ("coxeter", 7, "csv"): "8016bef7f69d59df421e0472215c52d37f4f2315766451c887745c0a4b690916",
+    ("coxeter", 7, "table"): "d47f4239b78d1ade132ce44cd5fdf25db0dbecebc3e328557d059c2f8fcbf88d",
+    ("coxeter", 8, "csv"): "41a3b6306227cafee2c64d37140a3af4792056a07a829d003e85fc92c551e26a",
+    ("coxeter", 8, "table"): "2c0e9df28d811d98c60498ce6d2973b33673b34c9ae32f31d89c4ccd2be1f13a",
+    ("y", 1, "csv"): "1b1a3a56ac5c4430abc6ceecc7961d570a0d37c969a294c974676ada84b9e933",
+    ("y", 1, "table"): "8b3e213f0feaf75943de202331d5901c5a7b32b4db1276579d9c4df0ddd8d6ff",
+    ("y", 2, "csv"): "b88e77bbd804f98ceab93e84f7c3f12bdb5ba1eda7c8ba9864274edeb71bf684",
+    ("y", 2, "table"): "e033e5052940c68fbd10c168a8892d18768486a0fe0a430e07fd7ddcb60e9b87",
+    ("y", 3, "csv"): "60933ff568abdca83ae0440f6817319ca70676486411c7888f00cc6cb8c873c2",
+    ("y", 3, "table"): "fdd988ff1b8bf9ca9b364155c0a43ee5008d52dea001974ce028c94d0efcaba5",
+    ("y", 4, "csv"): "e4f1d6324cd995f26ac7c5996fba5ede3b038f00db1a315f5ee5e71ae5f8993f",
+    ("y", 4, "table"): "32658428d1c85a43dc6e90f42fd8290e645785abca0584c761189d81f3d67956",
+    ("y", 5, "csv"): "8bdcbcc8c60410573ac0e1f38acddc7ebfd89036b53677d68a33d2e959d5fbfa",
+    ("y", 5, "table"): "62142b7c6692c1765eea78c05d896ddf2b09ddd4e8f37674d5fa1bbec47548bf",
+}
+
+
+@pytest.mark.parametrize("kind,width,fmt", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_csv_and_table_digest(capsys, monkeypatch, kind, width, fmt):
+    bounds = ()
+    if (kind, width) == ("y", 5):
+        monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
+        bounds = ("--bounds", "64,64,64,64,64")
+    code, out, err = run(capsys, "enumerate", "--kind", kind, "--width", str(width),
+                         "--format", fmt, *bounds)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[kind, width, fmt]
+
+
 # ------------------------------------------------------------------ verify
 
 @pytest.fixture()
@@ -628,6 +672,25 @@ def test_map_decomposes_orbits_once(capsys, monkeypatch):
     assert sizes == []
 
 
+def test_csv_table_and_map_build_no_entry_and_no_domain(capsys, monkeypatch):
+    # csv and table read each key off its orbit's root, and map reads the
+    # orbits both catalogs hold: no catalog entry or fundamental domain is built
+    from yfrieze import core, io
+    built = []
+    for cls in (io.CatalogEntry, core.FundamentalDomain):
+        def counting(cls, *args, new=cls.__new__):
+            built.append(cls.__name__)
+            return new(cls, *args)
+        monkeypatch.setattr(cls, "__new__", counting)
+    for kind in ("coxeter", "y"):
+        for fmt in ("csv", "table"):
+            code, _, _ = run(capsys, "enumerate", "--kind", kind, "--width", "4", "--format", fmt)
+            assert code == 0
+    code, _, _ = run(capsys, "map", "--width", "4")
+    assert code == 0
+    assert built == []
+
+
 def test_map_applies_the_transfer_map_once_per_frieze_orbit(capsys, monkeypatch):
     # 42 width-4 friezes in 6 rotation orbits; the map commutes with
     # rotation, so fiber_analysis and correspondence_table share 6 images.
@@ -768,9 +831,16 @@ def test_render_index_stops_decoding_after_the_drawn_entry(coxeter3_catalog_file
 
 
 def test_render_index_out_of_range(coxeter3_catalog_file, capsys):
-    code, _, err = run(capsys, "render", str(coxeter3_catalog_file),
-                       "--index", "99")
-    assert code == 2
+    assert run(capsys, "render", str(coxeter3_catalog_file), "--index", "99") == (
+        2, "", "error: index 99 out of range (0..13)\n")
+
+
+def test_render_index_on_a_catalog_without_patterns(tmp_path, capsys):
+    from yfrieze import io
+    empty = tmp_path / "empty.json"
+    empty.write_text(io.catalog_to_json(io.Catalog(yf.PatternKind.COXETER, 3, {}, ())))
+    assert run(capsys, "render", str(empty), "--index", "0") == (
+        2, "", f"error: {empty} holds no patterns\n")
 
 
 def test_render_missing_file(capsys):

@@ -183,14 +183,17 @@ def test_coxeter_catalog_validates_each_orbit_once(monkeypatch):
     assert len(calls) == 19
 
 
-@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("width", range(1, 10))
 def test_coxeter_catalog_entries_pass_the_checks_generation_skips(width):
     # generation validates one root per rotation orbit and rotates it for
     # the other members: every entry must still pass the full checks, and
-    # the orbits must be those found by rotating every entry's rows.
+    # the orbits must be those found by rotating every entry's rows.  The
+    # keys read off the roots are each entry's own row 2.
     from yfrieze import cli, coxeter
     catalog = io.coxeter_catalog(width)
     patterns = [entry.pattern for entry in catalog.entries]
+    assert list(io.entry_keys(catalog)) == [entry.key_tuple for entry in catalog.entries] == [
+        p.rows[2] for p in patterns]
     for pattern in patterns:
         assert yf.check_rows(pattern.kind, width, pattern.rows) is None
         assert cli._verify_one(pattern.kind, width, pattern.rows) is None
@@ -257,6 +260,7 @@ def test_writer_takes_each_entry_from_its_own_rows_and_key(tmp_path):
     tampered = catalog._replace(entries=tuple(map(elsewhere, catalog.entries)))
     expected = json.dumps(io.catalog_to_obj(tampered), indent=2) + "\n"
     assert _written(tampered, tmp_path / "catalog.json") == expected
+    assert list(io.entry_keys(tampered)) == [entry.key_tuple[::-1] for entry in catalog.entries]
 
 
 def test_streaming_the_width_7_catalog_holds_under_half_its_text(tmp_path):
@@ -334,7 +338,9 @@ def test_y_catalogs_equal_the_search_patterns_with_per_pattern_fields(monkeypatc
             io.CatalogEntry(i, key, p, orbit_of[i][0], len(orbit_of[i]), yf.intrinsic_period(p),
                             yf.glide_shift(p))
             for i, (key, p) in enumerate(zip(sols.full_tuples, sols.patterns)))
-        assert io.y_catalog(width, bounds=bounds).entries == expected
+        catalog = io.y_catalog(width, bounds=bounds)
+        assert catalog.entries == expected
+        assert list(io.entry_keys(catalog)) == [entry.key_tuple for entry in expected]
 
 
 def test_coxeter_catalog_entries_compare_as_the_tuple_of_their_entries():
