@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, TextIO
 
 from . import io
 from .core import (InconsistentDomain, NotShiftClosed, PatternKind, PeriodicPattern, Violation,
-                   check_rows, glide_shift_of_rows, key_of_rows)
+                   candidate_ceiling, check_rows, glide_shift_of_rows, key_of_rows)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -89,13 +89,12 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
              parallelism: int = 1, output: Optional[str] = None) -> io.Catalog:
     """Check the arguments enumerate, orbits and map share, then that `output`
     can be written, then build the catalog."""
-    from . import search
     if width < 1:
         raise _Failure(EXIT_USAGE, f"width must be >= 1, got {width}")
     if parallelism < 1:
         raise _Failure(EXIT_USAGE, f"--parallelism must be >= 1, got {parallelism}")
     try:
-        search.candidate_ceiling()
+        candidate_ceiling()
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, str(exc))
     kind = PatternKind(kind)
@@ -122,6 +121,7 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
     _check_output(output)
     if kind is PatternKind.COXETER:
         return io.coxeter_catalog(width)
+    from . import search
     try:
         return io.y_catalog(width, bounds=bounds, parallelism=parallelism)
     except search.BoxTooLarge as exc:
@@ -214,6 +214,8 @@ def _verify_all(entries) -> list[Optional[Violation]]:
 
 def cmd_verify(args) -> int:
     violations = _read(args.input, _verify_all)
+    if not violations:
+        raise _Failure(EXIT_VERIFY, f"{args.input} holds no patterns")
     text = "".join(f"pattern {i}: {'ok' if v is None else v}\n" for i, v in enumerate(violations))
     ok = violations.count(None)
     _emit(f"{text}{ok}/{len(violations)} patterns ok\n", None)
@@ -303,14 +305,17 @@ def cmd_render(args) -> int:
             if n == args.index:
                 return [entry]
             n += 1
-        raise _Failure(EXIT_USAGE, f"index {args.index} out of range (0..{n - 1})" if n
-                       else f"{args.input} holds no patterns")
+        if n:
+            raise _Failure(EXIT_USAGE, f"index {args.index} out of range (0..{n - 1})")
+        return []
 
     try:
         patterns = [PeriodicPattern(kind, width, rows)
                     for kind, width, rows, _ in _read(args.input, pick)]
     except InconsistentDomain as exc:
         raise _Failure(EXIT_USAGE, f"{args.input} holds an invalid pattern: {exc}")
+    if not patterns:
+        raise _Failure(EXIT_USAGE, f"{args.input} holds no patterns")
     text = "\n".join(io.render_ascii(p) for p in patterns)
     _emit(text, args.output)
     return EXIT_OK

@@ -14,7 +14,8 @@ with column indices mod the period; this is the alignment induced by
 drawing row m shifted right by half a cell per row index.
 
 Entries are plain ints where a pattern is arithmetic and `fractions.Fraction`
-otherwise; every operation is exact and every value is immutable after
+otherwise, and `fractions` is imported only when a value that is not an int
+turns up; every operation is exact and every value is immutable after
 construction, so everything here is safe to share across threads.  A pattern
 is validated once, when it is built.  Every check treats all columns alike
 and reads them mod the period: the shape, the constant boundary rows, the
@@ -25,11 +26,18 @@ rotating its rows without checking them again.
 
 from __future__ import annotations
 
+import os
 from enum import Enum
-from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+DEFAULT_MAX_CANDIDATES = 10 ** 9
+MAX_CANDIDATES_ENV = "FRIEZE_MAX_CANDIDATES"
 
 
 class PatternKind(Enum):
@@ -47,6 +55,7 @@ class ClosureFailure(FriezeError):
     Reports the first offending cell in row-major order: either the last
     row came out nonzero at (row, col) = its value, or the division needed
     to fill (row, col) had denominator 1 + N == 0 (value is None then).
+    A pattern that closes early reports the int 0.
     """
 
     def __init__(self, row: int, col: int, value: Optional[Fraction], reason: str):
@@ -83,11 +92,26 @@ class Violation(NamedTuple):
         return f"{self.check} violation at row {self.row}, col {self.col}: {self.detail}"
 
 
+def candidate_ceiling() -> int:
+    """The generic search's volume ceiling: the FRIEZE_MAX_CANDIDATES
+    environment variable, else 10^9.
+
+    Raises ValueError when the environment value is not a positive integer.
+    """
+    env = os.environ.get(MAX_CANDIDATES_ENV)
+    if not env:
+        return DEFAULT_MAX_CANDIDATES
+    if not (env.strip().isdecimal() and int(env) > 0):
+        raise ValueError(f"{MAX_CANDIDATES_ENV} must be a positive integer, got {env!r}")
+    return int(env)
+
+
 def _frac(value) -> "int | Fraction":
     """Ints (not bools) and Fractions as they are, anything else as a Fraction."""
-    if type(value) is int or isinstance(value, Fraction):
+    if type(value) is int:
         return value
-    return Fraction(value)
+    from fractions import Fraction
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _frac_rows(rows: Iterable[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
@@ -103,6 +127,7 @@ def _div(num, den) -> "int | Fraction":
         quotient, remainder = divmod(num, den)
         if not remainder:
             return quotient
+    from fractions import Fraction
     return Fraction(num) / den
 
 
@@ -166,7 +191,7 @@ def check_rows(kind: PatternKind, width: int,
 
 
 class PeriodicPattern(NamedTuple("PeriodicPattern", [
-        ("kind", PatternKind), ("width", int), ("rows", tuple[tuple[Fraction, ...], ...])])):
+        ("kind", PatternKind), ("width", int), ("rows", "tuple[tuple[Fraction, ...], ...]")])):
     """A closed pattern of width `width`, stored at column period width + 3.
 
     Y kind holds rows 0..width+1 (zero rows at both ends); Coxeter kind
@@ -239,7 +264,7 @@ def propagate_y(first_row: Sequence, width: int) -> PeriodicPattern:
             nxt.append(_div(cur[k] * cur[(k + 1) % period], den) - 1)
         if m < n and all(v == 0 for v in nxt):
             # a zero row this early means the pattern closed at width m.
-            raise ClosureFailure(m + 1, 0, Fraction(0),
+            raise ClosureFailure(m + 1, 0, 0,
                                  f"pattern closes at width {m}, not {n}")
         rows.append(tuple(nxt))
     for k, v in enumerate(rows[n + 1]):
@@ -249,7 +274,7 @@ def propagate_y(first_row: Sequence, width: int) -> PeriodicPattern:
 
 
 class FundamentalDomain(NamedTuple("FundamentalDomain", [
-        ("width", int), ("rows", tuple[tuple[Fraction, ...], ...])])):
+        ("width", int), ("rows", "tuple[tuple[Fraction, ...], ...]")])):
     """One glide-symmetry domain: triangular array with n(n+3)/2 entries.
 
     Row m (1-based, m = 1..width) holds width + 2 - m entries; these are
@@ -352,8 +377,11 @@ def cyclic_shift(pattern: PeriodicPattern, s: int) -> PeriodicPattern:
     return _rotated(pattern, s) if s else pattern
 
 
-def rotation_orbits(keys: Sequence[tuple]) -> list[list[int]]:
-    """Partition the indices of distinct tuple keys into rotation orbits.
+def rotation_orbits(keys: Sequence[Sequence]) -> list[list[int]]:
+    """Partition the indices of distinct keys into rotation orbits.
+
+    A key is any hashable sequence that rotates by slicing, as a tuple or
+    a bytes object does; key[s:] + key[:s] is the key rotated left by s.
 
     orbit[s] is the index of orbit[0]'s key rotated left by s, and orbit[0]
     is the smallest; orbits are sorted by size descending, then root.
@@ -386,14 +414,15 @@ class OrbitPatterns(Sequence):
     """A rotation-closed list of patterns, held as one root per rotation
     orbit: every other pattern is built when it is read.
 
-    The pattern at index i has key keys[i], a tuple that fixes it and
-    rotates with it; `shift_orbits` are the rotation_orbits of the keys,
+    The pattern at index i has key keys[i], which fixes it and rotates with
+    it: a tuple, or any hashable sequence that rotates by slicing, such as
+    the bytes of a quiddity; `shift_orbits` are the rotation_orbits of the keys,
     `roots[k]` is build(shift_orbits[k][0]), and `shift_orbits[k][s]` is
     the index of that root rotated left by s.  `orbits` lists the same
     orbits with their members sorted.
     """
 
-    def __init__(self, keys: Sequence[tuple], build: Callable[[int], PeriodicPattern]):
+    def __init__(self, keys: Sequence[Sequence], build: Callable[[int], PeriodicPattern]):
         from array import array
         self.shift_orbits = rotation_orbits(keys)
         self.roots = [build(orbit[0]) for orbit in self.shift_orbits]

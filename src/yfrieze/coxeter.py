@@ -7,19 +7,23 @@ first interior row of a closed arithmetic frieze under the unimodular rule
 Distinct triangulations give distinct friezes, so the width-n count is the
 Catalan number C_{n+1}.  Rotating the polygon rotates its quiddity and its
 frieze, so the frieze is propagated once per rotation orbit, and only the
-orbit roots are held.
+orbit roots are held.  Triangulations and quiddities are generated as
+bytes, one small object each, and the quiddity bytes key the orbits.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Sequence
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import mul, sub
 from typing import NamedTuple
 
 from .core import FriezeError, OrbitPatterns, PatternKind, PeriodicPattern, _div, _frac
 
 # Each width multiplies the JSON catalog about fourfold: width 10 is 58,786
-# friezes in 176 MB, width 11 would be 208,012 friezes in 709 MB.
+# friezes in 176 MB, width 11 would be 208,012 friezes in 709 MB.  The byte
+# encoding of _diagonal_codes would hold up to width 13 (a 16-gon).
 MAX_ENUM_WIDTH = 10
 
 
@@ -77,47 +81,59 @@ class Triangulation(NamedTuple("Triangulation", [
         return tuple(sorted(self.diagonals))
 
 
-def _diagonal_tuples(v: int) -> list[tuple[tuple[int, int], ...]]:
-    """The sorted diagonal tuple of every triangulation of the convex v-gon,
-    in Triangulation.sort_key order.
+def _diagonal_codes(v: int) -> list[bytes]:
+    """Every triangulation of the convex v-gon as the bytes of its sorted
+    diagonal codes i*v + j (i < j), in Triangulation.sort_key order: the codes
+    order as the diagonals do, so the bytes compare as the diagonal tuples.
 
     The triangle on edge (i, j) of the sub-polygon i..j has apex k, and the
-    sub-polygons i..k and k..j are split the same way, each once.
+    sub-polygons i..k and k..j are split the same way, smallest first, each
+    once.  In a triangulation of i..k the diagonals from i come before the
+    chord (i, j) and the others after it, and all of them before any diagonal
+    of k..j, so one insertion keeps each combination sorted.
     """
-    splits: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+    assert v <= 16, "a diagonal code must fit in a byte"
+    splits = {(i, i + 1): [b""] for i in range(v - 1)}
+    for d in range(2, v):
+        for i in range(v - d):
+            j = i + d
+            code = i * v + j
+            chord = bytes([code]) if d < v - 1 else b""  # (0, v - 1) is a polygon edge
+            combined = splits[i, j] = []
+            for k in range(i + 1, j):
+                for left in splits[i, k]:
+                    at = bisect(left, code)
+                    head = left[:at] + chord + left[at:]
+                    combined += [head + right for right in splits[k, j]]
+    return sorted(splits[0, v - 1])
 
-    def split(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
-        # Each triangulation of i..j, led by the chord (i, j) unless it is
-        # the polygon edge (0, v - 1).
-        if j - i < 2:
-            return [()]
-        if (i, j) not in splits:
-            chord = ((i, j),) if j - i < v - 1 else ()
-            splits[(i, j)] = [chord + left + right for k in range(i + 1, j)
-                              for left in split(i, k) for right in split(k, j)]
-        return splits[(i, j)]
 
-    return sorted(tuple(sorted(diagonals)) for diagonals in split(0, v - 1))
+def _quiddities(v: int) -> list[bytes]:
+    """The quiddity of every triangulation of the convex v-gon, in
+    Triangulation.sort_key order, as bytes: one more than the diagonals at
+    each vertex.  Vertex i's count is byte i of an int, to which a diagonal
+    code i*v + j adds 256**i + 256**j."""
+    weight = [256 ** i + 256 ** j for i in range(v) for j in range(v)].__getitem__
+    ones = int.from_bytes(bytes([1]) * v, "little")
+    return [(ones + sum(map(weight, codes))).to_bytes(v, "little")
+            for codes in _diagonal_codes(v)]
 
 
 def all_triangulations(v: int) -> list[Triangulation]:
     """All C_{v-2} triangulations of a convex v-gon, ordered by diagonal set."""
     if v < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {v}")
-    return [Triangulation(v, frozenset(diagonals)) for diagonals in _diagonal_tuples(v)]
-
-
-def _quiddity(v: int, diagonals) -> tuple[int, ...]:
-    counts = [1] * v
-    for i, j in diagonals:
-        counts[i] += 1
-        counts[j] += 1
-    return tuple(counts)
+    return [Triangulation(v, frozenset(divmod(code, v) for code in codes))
+            for codes in _diagonal_codes(v)]
 
 
 def quiddity_of(t: Triangulation) -> tuple[int, ...]:
     """Incident-triangle count of every vertex: one more than its diagonals."""
-    return _quiddity(t.n_gon, t.diagonals)
+    counts = [1] * t.n_gon
+    for i, j in t.diagonals:
+        counts[i] += 1
+        counts[j] += 1
+    return tuple(counts)
 
 
 def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
@@ -132,27 +148,25 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
     if period < 4:
         raise ValueError(f"quiddity must have at least 4 entries, got {period}")
     n = period - 3
-    zeros = (0,) * period
-    ones = (1,) * period
-    rows = [zeros, ones, tuple(_frac(v) for v in quiddity)]
+    zeros, ones = (0,) * period, (1,) * period
+    rows = [zeros, ones, tuple(map(_frac, quiddity))]
     for k, v in enumerate(rows[2]):
         if v <= 0:
             raise NonPositive(f"quiddity entry {v} at col {k} is not positive")
     for m in range(2, n + 2):
-        cur = rows[m]
-        above = rows[m - 1]
-        interior = m + 1 <= n + 1  # row n+2 is the closing ones-row, not interior
-        nxt = []
-        for k in range(period):
-            south = _div(cur[k] * cur[(k + 1) % period] - 1, above[(k + 1) % period])
-            if interior and south <= 0:
-                raise NonPositive(f"entry {south} at row {m + 1}, col {k} is not positive")
-            nxt.append(south)
-        rows.append(tuple(nxt))
-    for k, v in enumerate(rows[n + 2]):
-        if v != 1:
-            raise NotClosed(f"row {n + 2} should be all ones, got {v} at col {k}")
-    rows.append(zeros)
+        # S = (W*E - 1) / N over the whole row; N is the row above, positive
+        cur, above = rows[m], rows[m - 1]
+        nxt = tuple(map(_div, map(sub, map(mul, cur, cur[1:] + cur[:1]), repeat(1)),
+                        above[1:] + above[:1]))
+        if m <= n and min(nxt) <= 0:  # row n + 2 is the closing ones-row, not interior
+            k, south = next((k, v) for k, v in enumerate(nxt) if v <= 0)
+            raise NonPositive(f"entry {south} at row {m + 1}, col {k} is not positive")
+        rows.append(nxt)
+    closing = rows.pop()  # row n + 2, held as the ones-row it must equal
+    if closing != ones:
+        k, v = next((k, v) for k, v in enumerate(closing) if v != 1)
+        raise NotClosed(f"row {n + 2} should be all ones, got {v} at col {k}")
+    rows += [ones, zeros]
     return PeriodicPattern(PatternKind.COXETER, n, tuple(rows))
 
 
@@ -161,11 +175,10 @@ def enumerate_frieze(n: int) -> OrbitPatterns:
 
     Rotating the quiddity rotates the frieze, so each rotation orbit of the
     quiddities is propagated and validated once, at its root, and only the
-    roots are kept, in a core.OrbitPatterns keyed by quiddity: every other
-    member is the root's rows rotated, built when it is read.
+    roots are kept, in a core.OrbitPatterns keyed by the quiddity bytes:
+    every other member is the root's rows rotated, built when it is read.
     """
     if not 1 <= n <= MAX_ENUM_WIDTH:
         raise ValueError(f"width must be in 1..{MAX_ENUM_WIDTH}, got {n}")
-    v = n + 3
-    quiddities = [_quiddity(v, diagonals) for diagonals in _diagonal_tuples(v)]
+    quiddities = _quiddities(n + 3)
     return OrbitPatterns(quiddities, lambda i: frieze_from_quiddity(quiddities[i]))

@@ -15,9 +15,10 @@ with generation parameters and per-pattern orbit metadata:
 
 A built catalog holds its patterns as core.OrbitPatterns, one root per
 rotation orbit, found once, when the patterns are generated; its entries
-are built when they are read, and entry_keys reads their keys off the roots.
-write_catalog_json streams a catalog's text one entry at a time, and renders
-each distinct cell value once.
+are built when they are read.  CSV and table output (through entry_keys)
+and the JSON writer read each entry's key and rows off its orbit's root
+instead, so they build no entry.  write_catalog_json streams a catalog's
+text one entry at a time, and renders each distinct cell value once.
 
 read_patterns streams a catalog file, one entry at a time, and reads any
 other file, or one the streamed read fails on, whole with json.load, so
@@ -34,13 +35,15 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import chain
 from operator import eq
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .core import (InconsistentDomain, OrbitPatterns, PatternKind, PeriodicPattern, glide_shift,
                    key_of_rows)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
@@ -59,6 +62,7 @@ def _value_from_json(x) -> "int | Fraction":
     if type(x) is int:  # JSON true and false load as bool, an int subclass
         return x
     if isinstance(x, str) and re.fullmatch(r"-?[0-9]+/[0-9]*[1-9][0-9]*", x):
+        from fractions import Fraction
         return Fraction(x)
     raise ValueError(f"pattern entries must be ints or 'p/q' strings, got {x!r}")
 
@@ -137,8 +141,9 @@ class Catalog(NamedTuple):
 class _OrbitEntries(Sequence):
     """The entries of a built catalog, held as the core.OrbitPatterns of its
     patterns: entry i is built when it is read, from its orbit's root at its
-    shift (key(i) reads the key alone) and the orbit's fields.  It compares
-    equal to the tuple of the same entries, and a slice of it is that tuple's slice.
+    shift and the orbit's fields, which source(i) reads without building it.
+    It compares equal to the tuple of the same entries, and a slice of it is
+    that tuple's slice.
 
     An orbit's size is its intrinsic period, and glide_shift is
     shift-invariant, so the orbit's fields are found once, at its root.
@@ -152,17 +157,18 @@ class _OrbitEntries(Sequence):
     def __len__(self) -> int:
         return len(self.patterns)
 
-    def key(self, i: int) -> tuple:
+    def source(self, i: int) -> tuple:
+        """(i, key, rows, shift, orbit fields) of entry i, whose rows are
+        `rows`, its orbit root's, rotated left by `shift`."""
         k, s = self.patterns.locate(i)
         root = self.patterns.roots[k]
-        return key_of_rows(root.kind, root.width, root.rows, s)
+        return i, key_of_rows(root.kind, root.width, root.rows, s), root.rows, s, self._fields[k]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
-        i = range(len(self))[i]
-        k, _ = self.patterns.locate(i)
-        return CatalogEntry(i, self.key(i), self.patterns[i], *self._fields[k])
+        i, key, _, _, fields = self.source(range(len(self))[i])
+        return CatalogEntry(i, key, self.patterns[i], *fields)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, _OrbitEntries)):
@@ -262,6 +268,16 @@ class _CellJson(dict):
         return text
 
 
+def _entry_sources(catalog: Catalog) -> Iterator[tuple]:
+    """_OrbitEntries.source of each entry in catalog order, building no entry;
+    a loaded catalog's entries are taken as roots at shift 0."""
+    entries = catalog.entries
+    if isinstance(entries, _OrbitEntries):
+        return map(entries.source, range(len(entries)))
+    return ((entry.id, entry.key_tuple, entry.pattern.rows, 0, entry[3:])  # [3:]: ORBIT_FIELDS
+            for entry in entries)
+
+
 def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     """The text of json.dumps(catalog_to_obj(catalog), indent=2) + "\\n": the
     head, each entry, then the tail.  An entry is written from a fixed
@@ -274,20 +290,20 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     is_y = catalog.kind is PatternKind.Y
     key_name = KEY_NAMES[catalog.kind]
     cell = _CellJson().__getitem__
-    for i, entry in enumerate(catalog.entries):
-        diagonal = (f'      "diagonal": {_key_json(map(str, entry.key_tuple[:catalog.width]))},\n'
+    n = 0
+    for n, (i, key, rows, s, (root, size, period, glide)) in enumerate(_entry_sources(catalog), 1):
+        diagonal = (f'      "diagonal": {_key_json(map(str, key[:catalog.width]))},\n'
                     if is_y else "")
+        cells = _ROW_SEP.join([_CELL_SEP.join(map(cell, row[s:] + row[:s])) for row in rows])
         yield (
-            f'{"," if i else ""}\n    {{\n      "id": {entry.id},\n'
-            f'      "{key_name}": {_key_json(map(str, entry.key_tuple))},\n{diagonal}'
-            f'      "orbit_root": {entry.orbit_root},\n'
-            f'      "orbit_size": {entry.orbit_size},\n'
-            f'      "intrinsic_period": {entry.intrinsic_period},\n'
-            f'      "glide_shift": {"null" if entry.glide_shift is None else entry.glide_shift},\n'
-            f'      "rows": [\n        [\n          '
-            f'{_ROW_SEP.join([_CELL_SEP.join(map(cell, row)) for row in entry.pattern.rows])}'
-            f'\n        ]\n      ]\n    }}')
-    yield "\n  ]\n}\n" if catalog.entries else "]\n}\n"
+            f'{"," if n > 1 else ""}\n    {{\n      "id": {i},\n'
+            f'      "{key_name}": {_key_json(map(str, key))},\n{diagonal}'
+            f'      "orbit_root": {root},\n'
+            f'      "orbit_size": {size},\n'
+            f'      "intrinsic_period": {period},\n'
+            f'      "glide_shift": {"null" if glide is None else glide},\n'
+            f'      "rows": [\n        [\n          {cells}\n        ]\n      ]\n    }}')
+    yield "\n  ]\n}\n" if n else "]\n}\n"
 
 
 def write_catalog_json(catalog: Catalog, fh: TextIO) -> None:
@@ -447,10 +463,7 @@ def tuple_header(kind: PatternKind, width: int) -> tuple[str, ...]:
 def entry_keys(catalog: Catalog) -> Iterator[tuple]:
     """The key of each entry in catalog order, building no entry: a built
     catalog's read off its orbit roots, a loaded one's as its file states it."""
-    entries = catalog.entries
-    if isinstance(entries, _OrbitEntries):
-        return map(entries.key, range(len(entries)))
-    return (entry.key_tuple for entry in entries)
+    return (source[1] for source in _entry_sources(catalog))
 
 
 def catalog_to_csv(catalog: Catalog) -> str:

@@ -31,10 +31,9 @@ from itertools import chain
 from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .core import PeriodicPattern, FriezeError, is_arithmetic, key_of_rows, propagate_y
-
-DEFAULT_MAX_CANDIDATES = 10 ** 9
-MAX_CANDIDATES_ENV = "FRIEZE_MAX_CANDIDATES"
+from .core import (DEFAULT_MAX_CANDIDATES, MAX_CANDIDATES_ENV,  # noqa: F401  (re-exported)
+                   FriezeError, PeriodicPattern, candidate_ceiling, is_arithmetic, key_of_rows,
+                   propagate_y)
 
 # Default diagonal boxes for the widths whose solution sets are small enough
 # to find without proven bounds.
@@ -284,20 +283,6 @@ def oracle_box_check(width: int, bound: int) -> SolutionSet:
                 found.append((a, (b + 1) // a, p3 // (b * (b + 1)), (b + 1) // c,
                               c, p3 // (a * b * c)))
     return _solution_set(3, found)
-
-
-def candidate_ceiling() -> int:
-    """The generic search's volume ceiling: the FRIEZE_MAX_CANDIDATES
-    environment variable, else 10^9.
-
-    Raises ValueError when the environment value is not a positive integer.
-    """
-    env = os.environ.get(MAX_CANDIDATES_ENV)
-    if not env:
-        return DEFAULT_MAX_CANDIDATES
-    if not (env.strip().isdecimal() and int(env) > 0):
-        raise ValueError(f"{MAX_CANDIDATES_ENV} must be a positive integer, got {env!r}")
-    return int(env)
 
 
 def enumerate_generic(width: int, box: SearchBox, parallelism: int = 1) -> SolutionSet:

@@ -77,6 +77,25 @@ def test_malformed_candidate_ceiling_is_a_usage_error(capsys, monkeypatch, value
     assert err.startswith("error: FRIEZE_MAX_CANDIDATES") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["enumerate", "orbits"])
+def test_malformed_candidate_ceiling_stops_a_coxeter_command_first(capsys, monkeypatch,
+                                                                   command):
+    # core holds the ceiling, so the Coxeter kind checks it before any
+    # generation and without loading the search
+    from yfrieze import coxeter
+
+    def no_generation(n):
+        raise AssertionError("generation ran")
+
+    monkeypatch.setattr(coxeter, "enumerate_frieze", no_generation)
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", "abc")
+    argv = [command, "--kind", "coxeter", "--width", "4"]
+    message = "error: FRIEZE_MAX_CANDIDATES must be a positive integer, got 'abc'\n"
+    assert run(capsys, *argv) == (2, "", message)
+    out, modules = _loaded_modules(argv)
+    assert out == b"" and "yfrieze.search" not in modules
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_parallelism_below_one_is_a_usage_error(capsys, value):
     code, _, err = run(capsys, "enumerate", "--kind", "y", "--width", "4",
@@ -843,6 +862,21 @@ def test_render_index_on_a_catalog_without_patterns(tmp_path, capsys):
         2, "", f"error: {empty} holds no patterns\n")
 
 
+def test_verify_of_a_catalog_without_patterns_fails(tmp_path, capsys):
+    # an empty file is no verified catalog: a width-3 catalog holds 14 friezes
+    from yfrieze import io
+    empty = tmp_path / "empty.json"
+    empty.write_text(io.catalog_to_json(io.Catalog(yf.PatternKind.COXETER, 3, {}, ())))
+    assert run(capsys, "verify", str(empty)) == (1, "", f"error: {empty} holds no patterns\n")
+
+
+def test_render_of_a_catalog_without_patterns_is_a_usage_error(tmp_path, capsys):
+    from yfrieze import io
+    empty = tmp_path / "empty.json"
+    empty.write_text(io.catalog_to_json(io.Catalog(yf.PatternKind.Y, 3, {}, ())))
+    assert run(capsys, "render", str(empty)) == (2, "", f"error: {empty} holds no patterns\n")
+
+
 def test_render_missing_file(capsys):
     code, _, _ = run(capsys, "render", "/nonexistent/path.json")
     assert code == 2
@@ -910,14 +944,58 @@ def test_width_4_y_enumeration_loads_only_the_search_modules():
 
 
 def test_coxeter_enumeration_loads_neither_the_transfer_map_nor_string():
-    # search is loaded for the candidate ceiling that every catalog command checks.
+    # nor the search: core holds the candidate ceiling that every catalog command checks.
     out, modules = _loaded_modules(["enumerate", "--kind", "coxeter", "--width", "4",
                                     "--format", "csv"])
     assert _in_packages(modules, "yfrieze", "string") == [
-        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.coxeter", "yfrieze.io",
-        "yfrieze.search"]
+        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.coxeter", "yfrieze.io"]
     assert out.decode().splitlines()[1:] == [
         ",".join(map(str, f.rows[2])) for f in yf.enumerate_frieze(4)]
+
+
+def test_coxeter_json_enumeration_loads_only_the_catalog_modules():
+    from yfrieze import io
+    out, modules = _loaded_modules(["enumerate", "--kind", "coxeter", "--width", "4",
+                                    "--format", "json"])
+    assert _in_packages(modules, "yfrieze") == [
+        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.coxeter", "yfrieze.io"]
+    assert out.decode() == io.catalog_to_json(io.coxeter_catalog(4))
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--kind", "y", "--width", "4", "--format", "json"),
+    ("enumerate", "--kind", "y", "--width", "3", "--format", "csv"),
+    ("enumerate", "--kind", "coxeter", "--width", "5", "--format", "json"),
+    ("enumerate", "--kind", "coxeter", "--width", "4", "--format", "table"),
+    ("orbits", "--kind", "y", "--width", "3"),
+    ("orbits", "--kind", "coxeter", "--width", "4", "--format", "json"),
+    ("map", "--width", "4"),
+    ("verify", "F"),
+    ("render", "F"),
+    ("render", "F", "--index", "3"),
+    ("--help",),
+], ids=["enumerate-y-json", "enumerate-y-csv", "enumerate-coxeter-json",
+        "enumerate-coxeter-table", "orbits-y", "orbits-coxeter", "map", "verify", "render",
+        "render-index", "help"])
+def test_no_command_on_integer_data_loads_fractions(coxeter3_catalog_file, argv):
+    # fractions, with the decimal and numbers modules it imports, is loaded
+    # only when a value that is not an int turns up
+    argv = [str(coxeter3_catalog_file) if arg == "F" else arg for arg in argv]
+    assert _in_packages(_loaded_modules(argv)[1], "fractions", "decimal", "numbers") == []
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_reader_commands_load_fractions_for_a_rational_pattern(tmp_path, capsys, command):
+    # a fresh interpreter reads the "p/q" cells as in this one, where
+    # fractions is loaded already
+    from yfrieze import io
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(io.pattern_to_obj(yf.expand_domain(yf.w3_domain((1, 1, 1))))))
+    code, expected, _ = run(capsys, command, str(path))
+    assert code == (1 if command == "verify" else 0) and "7/2" in expected
+    out, modules = _loaded_modules([command, str(path)])
+    assert out.decode() == expected
+    assert "fractions" in modules
 
 
 @pytest.mark.parametrize("argv", [

@@ -170,6 +170,39 @@ def test_enumerate_frieze_propagates_once_per_rotation_orbit(monkeypatch):
     assert len(friezes.roots) == 150
 
 
+@pytest.mark.parametrize("v", range(3, 13))
+def test_compact_quiddities_follow_the_triangulation_order(v):
+    from yfrieze import coxeter
+    assert [tuple(q) for q in coxeter._quiddities(v)] == [
+        yf.quiddity_of(t) for t in yf.all_triangulations(v)]
+
+
+def test_enumerate_frieze_leaves_no_reference_cycle():
+    # a cycle would keep the generation's scaffolding alive until a cyclic
+    # collection pass
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        yf.enumerate_frieze(7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_enumerate_frieze_width_8_peak_memory():
+    # 4,862 quiddities of 11 bytes each and 442 propagated orbit roots
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        friezes = yf.enumerate_frieze(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(friezes) == 4862
+    assert peak < 1_600_000
+
+
 def test_enumerate_frieze_width_1_quiddities():
     quiddities = {f.rows[2] for f in yf.enumerate_frieze(1)}
     assert quiddities == {(1, 2, 1, 2), (2, 1, 2, 1)}

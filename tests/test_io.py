@@ -245,6 +245,31 @@ def test_catalog_json_writer_matches_json_dumps(monkeypatch, tmp_path):
         assert _written(catalog, tmp_path / "catalog.json") == expected
 
 
+def test_json_writer_builds_no_entry_and_rotates_no_pattern(monkeypatch, tmp_path):
+    # the writer reads each entry's key and rows off its orbit's root
+    from yfrieze import core
+    catalogs = [io.coxeter_catalog(5), io.y_catalog(4)]
+    expected = [json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n" for catalog in catalogs]
+    built = []
+    new = io.CatalogEntry.__new__
+    rotated = core._rotated
+
+    def counting_entry(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    def counting_rotated(*args):
+        built.append(args)
+        return rotated(*args)
+
+    monkeypatch.setattr(io.CatalogEntry, "__new__", counting_entry)
+    monkeypatch.setattr(core, "_rotated", counting_rotated)
+    for catalog, text in zip(catalogs, expected):
+        assert _written(catalog, tmp_path / "catalog.json") == text
+        assert io.catalog_to_json(catalog) == text
+    assert built == []
+
+
 def test_writer_takes_each_entry_from_its_own_rows_and_key(tmp_path):
     # the writer renders each rotation orbit's cells once; a loaded catalog
     # may name any orbit_root and key, so each entry must still show its own
