@@ -273,7 +273,7 @@ def cmd_map(args) -> int:
 
 def cmd_orbits(args) -> int:
     catalog = _catalog(args.kind, args.width, args.bounds, output=args.output)
-    orbits = catalog.entries.orbits
+    orbits = catalog.entries.patterns.orbits
     if args.format == "json":
         text = json.dumps({
             "kind": catalog.kind.value,

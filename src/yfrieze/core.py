@@ -131,6 +131,15 @@ def _div(num, den) -> "int | Fraction":
     return Fraction(num) / den
 
 
+def _shown(value) -> str:
+    """str(value), or its size in bits if it is too long for str."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        n, d = value.numerator.bit_length(), value.denominator.bit_length()
+        return f"<int of {n} bits>" if d == 1 else f"<fraction of {n}/{d} bits>"
+
+
 def check_rows(kind: PatternKind, width: int,
                rows: Sequence[Sequence[Fraction]]) -> Optional[Violation]:
     """Validate shape, boundary rows, closure and every diamond of a raw grid.
@@ -158,7 +167,7 @@ def check_rows(kind: PatternKind, width: int,
     for m, expected in constant_rows:
         if rows[m].count(expected) != period:
             k, v = next((k, v) for k, v in enumerate(rows[m]) if v != expected)
-            return Violation("boundary", m, k, f"expected constant {expected}, got {v}")
+            return Violation("boundary", m, k, f"expected constant {expected}, got {_shown(v)}")
 
     # An interior row equal to the closing boundary row means the pattern
     # already closed at a smaller width.
@@ -183,9 +192,9 @@ def check_rows(kind: PatternKind, width: int,
     if we != north_south:
         i = next(i for i, (a, b) in enumerate(zip(we, north_south)) if a != b)
         if kind is PatternKind.Y:
-            detail = f"W*E = {we[i]} but (1+N)(1+S) = {north_south[i]}"
+            detail = f"W*E = {_shown(we[i])} but (1+N)(1+S) = {_shown(north_south[i])}"
         else:
-            detail = f"W*E - N*S = {we[i] - north_south[i] + 1}, expected 1"
+            detail = f"W*E - N*S = {_shown(we[i] - north_south[i] + 1)}, expected 1"
         return Violation("diamond", 1 + i // period, i % period, detail)
     return None
 
@@ -416,20 +425,21 @@ class OrbitPatterns(Sequence):
 
     The pattern at index i has key keys[i], which fixes it and rotates with
     it: a tuple, or any hashable sequence that rotates by slicing, such as
-    the bytes of a quiddity; `shift_orbits` are the rotation_orbits of the keys,
-    `roots[k]` is build(shift_orbits[k][0]), and `shift_orbits[k][s]` is
-    the index of that root rotated left by s.  `orbits` lists the same
-    orbits with their members sorted.
+    the bytes of a quiddity.  The rotation_orbits of the keys are held as
+    one table, in their order: orbit k's root pattern `roots[k]`, its
+    smallest index and size `heads[k]`, and for each index i the orbit k and
+    shift s that `locate(i)` reads.  `orbits` lists each orbit's members sorted.
     """
 
     def __init__(self, keys: Sequence[Sequence], build: Callable[[int], PeriodicPattern]):
         from array import array
-        self.shift_orbits = rotation_orbits(keys)
-        self.roots = [build(orbit[0]) for orbit in self.shift_orbits]
         self._orbit, self._shift = array("l", [0]) * len(keys), array("l", [0]) * len(keys)
-        for k, orbit in enumerate(self.shift_orbits):
+        self.heads, self.roots = [], []
+        for k, orbit in enumerate(rotation_orbits(keys)):
             for s, i in enumerate(orbit):
                 self._orbit[i], self._shift[i] = k, s
+            self.heads.append((orbit[0], len(orbit)))
+            self.roots.append(build(orbit[0]))
 
     def locate(self, i: int) -> tuple[int, int]:
         """(k, s) such that the pattern at index i is roots[k] rotated left by s."""
@@ -446,7 +456,10 @@ class OrbitPatterns(Sequence):
 
     @property
     def orbits(self) -> list[list[int]]:
-        return [sorted(orbit) for orbit in self.shift_orbits]
+        orbits: list[list[int]] = [[] for _ in self.roots]
+        for i, k in enumerate(self._orbit):
+            orbits[k].append(i)
+        return orbits
 
 
 def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Optional[int]:

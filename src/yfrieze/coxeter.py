@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections.abc import Sequence
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import mul, sub
 from typing import NamedTuple
 
-from .core import FriezeError, OrbitPatterns, PatternKind, PeriodicPattern, _div, _frac
+from .core import FriezeError, OrbitPatterns, PatternKind, PeriodicPattern, _frac
 
 # Each width multiplies the JSON catalog about fourfold: width 10 is 58,786
 # friezes in 176 MB, width 11 would be 208,012 friezes in 709 MB.  The byte
@@ -139,10 +139,11 @@ def quiddity_of(t: Triangulation) -> tuple[int, ...]:
 def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
     """Build the closed frieze whose first interior row is the quiddity.
 
-    Interior rows are filled downward by solving each diamond for its south
-    cell; raises NonPositive when an interior entry is <= 0 and NotClosed
-    when the row after the interior is not the all-ones row.  Quiddities of
-    polygon triangulations always succeed.
+    Interior rows are filled downward without division: row m + 1 at column
+    k is the continuant q[k + m - 1]*row_m[k] - row_{m-1}[k] (Conway and
+    Coxeter).  Raises NonPositive when an interior entry is <= 0 and
+    NotClosed when the row after the interior is not the all-ones row.
+    Quiddities of polygon triangulations always succeed.
     """
     period = len(quiddity)
     if period < 4:
@@ -153,11 +154,9 @@ def frieze_from_quiddity(quiddity: Sequence[int]) -> PeriodicPattern:
     for k, v in enumerate(rows[2]):
         if v <= 0:
             raise NonPositive(f"quiddity entry {v} at col {k} is not positive")
+    q = rows[2]
     for m in range(2, n + 2):
-        # S = (W*E - 1) / N over the whole row; N is the row above, positive
-        cur, above = rows[m], rows[m - 1]
-        nxt = tuple(map(_div, map(sub, map(mul, cur, cur[1:] + cur[:1]), repeat(1)),
-                        above[1:] + above[:1]))
+        nxt = tuple(map(sub, map(mul, q[m - 1:] + q[:m - 1], rows[m]), rows[m - 1]))
         if m <= n and min(nxt) <= 0:  # row n + 2 is the closing ones-row, not interior
             k, south = next((k, v) for k, v in enumerate(nxt) if v <= 0)
             raise NonPositive(f"entry {south} at row {m + 1}, col {k} is not positive")

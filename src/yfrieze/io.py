@@ -145,14 +145,14 @@ class _OrbitEntries(Sequence):
     It compares equal to the tuple of the same entries, and a slice of it is
     that tuple's slice.
 
-    An orbit's size is its intrinsic period, and glide_shift is
-    shift-invariant, so the orbit's fields are found once, at its root.
+    An orbit's root and size are its `heads` row, its size is its intrinsic
+    period, and glide_shift is shift-invariant, so it is found once, at the
+    orbit's root pattern.
     """
 
     def __init__(self, patterns: OrbitPatterns):
         self.patterns = patterns
-        self._fields = [(orbit[0], len(orbit), len(orbit), glide_shift(root))
-                        for orbit, root in zip(patterns.shift_orbits, patterns.roots)]
+        self._glides = list(map(glide_shift, patterns.roots))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -161,8 +161,9 @@ class _OrbitEntries(Sequence):
         """(i, key, rows, shift, orbit fields) of entry i, whose rows are
         `rows`, its orbit root's, rotated left by `shift`."""
         k, s = self.patterns.locate(i)
-        root = self.patterns.roots[k]
-        return i, key_of_rows(root.kind, root.width, root.rows, s), root.rows, s, self._fields[k]
+        root, (head, size) = self.patterns.roots[k], self.patterns.heads[k]
+        return (i, key_of_rows(root.kind, root.width, root.rows, s), root.rows, s,
+                (head, size, size, self._glides[k]))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -174,12 +175,6 @@ class _OrbitEntries(Sequence):
         if not isinstance(other, (tuple, _OrbitEntries)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-    @property
-    def orbits(self) -> list[list[int]]:
-        """The entry ids of each rotation orbit, sorted, in the order of
-        core.rotation_orbits: size descending, then smallest id."""
-        return self.patterns.orbits
 
 
 def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,

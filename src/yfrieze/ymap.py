@@ -1,11 +1,11 @@
 """The row-transfer map from Coxeter friezes to Y patterns, with fiber and
 orbit bookkeeping.
 
-The map sends a width-n frieze (n >= 2) to the Y pattern whose first row is
-the frieze's second interior row.  It commutes with cyclic column shifts,
-so it descends to shift orbits (found by core.rotation_orbits; an orbit's
-size is its patterns' intrinsic period).  The fiber report records how far
-the map is from being a bijection at each width.
+The map sends a width-n frieze (n >= 2) to the Y pattern whose first row,
+which fixes it, is the frieze's second interior row.  It commutes with
+cyclic column shifts, so it descends to the rotation orbits core.OrbitPatterns
+holds (an orbit's size is its patterns' intrinsic period).  The fiber report
+records how far the map is from being a bijection at each width.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .core import (ClosureFailure, FriezeError, NotShiftClosed, PatternKind,
-                   PeriodicPattern, _rotated, is_arithmetic, propagate_y, rotation_orbits)
+                   PeriodicPattern, is_arithmetic, propagate_y, rotation_orbits)
 from .io import Catalog
 
 
@@ -74,23 +74,24 @@ def fiber_analysis(width: int, friezes: Sequence[PeriodicPattern],
                    ypatterns: Sequence[PeriodicPattern]) -> FiberReport:
     """Push every width-n frieze through the map and count hits per Y pattern.
 
-    The map commutes with cyclic shifts, so apply_p runs once per rotation
-    orbit: a rotation of a frieze already mapped gets that image rotated.
-    `ypatterns` must hold every width-n Y pattern the friezes map to;
-    MapFailure is raised otherwise.
+    A frieze's row 3 is its image's first row, which fixes a Y pattern, so
+    the image is looked up by that row.  The image depends only on row 3 and
+    rotates with it, so apply_p runs once per rotation orbit of row 3, to
+    check that the image closes and is arithmetic.  `ypatterns` must hold
+    every width-n Y pattern the friezes map to; MapFailure is raised otherwise.
     """
-    index = {p: i for i, p in enumerate(ypatterns)}
-    images: dict[PeriodicPattern, PeriodicPattern] = {}  # rotations of mapped friezes
+    index = {p.rows[1]: i for i, p in enumerate(ypatterns)}
+    mapped: set[tuple] = set()  # every rotation of each row 3 that apply_p took
     image_of = []
     for frieze in friezes:
-        image = images.get(frieze)
-        if image is None:
-            image = apply_p(frieze)
-            images.update((_rotated(frieze, s), _rotated(image, s)) for s in range(frieze.period))
-        if image not in index:
+        row = frieze.rows[3] if frieze.kind is PatternKind.COXETER else None
+        if row not in mapped:
+            apply_p(frieze)  # raises ValueError if row is None
+            mapped.update(row[s:] + row[:s] for s in range(len(row)))
+        if row not in index:
             raise MapFailure("frieze image is not among the enumerated Y patterns; "
                              "the supplied Y enumeration is incomplete")
-        image_of.append(index[image])
+        image_of.append(index[row])
     sizes = [0] * len(ypatterns)
     for j in image_of:
         sizes[j] += 1
@@ -105,16 +106,15 @@ def correspondence_table(friezes: Catalog, ypatterns: Catalog,
     """One record per frieze orbit: its size s and its image orbit's size t.
 
     Takes the built Coxeter and Y catalogs of one width and the
-    fiber_analysis of their patterns.  Both sides' orbits are the ones
-    generation found, and each frieze root's image is read off
+    fiber_analysis of their patterns.  Both sides' orbits are the `heads`
+    that generation found, and each frieze root's image is read off
     report.image_of.  Equivariance with cyclic shifts makes the image orbit
     well defined by any representative.
     """
     held = ypatterns.entries.patterns
     records = []
-    for orbit in friezes.entries.orbits:
-        target = held.shift_orbits[held.locate(report.image_of[orbit[0]])[0]]
-        records.append(CorrespondenceRecord(frieze_id=orbit[0], yfrieze_id=target[0],
-                                            frieze_orbit_size=len(orbit),
-                                            y_orbit_size=len(target)))
+    for root, size in friezes.entries.patterns.heads:
+        target, target_size = held.heads[held.locate(report.image_of[root])[0]]
+        records.append(CorrespondenceRecord(frieze_id=root, yfrieze_id=target,
+                                            frieze_orbit_size=size, y_orbit_size=target_size))
     return records

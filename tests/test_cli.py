@@ -725,6 +725,11 @@ def test_map_applies_the_transfer_map_once_per_frieze_orbit(capsys, monkeypatch)
     code, _, _ = run(capsys, "map", "--width", "4")
     assert code == 0
     assert len(calls) == 6
+    # 14 width-3 friezes in 4 rotation orbits
+    calls.clear()
+    code, _, _ = run(capsys, "map", "--width", "3")
+    assert code == 0
+    assert len(calls) == 4
 
 
 # sha256 of the map output, recorded before map built its sides through
@@ -807,6 +812,29 @@ def test_render_rejects_tampered_entry(coxeter3_catalog_file, tmp_path, capsys):
     code, out, err = run(capsys, "render", str(bad))
     assert code == 2 and out == ""
     assert "diamond violation" in err and err.count("\n") == 1
+
+
+@pytest.fixture()
+def huge_cells_file(coxeter3_catalog_file, tmp_path):
+    # cells of 2,501 digits parse, but their product is too long for str
+    obj = json.loads(coxeter3_catalog_file.read_text())
+    obj["patterns"][0]["rows"][2][:2] = [10 ** 2500] * 2
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_render_of_a_product_too_long_for_str_fails_in_one_line(huge_cells_file, capsys):
+    code, out, err = run(capsys, "render", str(huge_cells_file))
+    assert code == 2 and out == ""
+    assert "diamond violation at row 2, col 0" in err and err.count("\n") == 1
+
+
+def test_verify_of_a_product_too_long_for_str_names_the_entry(huge_cells_file, capsys):
+    code, out, err = run(capsys, "verify", str(huge_cells_file))
+    assert code == 1 and err == ""
+    assert out.startswith("pattern 0: diamond violation at row 2, col 0: W*E - N*S = <int of ")
+    assert out.endswith("13/14 patterns ok\n")
 
 
 def test_render_index_builds_the_drawn_entry_only(coxeter3_catalog_file, tmp_path,

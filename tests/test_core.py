@@ -225,6 +225,19 @@ def test_check_rows_reports_first_violation():
     assert check_rows(yf.PatternKind.Y, 3, good.rows[:-1]).check == "shape"
 
 
+def test_check_rows_gives_a_value_too_long_for_str_by_its_size():
+    rows = [list(row) for row in yf.enumerate_frieze(3)[0].rows]
+    rows[2][:2] = [10 ** 2500] * 2
+    violation = check_rows(PatternKind.COXETER, 3, rows)
+    assert (violation.check, violation.row, violation.col) == ("diamond", 2, 0)
+    assert str(violation).endswith(f"W*E - N*S = <int of {(10 ** 5000).bit_length()} bits>, "
+                                   "expected 1")
+    rows = [list(row) for row in yf.propagate_y((3, 3, 1, 3, 3, 1), 3).rows]
+    rows[0][1] = F(10 ** 4400, 3)
+    assert check_rows(PatternKind.Y, 3, rows).detail == \
+        f"expected constant 0, got <fraction of {(10 ** 4400).bit_length()}/2 bits>"
+
+
 def oracle_diamond_scan(kind, rows):
     """The cell-by-cell diamond scan check_rows ran before it compared whole
     rows: the first failing diamond in row-major order, or None."""

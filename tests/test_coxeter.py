@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
 
@@ -128,6 +129,57 @@ def test_frieze_accepts_fractional_closed_quiddity():
     from fractions import Fraction as F
     f = yf.frieze_from_quiddity((2, F(3, 2), F(3, 2), 2, F(5, 4)))
     assert not yf.is_arithmetic(f)
+
+
+def division_rule(quiddity):
+    """frieze_from_quiddity's outcome by the diamond rule solved for the
+    south cell, S = (W*E - 1)/N, in Fractions: the rows, or the type and
+    text of the error it raises."""
+    period = len(quiddity)
+    n = period - 3
+    rows = [(0,) * period, (1,) * period, tuple(map(Fraction, quiddity))]
+    for k, v in enumerate(rows[2]):
+        if v <= 0:
+            return yf.NonPositive, f"quiddity entry {v} at col {k} is not positive"
+    for m in range(2, n + 2):
+        cur, above = rows[m], rows[m - 1]
+        rows.append(tuple((cur[k] * cur[(k + 1) % period] - 1) / above[(k + 1) % period]
+                          for k in range(period)))
+        for k, v in enumerate(rows[-1]):
+            if m <= n and v <= 0:
+                return yf.NonPositive, f"entry {v} at row {m + 1}, col {k} is not positive"
+    for k, v in enumerate(rows[-1]):
+        if v != 1:
+            return yf.NotClosed, f"row {n + 2} should be all ones, got {v} at col {k}"
+    return tuple(rows) + ((0,) * period,)
+
+
+QUIDDITY_CELLS = st.one_of(st.integers(1, 4), st.integers(-1, 0), st.booleans(),
+                           st.fractions(Fraction(1, 3), 4, max_denominator=4))
+
+
+@st.composite
+def quiddities(draw):
+    """A triangulation's quiddity, perhaps with one cell replaced, or any
+    list of cells."""
+    from yfrieze import coxeter
+    width = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return draw(st.lists(QUIDDITY_CELLS, min_size=width + 3, max_size=width + 3))
+    quiddity = list(draw(st.sampled_from(coxeter._quiddities(width + 3))))
+    if draw(st.booleans()):
+        quiddity[draw(st.integers(0, width + 2))] = draw(QUIDDITY_CELLS)
+    return quiddity
+
+
+@settings(max_examples=300, deadline=None)
+@given(quiddity=quiddities())
+def test_continuant_rows_match_the_division_rule(quiddity):
+    expected = division_rule(quiddity)
+    try:
+        assert yf.frieze_from_quiddity(tuple(quiddity)).rows == expected
+    except (yf.NonPositive, yf.NotClosed) as exc:
+        assert (type(exc), str(exc)) == expected
 
 
 # -------------------------------------------------------------- enumeration

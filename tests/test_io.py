@@ -205,6 +205,44 @@ def test_coxeter_catalog_entries_pass_the_checks_generation_skips(width):
             assert (entry.orbit_root, entry.orbit_size) == (orbit[0], len(orbit))
 
 
+@pytest.mark.parametrize("kind,width", [*(("coxeter", w) for w in range(1, 9)),
+                                        *(("y", w) for w in range(1, 6))])
+def test_held_orbit_table_matches_rotation_orbits(kind, width, monkeypatch):
+    # one table per catalog: heads[k] is orbit k's smallest index and size,
+    # locate reads each member's orbit and shift, and orbits lists them sorted
+    from yfrieze.core import rotation_orbits
+    if kind == "coxeter":
+        catalog = io.coxeter_catalog(width)
+    else:
+        monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
+        catalog = io.y_catalog(width, bounds=(64,) * 5 if width == 5 else None)
+    held = catalog.entries.patterns
+    orbits = rotation_orbits([tuple(zip(*p.rows)) for p in held])
+    assert len(held.heads) == len(held.roots) == len(orbits)
+    for k, orbit in enumerate(orbits):
+        assert held.heads[k] == (orbit[0], len(orbit))
+        assert [held.locate(i) for i in orbit] == [(k, s) for s in range(len(orbit))]
+    assert held.orbits == [sorted(orbit) for orbit in orbits]
+
+
+def test_built_width_8_coxeter_catalog_holds_under_0_9_mb():
+    # 4,862 friezes in 442 rotation orbits: the roots, two index arrays and
+    # one (smallest index, size) pair per orbit
+    import gc
+    import tracemalloc
+    io.coxeter_catalog(1)  # load what a build imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        catalog = io.coxeter_catalog(8)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(catalog.entries) == 4862
+    assert held < 900_000
+
+
 @pytest.mark.parametrize("width,digest", [
     (4, "0bd8ac7f4308a1181cab0065bedeadfa4780820aea2c32ddc9cebc852e00181c"),
     (7, "6a9422cbf58f09f57d13ba4e374e06c24ff6e4e9ad03b7a03593898792e0700d"),

@@ -9,7 +9,7 @@ from io import StringIO
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import yfrieze as yf
 from yfrieze import io
@@ -101,7 +101,10 @@ def tampered_catalogs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(obj=tampered_catalogs())
+@example(obj={**CATALOGS[0], "patterns": []})
 def test_tampered_catalog_decodes_or_fails_in_one_line(blob_path, obj):
+    # exit 2 prints one line; exit 1 prints nothing on stderr, except for a
+    # catalog without patterns, which fails verify with one line
     text = json.dumps(obj)
     try:
         io.catalog_from_json(text)
@@ -114,6 +117,8 @@ def test_tampered_catalog_decodes_or_fails_in_one_line(blob_path, obj):
     assert code in {0, 1, 2}
     if code == 2:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    elif code == 1 and obj.get("patterns") == []:
+        assert err.getvalue() == f"error: {blob_path} holds no patterns\n"
     else:
         assert err.getvalue() == ""
 

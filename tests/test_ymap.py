@@ -64,6 +64,31 @@ def test_fiber_analysis_width_2():
     assert report.image_size == 5
 
 
+def test_fiber_analysis_rotates_no_pattern(frieze4, y4_patterns, monkeypatch):
+    # images are looked up by each frieze's row 3, so no rotated pattern is built
+    from yfrieze import core
+    friezes = list(frieze4)
+    calls = []
+    rotated = core._rotated
+
+    def counting_rotated(*args):
+        calls.append(args)
+        return rotated(*args)
+
+    monkeypatch.setattr(core, "_rotated", counting_rotated)
+    monkeypatch.setattr(ymap, "_rotated", counting_rotated, raising=False)
+    report = yf.fiber_analysis(4, friezes, y4_patterns)
+    assert report.injective and report.surjective
+    assert calls == []
+
+
+def test_fiber_analysis_rejects_patterns_outside_its_domain(y3_patterns):
+    with pytest.raises(ValueError):
+        yf.fiber_analysis(3, [y3_patterns[0]], y3_patterns)
+    with pytest.raises(ValueError):
+        yf.fiber_analysis(1, list(yf.enumerate_frieze(1)), [])
+
+
 def test_fiber_analysis_detects_incomplete_y_enumeration(frieze3, y3_patterns):
     with pytest.raises(yf.MapFailure):
         yf.fiber_analysis(3, friezes=frieze3, ypatterns=y3_patterns[:5])
