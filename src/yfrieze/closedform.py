@@ -12,44 +12,35 @@ and the diamond relations reduce to ad = 1+b, be = (1+d)(1+c), cf = 1+e,
 dg = 1+e, eh = (1+g)(1+f), gi = 1+h, solved below in closed form.  Width 4
 with diagonal (a, b, c, d) is analogous with entries e..n.
 
-The integrality inequalities (numerator >= denominator for each solved
-entry) live here too; everything is evaluated over exact integers, never
-floats.  The finite search boxes they imply (SearchBox, w3_boxes, w4_boxes)
-live in `search`, which does not load this module, and are re-exported here.
+Each solved entry is written once, as an int (numerator, denominator) pair
+in `_w3_parts`/`_w4_parts`.  The entries are those pairs as Fractions; each
+integrality inequality says that one entry is >= 1 (numerator >=
+denominator, compared as ints, never as floats); each domain is the entry
+tuple read back.  The finite search boxes the inequalities imply (SearchBox,
+w3_boxes, w4_boxes) live in `search`, which does not load this module, and
+are re-exported here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
+from operator import ge
 from typing import NamedTuple, Sequence
 
 from .core import FundamentalDomain
 from .search import SearchBox, w3_boxes, w4_boxes  # noqa: F401  (re-exported)
 
 
-class W3Entries(NamedTuple):
-    d: Fraction
-    e: Fraction
-    f: Fraction
-    g: Fraction
-    h: Fraction
-    i: Fraction
+class W3Entries(NamedTuple("W3Entries", [(name, Fraction) for name in "defghi"])):
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return tuple(self)
 
 
-class W4Entries(NamedTuple):
-    e: Fraction
-    f: Fraction
-    g: Fraction
-    h: Fraction
-    i: Fraction
-    j: Fraction
-    k: Fraction
-    l: Fraction
-    m: Fraction
-    n: Fraction
+class W4Entries(NamedTuple("W4Entries", [(name, Fraction) for name in "efghijklmn"])):
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return tuple(self)
@@ -59,43 +50,51 @@ def _check_diagonal(diag: Sequence[int], width: int) -> tuple[int, ...]:
     vals = tuple(diag)
     if len(vals) != width:
         raise ValueError(f"expected a diagonal of {width} values, got {len(vals)}")
+    if set(map(type, vals)) <= {int} and min(vals) >= 1:  # the usual case, checked in C
+        return vals
     if any(v < 1 or int(v) != v for v in vals):
         raise ValueError(f"diagonal values must be positive integers, got {vals}")
     return tuple(int(v) for v in vals)
 
 
-def w3_entries(diag: Sequence[int]) -> W3Entries:
-    """Solve the width-3 system for diagonal (a, b, c) >= 1 componentwise."""
+def _w3_parts(diag: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of each solved width-3 entry, in W3Entries order."""
     a, b, c = _check_diagonal(diag, 3)
     p3 = a * b + a * c + b * c + a + b + c + 1
-    return W3Entries(
-        d=Fraction(b + 1, a),
-        e=Fraction((c + 1) * (a + b + 1), a * b),
-        f=Fraction(p3, a * b * c),
-        g=Fraction(p3, b * (b + 1)),
-        h=Fraction((a + 1) * (b + c + 1), b * c),
-        i=Fraction(b + 1, c),
-    )
+    return ((b + 1, a),                                 # d
+            ((c + 1) * (a + b + 1), a * b),             # e
+            (p3, a * b * c),                            # f
+            (p3, b * (b + 1)),                          # g
+            ((a + 1) * (b + c + 1), b * c),             # h
+            (b + 1, c))                                 # i
 
 
-def w4_entries(diag: Sequence[int]) -> W4Entries:
-    """Solve the width-4 system for diagonal (a, b, c, d) >= 1 componentwise."""
+def _w4_parts(diag: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of each solved width-4 entry, in W4Entries order."""
     a, b, c, d = _check_diagonal(diag, 4)
     p3 = a * b + a * c + b * c + a + b + c + 1
     big = (d + 1) * p3 + a * b * c  # = sum of all squarefree monomials in a,b,c,d
     q = b * c + b * d + c * d + b + c + d + 1
-    return W4Entries(
-        e=Fraction(b + 1, a),
-        f=Fraction((c + 1) * (a + b + 1), a * b),
-        g=Fraction((d + 1) * p3, a * b * c),
-        h=Fraction(big, a * b * c * d),
-        i=Fraction(p3, b * (b + 1)),
-        j=Fraction((b + c + 1) * big, b * (b + 1) * c * (c + 1)),
-        k=Fraction((a + 1) * q, b * c * d),
-        l=Fraction(q, c * (c + 1)),
-        m=Fraction((b + 1) * (c + d + 1), c * d),
-        n=Fraction(c + 1, d),
-    )
+    return ((b + 1, a),                                 # e
+            ((c + 1) * (a + b + 1), a * b),             # f
+            ((d + 1) * p3, a * b * c),                  # g
+            (big, a * b * c * d),                       # h
+            (p3, b * (b + 1)),                          # i
+            ((b + c + 1) * big, b * (b + 1) * c * (c + 1)),  # j
+            ((a + 1) * q, b * c * d),                   # k
+            (q, c * (c + 1)),                           # l
+            ((b + 1) * (c + d + 1), c * d),             # m
+            (c + 1, d))                                 # n
+
+
+def w3_entries(diag: Sequence[int]) -> W3Entries:
+    """Solve the width-3 system for diagonal (a, b, c) >= 1 componentwise."""
+    return W3Entries._make(starmap(Fraction, _w3_parts(diag)))
+
+
+def w4_entries(diag: Sequence[int]) -> W4Entries:
+    """Solve the width-4 system for diagonal (a, b, c, d) >= 1 componentwise."""
+    return W4Entries._make(starmap(Fraction, _w4_parts(diag)))
 
 
 def w3_system_holds(diag: Sequence[int], ent: W3Entries) -> bool:
@@ -127,37 +126,13 @@ def w4_system_holds(diag: Sequence[int], ent: W4Entries) -> bool:
 
 
 def w3_inequalities(diag: Sequence[int]) -> tuple[bool, ...]:
-    """The six numerator >= denominator conditions for width 3, in order (i)..(vi)."""
-    a, b, c = _check_diagonal(diag, 3)
-    p3 = a * b + a * c + b * c + a + b + c + 1
-    return (
-        b + 1 >= a,
-        (c + 1) * (a + b + 1) >= a * b,
-        p3 >= a * b * c,
-        p3 >= b * (b + 1),
-        (a + 1) * (b + c + 1) >= b * c,
-        b + 1 >= c,
-    )
+    """Whether each solved width-3 entry d..i is >= 1, in order (i)..(vi)."""
+    return tuple(starmap(ge, _w3_parts(diag)))
 
 
 def w4_inequalities(diag: Sequence[int]) -> tuple[bool, ...]:
-    """The ten numerator >= denominator conditions for width 4, in order (i)..(x)."""
-    a, b, c, d = _check_diagonal(diag, 4)
-    p3 = a * b + a * c + b * c + a + b + c + 1
-    big = (d + 1) * p3 + a * b * c
-    q = b * c + b * d + c * d + b + c + d + 1
-    return (
-        b + 1 >= a,
-        (c + 1) * (a + b + 1) >= a * b,
-        (d + 1) * p3 >= a * b * c,
-        big >= a * b * c * d,
-        p3 >= b * (b + 1),
-        (b + c + 1) * big >= b * (b + 1) * c * (c + 1),
-        (a + 1) * q >= b * c * d,
-        q >= c * (c + 1),
-        (b + 1) * (c + d + 1) >= c * d,
-        c + 1 >= d,
-    )
+    """Whether each solved width-4 entry e..n is >= 1, in order (i)..(x)."""
+    return tuple(starmap(ge, _w4_parts(diag)))
 
 
 def w3_product_ratio_at_least_2(diag: Sequence[int]) -> bool:
@@ -183,22 +158,10 @@ def w4_bc_quadratic_nonpositive(x: int) -> bool:
 
 
 def w3_domain(diag: Sequence[int]) -> FundamentalDomain:
-    a, b, c = _check_diagonal(diag, 3)
-    ent = w3_entries(diag)
-    return FundamentalDomain(3, (
-        (Fraction(a), ent.d, ent.g, ent.i),
-        (Fraction(b), ent.e, ent.h),
-        (Fraction(c), ent.f),
-    ))
+    """The width-3 domain of a diagonal: its entry tuple read back."""
+    return FundamentalDomain.from_entry_tuple(3, (*_check_diagonal(diag, 3), *w3_entries(diag)))
 
 
 def w4_domain(diag: Sequence[int]) -> FundamentalDomain:
-    a, b, c, d = _check_diagonal(diag, 4)
-    ent = w4_entries(diag)
-    return FundamentalDomain(4, (
-        (Fraction(a), ent.e, ent.i, ent.l, ent.n),
-        (Fraction(b), ent.f, ent.j, ent.m),
-        (Fraction(c), ent.g, ent.k),
-        (Fraction(d), ent.h),
-    ))
-
+    """The width-4 domain of a diagonal: its entry tuple read back."""
+    return FundamentalDomain.from_entry_tuple(4, (*_check_diagonal(diag, 4), *w4_entries(diag)))

@@ -17,11 +17,12 @@ Entries are plain ints where a pattern is arithmetic and `fractions.Fraction`
 otherwise, and `fractions` is imported only when a value that is not an int
 turns up; every operation is exact and every value is immutable after
 construction, so everything here is safe to share across threads.  A pattern
-is validated once, when it is built.  Every check treats all columns alike
-and reads them mod the period: the shape, the constant boundary rows, the
-closure rows, each diamond, positivity and the glide.  So a rotation of a
-valid pattern is valid, and a cyclic shift of a built pattern is made by
-rotating its rows without checking them again.
+is validated once, when it is built: `check_rows` checks the shape, the
+boundary and closure rows and each diamond.  Positivity is checked by
+`coxeter.frieze_from_quiddity`, `is_arithmetic` and `verify`, the glide only
+by `verify`.  Each check reads all columns alike, mod the period, so a
+rotation of a valid pattern is valid, and a cyclic shift of a built pattern
+is made by rotating its rows without checking them again.
 """
 
 from __future__ import annotations

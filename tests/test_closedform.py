@@ -1,17 +1,24 @@
 """Closed-form entries, integrality inequalities and proven search boxes."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
+from yfrieze import FundamentalDomain
 from yfrieze.closedform import (w3_b_quadratic_nonpositive, w3_product_ratio_at_least_2,
                                 w3_system_holds, w4_bc_quadratic_nonpositive,
                                 w4_product_ratio_at_least_2, w4_system_holds)
 
 diag3 = st.tuples(*(st.integers(1, 3000) for _ in range(3)))
 diag4 = st.tuples(*(st.integers(1, 3000) for _ in range(4)))
+big_diag3 = st.tuples(*(st.integers(1, 10 ** 6) for _ in range(3)))
+big_diag4 = st.tuples(*(st.integers(1, 10 ** 6) for _ in range(4)))
+
+CLOSED_FORMS = {3: (yf.w3_entries, yf.w3_inequalities, yf.w3_domain),
+                4: (yf.w4_entries, yf.w4_inequalities, yf.w4_domain)}
 
 
 # ----------------------------------------------------------------- entries
@@ -95,6 +102,20 @@ def test_w4_inequalities_examples():
     assert yf.w4_inequalities((1, 1, 1, 3))[9] is False         # (x)
 
 
+@pytest.mark.parametrize("width, top", [(3, 25), (4, 13)])
+def test_inequalities_say_each_entry_is_at_least_1_on_the_grids(width, top):
+    entries, inequalities, _ = CLOSED_FORMS[width]
+    for diag in product(range(1, top + 1), repeat=width):
+        assert inequalities(diag) == tuple(v >= 1 for v in entries(diag))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(big_diag3, big_diag4))
+def test_inequalities_say_each_entry_is_at_least_1(diag):
+    entries, inequalities, _ = CLOSED_FORMS[len(diag)]
+    assert inequalities(diag) == tuple(v >= 1 for v in entries(diag))
+
+
 def test_every_solution_passes_its_inequalities(w3_solutions, w4_solutions):
     for diag in w3_solutions.diagonals:
         assert all(yf.w3_inequalities(diag))
@@ -161,3 +182,17 @@ def test_domain_builders():
     dom4 = yf.w4_domain((1, 1, 2, 3))
     assert tuple(int(v) for v in dom4.entry_tuple()) \
         == (1, 1, 2, 3, 2, 9, 20, 7, 5, 14, 6, 3, 2, 1)
+
+
+@pytest.mark.parametrize("width, top", [(3, 25), (4, 13)])
+def test_domains_are_the_entry_tuples_read_back_on_the_grids(width, top):
+    entries, _, domain = CLOSED_FORMS[width]
+    for diag in product(range(1, top + 1), repeat=width):
+        assert domain(diag) == FundamentalDomain.from_entry_tuple(width, (*diag, *entries(diag)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(big_diag3, big_diag4))
+def test_domains_are_the_entry_tuples_read_back(diag):
+    entries, _, domain = CLOSED_FORMS[len(diag)]
+    assert domain(diag) == FundamentalDomain.from_entry_tuple(len(diag), (*diag, *entries(diag)))

@@ -198,3 +198,46 @@ def test_correspondence_width_4():
 def test_correspondence_width_2():
     records = _records(2)
     assert [(r.frieze_orbit_size, r.y_orbit_size) for r in records] == [(5, 5)]
+
+
+# ------------------------------------------------- the map read off row 3
+
+def _rows_2_and_3(width):
+    """Each frieze's quiddity and row 3, read off its orbit root at its shift."""
+    friezes = yf.enumerate_frieze(width)
+    for i in range(len(friezes)):
+        k, s = friezes.locate(i)
+        rows = friezes.roots[k].rows
+        yield rows[2][s:] + rows[2][:s], rows[3][s:] + rows[3][:s]
+
+
+@pytest.mark.parametrize("width", range(2, 9))
+def test_row_3_is_the_quiddity_products_less_one(width):
+    period = width + 3
+    for q, r in _rows_2_and_3(width):
+        assert r == tuple(q[k] * q[(k + 1) % period] - 1 for k in range(period))
+
+
+@pytest.mark.parametrize("width, distinct", [(2, 5), (3, 10), (4, 42), (5, 120),
+                                             (6, 429), (7, 1370), (8, 4862)])
+def test_friezes_per_row_3(width, distinct):
+    # p_n is injective for even n: the odd period fixes q_0 from row 3
+    shared = Counter(Counter(r for _, r in _rows_2_and_3(width)).values())
+    assert sum(shared.values()) == distinct
+    assert set(shared) == ({1} if width % 2 == 0 else {1, 2})
+
+
+@pytest.mark.parametrize("width, box", [
+    (5, (11, 48, 64, 48, 11)),
+    (6, (15, 80, 168, 168, 80, 15)),
+    (7, (19, 125, 341, 441, 341, 125, 19)),
+])
+def test_the_image_box_holds_exactly_the_image(width, box, monkeypatch):
+    # results within a box: no proven box exists past width 4
+    rows3 = {r for _, r in _rows_2_and_3(width)}
+    diagonals = [yf.first_diagonal_of(yf.propagate_y(r, width)) for r in rows3]
+    assert tuple(map(max, zip(*diagonals))) == box
+    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
+    sols = yf.enumerate_generic(width, yf.SearchBox(box))
+    assert {p.rows[1] for p in sols.patterns} == rows3
+    assert len(sols) == len(rows3)
