@@ -5,7 +5,8 @@ diamond rule, zero boundary rows) of widths 3 and 4 by pruned exhaustive
 search, generates all Coxeter friezes of a width from polygon
 triangulations, and analyzes the transfer map between the two families.
 Public names resolve on first access (PEP 562): `import yfrieze` loads no
-submodule, so each command loads only the modules it uses.
+submodule, so each command loads only the modules it uses.  A resolved name
+is stored in the package namespace, so later reads skip the lookup.
 """
 
 import importlib
@@ -35,5 +36,7 @@ def __getattr__(name: str):
     if name in _EXPORTS:  # a submodule, as `yfrieze.search` read before its import
         return importlib.import_module(f".{name}", __name__)
     if name in _HOME:
-        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        module = importlib.import_module(f".{_HOME[name]}", __name__)
+        globals()[name] = value = getattr(module, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -183,29 +183,47 @@ def _entry_violation(i: int, kind: PatternKind, width: int, rows,
     return None
 
 
+def _is_rotation(columns: tuple, root: tuple) -> bool:
+    """True iff `columns` are the `root` columns rotated left to where
+    columns[0] first occurs in them.  When the root is a valid pattern's,
+    no later occurrence gives another rotation: by the diamond rule each of
+    its columns fixes the next one."""
+    for s, column in enumerate(root):
+        if column == columns[0]:
+            return root[s:] + root[:s] == columns
+    return False
+
+
 def _verify_all(entries) -> list[Optional[Violation]]:
-    """_verify_one of every (kind, width, rows, entry), run once per rotation
-    orbit, then _entry_violation of each passing catalog entry.
+    """_verify_one of every (kind, width, rows, entry), then _entry_violation
+    of each passing catalog entry, holding one table row per rotation orbit.
 
     Every check of _verify_one is rotation-invariant, so an entry whose rows
-    are a rotation of an entry that passed passes too.  `passed` maps each
-    rotation of a passing entry's columns to the first entry that passed; a
-    rotation of a tuple of shared column tuples is one slice.  Columns fix
-    the rows only when every row has one cell per column (zip truncates a
-    longer row), so only such entries are looked up.
+    are a rotation of an entry that passed passes too.  `roots` maps the
+    index of each entry that passed and names itself as its orbit_root to
+    its columns.  Another entry's orbit_root is only a hint.  The entry
+    passes if the hint is an int naming such a root, the entry has its
+    kind's number of rows, each with one cell per column (zip truncates a
+    longer row, so only then do the columns fix the rows), and _is_rotation
+    of its columns and the root's holds.  Equal columns then imply an equal
+    kind and width.  Every other entry gets the full check, so each verdict
+    is the one _verify_one gives.
     """
-    passed: dict[tuple, int] = {}
+    roots: dict[int, tuple] = {}
     violations = []
     for i, (kind, width, rows, entry) in enumerate(entries):
-        period = width + 3
-        columns = tuple(zip(*rows)) if all(len(row) == period for row in rows) else None
-        if columns in passed:
+        hint = entry.get("orbit_root") if entry is not None else None
+        if type(hint) is not int:  # only an int, not a bool, names an entry
+            hint = None
+        root = roots.get(hint)
+        if (root is not None and len(rows) == width + (2 if kind is PatternKind.Y else 4)
+                and all(len(row) == width + 3 for row in rows)
+                and _is_rotation(tuple(zip(*rows)), root)):
             violation = None
         else:
             violation = _verify_one(kind, width, rows)
-            if violation is None:  # a passing entry has one cell per column in every row
-                for s in range(period):
-                    passed.setdefault(columns[s:] + columns[:s], i)
+            if violation is None and hint == i:
+                roots[i] = tuple(zip(*rows))
         if violation is None and entry is not None:
             violation = _entry_violation(i, kind, width, rows, entry)
         violations.append(violation)
@@ -213,12 +231,19 @@ def _verify_all(entries) -> list[Optional[Violation]]:
 
 
 def cmd_verify(args) -> int:
+    """Verify every pattern of the file, then write the report one line per
+    pattern and a count; nothing is written before the whole file is read."""
     violations = _read(args.input, _verify_all)
     if not violations:
         raise _Failure(EXIT_VERIFY, f"{args.input} holds no patterns")
-    text = "".join(f"pattern {i}: {'ok' if v is None else v}\n" for i, v in enumerate(violations))
     ok = violations.count(None)
-    _emit(f"{text}{ok}/{len(violations)} patterns ok\n", None)
+
+    def report(fh: TextIO) -> None:
+        fh.writelines(f"pattern {i}: {'ok' if v is None else v}\n"
+                      for i, v in enumerate(violations))
+        fh.write(f"{ok}/{len(violations)} patterns ok\n")
+
+    _write(None, report)
     return EXIT_OK if ok == len(violations) else EXIT_VERIFY
 
 

@@ -469,14 +469,21 @@ def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Opti
     This is row reversal with the per-row stagger re-alignment (reversing
     row m moves its cells sideways by m half-cells); the residual uniform
     column shift s is the recorded glide offset.  Returns None when no s
-    in 0..period-1 works.
+    in 0..period-1 works.  Every row holds `period` cells, as a pattern's do.
+
+    Row R-m rotated left by j is joined from two slices of the row, so no
+    tuple longer than a row is built: CPython 3.11 keeps each freed tuple
+    of 20 items (a doubled row at width 7) on a free list that it never
+    allocates from, until a full collection clears it.
     """
     rows = [tuple(row) for row in rows]
-    doubled = [row + row for row in rows]
     top = len(rows) - 1
     for s in range(period):
-        if all(doubled[top - m][(m + s) % period:(m + s) % period + period] == row
-               for m, row in enumerate(rows)):
+        for m, row in enumerate(rows):
+            other, j = rows[top - m], (m + s) % period
+            if other[j:] + other[:j] != row:
+                break
+        else:
             return s
     return None
 

@@ -301,17 +301,48 @@ def test_verify_checks_each_orbit_once(coxeter3_catalog_file, capsys, monkeypatc
 
 
 def test_verify_reports_a_ragged_rotation_of_a_passing_entry_as_shape(coxeter3_catalog_file):
-    # The table of passing entries is keyed by columns, and zip drops the
-    # extra cell of a longer row: such an entry must still get every check.
+    # An entry that names a passing root is compared with it by columns, and
+    # zip drops the extra cell of a longer row: such an entry must still get
+    # every check.
     from yfrieze import cli, io
     raw = io.read_patterns(str(coxeter3_catalog_file), list)
-    kind, width, rows, _ = raw[0]
+    kind, width, rows, entry = raw[0]
+    assert entry["orbit_root"] == 0
     ragged = [row[2:] + row[:2] for row in rows]
     ragged[3] = ragged[3] + [1]
-    violations = cli._verify_all([*raw, (kind, width, ragged, None)])
+    violations = cli._verify_all([*raw, (kind, width, ragged, {"orbit_root": 0})])
     assert violations[:-1] == [None] * len(raw)
     assert violations[-1].check == "shape"
     assert violations[-1] == cli._verify_one(kind, width, ragged)
+
+
+def test_verify_checks_a_rotation_of_a_root_read_as_another_kind_in_full(
+        coxeter3_catalog_file):
+    # Equal columns fix the rows, but not the kind that they are read as.
+    from yfrieze import cli, io
+    raw = io.read_patterns(str(coxeter3_catalog_file), list)
+    kind, width, rows, entry = raw[0]
+    assert entry["orbit_root"] == 0
+    member = (yf.PatternKind.Y, width, [row[1:] + row[:1] for row in rows], {**entry, "id": 1})
+    violations = cli._verify_all([raw[0], member])
+    assert violations == [None, cli._verify_one(*member[:3])]
+    assert violations[1].check == "shape"
+
+
+def test_verify_names_a_changed_member_of_a_passing_root_with_its_own_violation(
+        coxeter3_catalog_file):
+    # The member still names its root, which passed, so the hint is taken;
+    # its columns are no rotation of the root's, so it gets the full check.
+    from yfrieze import cli, io
+    raw = io.read_patterns(str(coxeter3_catalog_file), list)
+    i, (kind, width, rows, entry) = next((i, e) for i, e in enumerate(raw)
+                                         if e[3]["orbit_root"] != i)
+    assert raw[entry["orbit_root"]][3]["orbit_root"] == entry["orbit_root"]
+    rows[3][1] += 1
+    violations = cli._verify_all(raw)
+    assert violations[i] == cli._verify_one(kind, width, rows)
+    assert violations[i].check == "diamond"
+    assert violations[:i] + violations[i + 1:] == [None] * (len(raw) - 1)
 
 
 def test_verify_rejects_malformed_file(tmp_path, capsys):
@@ -599,6 +630,28 @@ def test_verify_memory_does_not_grow_with_the_entry_count(tmp_path, capsys):
             tracemalloc.stop()
         capsys.readouterr()
         assert code == 0 and peak < 4 * 1024 * 1024, (argv, peak)
+
+
+def test_verify_memory_at_width_7_holds_one_table_row_per_orbit(tmp_path, capsys):
+    # 1,430 entries in 150 rotation orbits: verify holds each root's columns
+    # once, and no tuple that a free list strands.  A full collection first
+    # empties the free lists, so that the traced peak does not depend on
+    # the tests run before.
+    import gc
+    import tracemalloc
+    from yfrieze import io
+    path = tmp_path / "cox7.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        io.write_catalog_json(io.coxeter_catalog(7), fh)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.endswith("\n1430/1430 patterns ok\n")
+    assert code == 0 and peak < 0.6 * 1024 * 1024, peak
 
 
 # --------------------------------------------------------------------- map
@@ -1057,6 +1110,32 @@ def test_every_public_name_resolves_on_first_access():
         yf.no_such_name
     with pytest.raises(ImportError):
         exec("from yfrieze import no_such_name", {})
+
+
+def test_a_resolved_public_name_is_stored_in_the_package(monkeypatch):
+    import importlib
+    monkeypatch.delitem(vars(yf), "w4_inequalities", raising=False)
+    calls = []
+    import_module = importlib.import_module
+
+    def counting_import_module(*args, **kwargs):
+        calls.append(args)
+        return import_module(*args, **kwargs)
+
+    monkeypatch.setattr(importlib, "import_module", counting_import_module)
+    first = yf.w4_inequalities
+    assert vars(yf)["w4_inequalities"] is first
+    assert len(calls) == 1
+    assert yf.w4_inequalities is first
+    assert len(calls) == 1
+
+
+def test_package_import_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
+    code = "import sys, yfrieze\nprint(sorted(m for m in sys.modules if 'yfrieze' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "['yfrieze']\n"
 
 
 # ----------------------------------------------------------------- README

@@ -288,6 +288,33 @@ def test_row_kernels_match_cell_oracles(y4_patterns):
                         == oracle_glide_shift(rows, p.period))
 
 
+def test_glide_shift_matches_the_cell_oracle_on_every_frieze_and_y_pattern():
+    patterns = [p for width in range(1, 9) for p in yf.enumerate_frieze(width)]
+    patterns += [p for width in range(1, 5) for p in yf.y_solutions(width).patterns]
+    for p in patterns:
+        s = yf.glide_shift_of_rows(p.rows, p.period)
+        assert s is not None and s == oracle_glide_shift(p.rows, p.period)
+
+
+def test_glide_shift_holds_no_memory_after_it_returns():
+    # CPython 3.11 keeps each freed 20-item tuple on a free list that it
+    # never allocates from; a full collection empties it.  Width 7 has
+    # period 10, so a doubled row was such a tuple.
+    import gc
+    import tracemalloc
+    roots = yf.enumerate_frieze(7).roots
+    assert len(roots) == 150
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for p in roots:
+            yf.glide_shift_of_rows(p.rows, p.period)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 50 * 1024, held
+
+
 def oracle_check_rows(kind, width, rows):
     """check_rows as it was before it compared the flattened grid: boundary
     and closure rows cell by cell, diamonds one row at a time.  The

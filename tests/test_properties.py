@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import yfrieze as yf
 from yfrieze import io
-from yfrieze.cli import _verify_all, _verify_one, main
+from yfrieze.cli import _entry_violation, _verify_all, _verify_one, main
 
 # Real patterns to mutate, so that valid and nearly valid files are drawn too.
 BASES = [(p.kind.value, p.width, io.pattern_to_obj(p)["rows"])
@@ -162,10 +162,71 @@ def edited_entry_lists(draw):
 @settings(max_examples=150, deadline=None)
 @given(raw=edited_entry_lists())
 def test_verify_checks_once_per_orbit_with_the_per_entry_verdicts(raw):
-    # verify skips the checks on a rotation of an entry that passed; its
-    # report must be the one the full check of every entry gives.
-    # (an entry object of None leaves out the id and key checks)
+    # verify's report must be the one the full check of every entry gives.
+    # (an entry object of None names no orbit root, so every entry gets the
+    # full check, and it leaves out the id and key checks)
     assert _verify_all([(*entry, None) for entry in raw]) == [_verify_one(*entry) for entry in raw]
+
+
+# The width-4 catalogs' entries, one list per kind, with their entry objects.
+W4_ENTRIES = [[(catalog.kind, catalog.width, entry["rows"], entry)
+               for entry in io.catalog_to_obj(catalog)["patterns"]]
+              for catalog in (io.coxeter_catalog(4), io.y_catalog(4))]
+HINTS = ["correct", "own index", "other root", "later", -1, 10 ** 30, True, "0", [0], "missing"]
+
+
+@st.composite
+def hinted_entry_lists(draw):
+    """A width-4 catalog's entries, some with a cell changed, rotated in
+    place, or dropped, or a rotated copy appended, and each entry's
+    orbit_root, as written about half the time, else drawn from HINTS: the
+    entry's own index, another orbit's root, a later index, or a value that
+    names no entry."""
+    entries = copy.deepcopy(draw(st.sampled_from(W4_ENTRIES)))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(entries) - 1))
+        kind, width, rows, entry = entries[i]
+        action = draw(st.sampled_from(["cell", "rotate", "drop", "rotated copy"]))
+        if action == "drop" and len(entries) > 1:
+            entries.pop(i)
+        elif action == "cell":
+            m = draw(st.integers(0, len(rows) - 1))
+            rows[m][draw(st.integers(0, width + 2))] += draw(st.sampled_from([-1, 1]))
+        elif action in ("rotate", "rotated copy"):
+            s = draw(st.integers(1, width + 2))
+            rotated = [row[s:] + row[:s] for row in rows]
+            if action == "rotate":
+                entries[i] = (kind, width, rotated, entry)
+            else:
+                entries.append((kind, width, rotated, {**entry, "id": len(entries)}))
+    roots = sorted({entry["orbit_root"] for *_, entry in entries})
+    for i, (*_, entry) in enumerate(entries):
+        hint = draw(st.one_of(st.just("correct"), st.sampled_from(HINTS)))
+        if hint == "own index":
+            entry["orbit_root"] = i
+        elif hint == "other root":
+            entry["orbit_root"] = draw(st.sampled_from(roots))
+        elif hint == "later":
+            entry["orbit_root"] = draw(st.integers(i + 1, len(entries)))
+        elif hint == "missing":
+            del entry["orbit_root"]
+        elif hint != "correct":
+            entry["orbit_root"] = hint
+    return entries
+
+
+def _full_check(i, kind, width, rows, entry):
+    violation = _verify_one(kind, width, rows)
+    return violation if violation is not None else _entry_violation(i, kind, width, rows, entry)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=hinted_entry_lists())
+def test_verify_takes_orbit_root_as_a_hint_only(entries):
+    # verify skips the checks on an entry whose orbit_root names a passing
+    # root that it is a rotation of; whatever the hint, the verdicts must be
+    # the full checks'.
+    assert _verify_all(entries) == [_full_check(i, *entry) for i, entry in enumerate(entries)]
 
 
 # Small widths and bounds keep every draw under about a second and every
