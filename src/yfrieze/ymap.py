@@ -1,28 +1,27 @@
 """The row-transfer map from Coxeter friezes to Y patterns, with fiber and
 orbit bookkeeping.
 
-The map sends a width-n frieze (n >= 2) to the Y pattern whose first row,
-which fixes it, is the frieze's second interior row.  It commutes with
-cyclic column shifts, so it descends to the rotation orbits core.OrbitPatterns
-holds (an orbit's size is its patterns' intrinsic period).  The fiber report
-records how far the map is from being a bijection at each width.
+The map sends a width-n frieze f (n >= 2) to the Y pattern whose row m is
+f[m+1][k]*f[m+1][k+1] - 1, the product rule; its first row, which fixes it,
+comes from the frieze's second interior row.  README proves that an arithmetic
+frieze has an arithmetic image.  The map commutes with cyclic column shifts,
+so it descends to the rotation orbits core.OrbitPatterns holds (an orbit's
+size is its patterns' intrinsic period).  The fiber report records how far
+the map is from being a bijection at each width.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .core import (ClosureFailure, FriezeError, NotShiftClosed, PatternKind,
-                   PeriodicPattern, is_arithmetic, propagate_y, rotation_orbits)
+from .core import (FriezeError, NotShiftClosed, PatternKind, PeriodicPattern, is_arithmetic,
+                   rotation_orbits)
 from .io import Catalog
 
 
 class MapFailure(FriezeError):
-    """The image of a valid frieze failed to close or to be arithmetic.
-
-    Cannot happen for genuine closed arithmetic friezes; raising it
-    signals a corrupted input or an implementation bug.
-    """
+    """A frieze's image is not arithmetic (so neither is the frieze), or is
+    missing from a Y enumeration."""
 
 
 class CorrespondenceRecord(NamedTuple):
@@ -48,17 +47,16 @@ class FiberReport(NamedTuple):
 
 def apply_p(frieze: PeriodicPattern) -> PeriodicPattern:
     """Map a width >= 2 Coxeter frieze to the Y pattern seeded by its second
-    interior row."""
+    interior row: frieze rows 1..n+2 times their left rotations, less 1, are
+    its rows 0..n+1.  Raises MapFailure if the image is not arithmetic."""
     if frieze.kind is not PatternKind.COXETER:
         raise ValueError("apply_p takes a Coxeter-kind pattern")
     if frieze.width < 2:
         raise ValueError("the transfer map needs a second interior row; "
                          "width-1 friezes are outside its domain")
-    second = frieze.rows[3]
-    try:
-        image = propagate_y(second, frieze.width)
-    except ClosureFailure as exc:
-        raise MapFailure(f"image of frieze did not close: {exc}") from exc
+    image = PeriodicPattern(PatternKind.Y, frieze.width,
+                            (tuple(a * b - 1 for a, b in zip(row, row[1:] + row[:1]))
+                             for row in frieze.rows[1:-1]))
     if not is_arithmetic(image):
         raise MapFailure("image of frieze is not arithmetic")
     return image
@@ -77,7 +75,7 @@ def fiber_analysis(width: int, friezes: Sequence[PeriodicPattern],
     A frieze's row 3 is its image's first row, which fixes a Y pattern, so
     the image is looked up by that row.  The image depends only on row 3 and
     rotates with it, so apply_p runs once per rotation orbit of row 3, to
-    check that the image closes and is arithmetic.  `ypatterns` must hold
+    check the image's diamonds and that it is arithmetic.  `ypatterns` must hold
     every width-n Y pattern the friezes map to; MapFailure is raised otherwise.
     """
     index = {p.rows[1]: i for i, p in enumerate(ypatterns)}

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
 from yfrieze import io, ymap
@@ -211,11 +212,69 @@ def _rows_2_and_3(width):
         yield rows[2][s:] + rows[2][:s], rows[3][s:] + rows[3][:s]
 
 
+def push_forward(frieze):
+    """The image as propagate_y builds it from row 3, the oracle for apply_p."""
+    image = yf.propagate_y(frieze.rows[3], frieze.width)
+    if not yf.is_arithmetic(image):
+        raise yf.MapFailure("image of frieze is not arithmetic")
+    return image
+
+
+def diamond_form(frieze):
+    """Rows 1..n of the image as y[m][k] = f[m][k+1]*f[m+2][k], the product
+    rule f[m+1][k]*f[m+1][k+1] - 1 rewritten by the frieze's diamond."""
+    f, period = frieze.rows, frieze.period
+    return tuple(tuple(f[m][(k + 1) % period] * f[m + 2][k] for k in range(period))
+                 for m in range(1, frieze.width + 1))
+
+
 @pytest.mark.parametrize("width", range(2, 9))
 def test_row_3_is_the_quiddity_products_less_one(width):
+    # row 3 is the image's row 1, the case m = 1 of the product rule; every
+    # image row is checked, and the image against the push-forward of row 3
     period = width + 3
     for q, r in _rows_2_and_3(width):
         assert r == tuple(q[k] * q[(k + 1) % period] - 1 for k in range(period))
+    for frieze in yf.enumerate_frieze(width):
+        image = push_forward(frieze)
+        assert yf.apply_p(frieze) == image
+        assert image.interior() == diamond_form(frieze)
+        assert all(row[k] * row[(k + 1) % period] - 1 == image.rows[m][k]
+                   for m, row in enumerate(frieze.rows[1:-1]) for k in range(period))
+
+
+@st.composite
+def rational_friezes(draw):
+    """A closed frieze of width 2..7 with positive rational entries.
+
+    Its first interior diagonal (storage column 0, rows 2..n+1) is drawn at
+    random; each next column is filled top-down by the unimodular rule
+    E = (1 + N*S)/W, and row 2 of the filled columns is the quiddity.
+    """
+    width = draw(st.integers(2, 7))
+    entries = st.builds(F, st.integers(1, 9), st.sampled_from([1, 1, 2, 3, 4]))
+    column = [1, *draw(st.lists(entries, min_size=width, max_size=width)), 1]
+    quiddity = [column[1]]
+    for _ in range(width + 2):
+        east = [1]
+        for m in range(1, width + 1):
+            east.append((1 + east[m - 1] * column[m + 1]) / column[m])
+        column = east + [1]
+        quiddity.append(column[1])
+    return yf.frieze_from_quiddity(quiddity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frieze=rational_friezes())
+def test_apply_p_agrees_with_the_push_forward_on_rational_friezes(frieze):
+    assert yf.propagate_y(frieze.rows[3], frieze.width).interior() == diamond_form(frieze)
+    try:
+        image = yf.apply_p(frieze)
+    except yf.MapFailure:
+        with pytest.raises(yf.MapFailure):
+            push_forward(frieze)
+    else:
+        assert image == push_forward(frieze)
 
 
 @pytest.mark.parametrize("width, distinct", [(2, 5), (3, 10), (4, 42), (5, 120),
@@ -235,7 +294,7 @@ def test_friezes_per_row_3(width, distinct):
 def test_the_image_box_holds_exactly_the_image(width, box, monkeypatch):
     # results within a box: no proven box exists past width 4
     rows3 = {r for _, r in _rows_2_and_3(width)}
-    diagonals = [yf.first_diagonal_of(yf.propagate_y(r, width)) for r in rows3]
+    diagonals = [yf.first_diagonal_of(yf.apply_p(f)) for f in yf.enumerate_frieze(width)]
     assert tuple(map(max, zip(*diagonals))) == box
     monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
     sols = yf.enumerate_generic(width, yf.SearchBox(box))
