@@ -14,12 +14,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "closedform": "W3Entries W4Entries w3_domain w3_entries w3_inequalities "
-                  "w4_domain w4_entries w4_inequalities",
-    "core": "ClosureFailure FriezeError FundamentalDomain InconsistentDomain PatternKind "
-            "PeriodicPattern Violation check_rows coxeter_east cyclic_shift domain_of "
-            "expand_domain first_diagonal_of glide_shift glide_shift_of_rows intrinsic_period "
-            "is_arithmetic propagate_y y_south",
+    "closedform": "W3Entries W4Entries w3_entries w3_inequalities w4_entries w4_inequalities",
+    "core": "ClosureFailure FriezeError InconsistentDomain PatternKind PeriodicPattern Violation "
+            "check_rows cyclic_shift glide_shift glide_shift_of_rows intrinsic_period "
+            "is_arithmetic propagate_y",
     "coxeter": "NonPositive NotClosed Triangulation all_triangulations enumerate_frieze "
                "frieze_from_quiddity quiddity_of",
     "search": "BoxTooLarge SearchBox SolutionSet enumerate_generic enumerate_w3 enumerate_w4 "

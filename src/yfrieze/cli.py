@@ -10,7 +10,6 @@ FRIEZE_MAX_CANDIDATES environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from io import FileIO
@@ -270,6 +269,7 @@ def cmd_map(args) -> int:
     records = ymap.correspondence_table(friezes, ypatterns, report)
     verdict = _verdict(report)
     if args.format == "json":
+        import json
         text = json.dumps({
             "width": args.width,
             "records": [{"frieze_id": r.frieze_id, "yfrieze_id": r.yfrieze_id,
@@ -300,6 +300,7 @@ def cmd_orbits(args) -> int:
     catalog = _catalog(args.kind, args.width, args.bounds, output=args.output)
     orbits = catalog.entries.patterns.orbits
     if args.format == "json":
+        import json
         text = json.dumps({
             "kind": catalog.kind.value,
             "width": args.width,

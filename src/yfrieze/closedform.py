@@ -13,33 +13,34 @@ dg = 1+e, eh = (1+g)(1+f), gi = 1+h, solved below in closed form.  Width 4
 with diagonal (a, b, c, d) is analogous with entries e..n.
 
 Each solved entry is written once, as an int (numerator, denominator) pair
-in `_w3_parts`/`_w4_parts`.  The entries are those pairs as Fractions; each
-integrality inequality says that one entry is >= 1 (numerator >=
-denominator, compared as ints, never as floats); each domain is the entry
-tuple read back.  The finite search boxes the inequalities imply (SearchBox,
+in `_w3_parts`/`_w4_parts`.  The entries are those pairs as Fractions, and
+only building them imports `fractions`; each integrality inequality says
+that one entry is >= 1 (numerator >= denominator, compared as ints, never
+as floats).  The finite search boxes the inequalities imply (SearchBox,
 w3_boxes, w4_boxes) live in `search`, which does not load this module, and
 are re-exported here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import starmap
 from operator import ge
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .core import FundamentalDomain
 from .search import SearchBox, w3_boxes, w4_boxes  # noqa: F401  (re-exported)
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-class W3Entries(NamedTuple("W3Entries", [(name, Fraction) for name in "defghi"])):
+
+class W3Entries(NamedTuple("W3Entries", [(name, "Fraction") for name in "defghi"])):
     __slots__ = ()
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return tuple(self)
 
 
-class W4Entries(NamedTuple("W4Entries", [(name, Fraction) for name in "efghijklmn"])):
+class W4Entries(NamedTuple("W4Entries", [(name, "Fraction") for name in "efghijklmn"])):
     __slots__ = ()
 
     def as_tuple(self) -> tuple[Fraction, ...]:
@@ -89,40 +90,14 @@ def _w4_parts(diag: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def w3_entries(diag: Sequence[int]) -> W3Entries:
     """Solve the width-3 system for diagonal (a, b, c) >= 1 componentwise."""
+    from fractions import Fraction
     return W3Entries._make(starmap(Fraction, _w3_parts(diag)))
 
 
 def w4_entries(diag: Sequence[int]) -> W4Entries:
     """Solve the width-4 system for diagonal (a, b, c, d) >= 1 componentwise."""
+    from fractions import Fraction
     return W4Entries._make(starmap(Fraction, _w4_parts(diag)))
-
-
-def w3_system_holds(diag: Sequence[int], ent: W3Entries) -> bool:
-    """Exact check of the six defining relations for width 3."""
-    a, b, c = (Fraction(v) for v in diag)
-    d, e, f, g, h, i = ent.as_tuple()
-    return (a * d == 1 + b
-            and b * e == (1 + d) * (1 + c)
-            and c * f == 1 + e
-            and d * g == 1 + e
-            and e * h == (1 + g) * (1 + f)
-            and g * i == 1 + h)
-
-
-def w4_system_holds(diag: Sequence[int], ent: W4Entries) -> bool:
-    """Exact check of the ten defining relations for width 4."""
-    a, b, c, d = (Fraction(v) for v in diag)
-    e, f, g, h, i, j, k, l, m, n = ent.as_tuple()
-    return (a * e == 1 + b
-            and b * f == (1 + e) * (1 + c)
-            and c * g == (1 + f) * (1 + d)
-            and d * h == 1 + g
-            and e * i == 1 + f
-            and f * j == (1 + i) * (1 + g)
-            and g * k == (1 + j) * (1 + h)
-            and i * l == 1 + j
-            and j * m == (1 + l) * (1 + k)
-            and l * n == 1 + m)
 
 
 def w3_inequalities(diag: Sequence[int]) -> tuple[bool, ...]:
@@ -133,35 +108,3 @@ def w3_inequalities(diag: Sequence[int]) -> tuple[bool, ...]:
 def w4_inequalities(diag: Sequence[int]) -> tuple[bool, ...]:
     """Whether each solved width-4 entry e..n is >= 1, in order (i)..(x)."""
     return tuple(starmap(ge, _w4_parts(diag)))
-
-
-def w3_product_ratio_at_least_2(diag: Sequence[int]) -> bool:
-    """(a+1)(b+1)(c+1) >= 2abc; equivalent form of width-3 inequality (iii)."""
-    a, b, c = _check_diagonal(diag, 3)
-    return (a + 1) * (b + 1) * (c + 1) >= 2 * a * b * c
-
-
-def w4_product_ratio_at_least_2(diag: Sequence[int]) -> bool:
-    """(a+1)(b+1)(c+1)(d+1) >= 2abcd; equivalent form of width-4 inequality (iv)."""
-    a, b, c, d = _check_diagonal(diag, 4)
-    return (a + 1) * (b + 1) * (c + 1) * (d + 1) >= 2 * a * b * c * d
-
-
-def w3_b_quadratic_nonpositive(b: int) -> bool:
-    """b^2 - 15b - 60 <= 0: the step bounding b <= 18 once a <= 4, c <= 11."""
-    return b * b - 15 * b - 60 <= 0
-
-
-def w4_bc_quadratic_nonpositive(x: int) -> bool:
-    """x^2 - 143x - 4326 <= 0: bounds b or c by 168 once d <= 41 and the other <= 102."""
-    return x * x - 143 * x - 4326 <= 0
-
-
-def w3_domain(diag: Sequence[int]) -> FundamentalDomain:
-    """The width-3 domain of a diagonal: its entry tuple read back."""
-    return FundamentalDomain.from_entry_tuple(3, (*_check_diagonal(diag, 3), *w3_entries(diag)))
-
-
-def w4_domain(diag: Sequence[int]) -> FundamentalDomain:
-    """The width-4 domain of a diagonal: its entry tuple read back."""
-    return FundamentalDomain.from_entry_tuple(4, (*_check_diagonal(diag, 4), *w4_entries(diag)))

@@ -231,24 +231,9 @@ class PeriodicPattern(NamedTuple("PeriodicPattern", [
         return self.rows[2:self.width + 2]
 
 
-def y_south(w, e, n_val) -> "int | Fraction":
-    """Solve the Y rule for the bottom cell: S = W*E/(1+N) - 1.
-
-    Raises ZeroDivisionError when 1 + N == 0.
-    """
-    return _div(_frac(w) * _frac(e), 1 + _frac(n_val)) - 1
-
-
-def coxeter_east(w, n_val, s) -> "int | Fraction":
-    """Solve the unimodular rule for the right cell: E = (1 + N*S)/W.
-
-    Raises ZeroDivisionError when W == 0.
-    """
-    return _div(1 + _frac(n_val) * _frac(s), _frac(w))
-
-
 def propagate_y(first_row: Sequence, width: int) -> PeriodicPattern:
-    """Build a closed Y pattern from its first row by repeated y_south.
+    """Build a closed Y pattern from its first row by the Y rule solved for S,
+    S = W*E/(1+N) - 1.
 
     Rows 2..width+1 are filled row-major; the pattern closes iff the last
     row computes to identically zero.  Raises ClosureFailure at the first
@@ -283,48 +268,6 @@ def propagate_y(first_row: Sequence, width: int) -> PeriodicPattern:
     return PeriodicPattern(PatternKind.Y, n, tuple(rows))
 
 
-class FundamentalDomain(NamedTuple("FundamentalDomain", [
-        ("width", int), ("rows", "tuple[tuple[Fraction, ...], ...]")])):
-    """One glide-symmetry domain: triangular array with n(n+3)/2 entries.
-
-    Row m (1-based, m = 1..width) holds width + 2 - m entries; these are
-    the leading entries of the pattern's interior row m.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
-
-    def __new__(cls, width: int, rows: Iterable[Sequence]):
-        rows = _frac_rows(rows)
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        if len(rows) != width:
-            raise ValueError(f"expected {width} domain rows, got {len(rows)}")
-        for m, row in enumerate(rows, start=1):
-            if len(row) != width + 2 - m:
-                raise ValueError(f"domain row {m} must have {width + 2 - m} "
-                                 f"entries, got {len(row)}")
-        return tuple.__new__(cls, (width, rows))
-
-    def first_diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(row[0] for row in self.rows)
-
-    def entry_tuple(self) -> tuple[Fraction, ...]:
-        """Entries flattened diagonal-major: column 0 top-down, column 1, ..."""
-        # domain row m holds the leading entries of pattern row m; row 0 is never read
-        return key_of_rows(PatternKind.Y, self.width, ((),) + self.rows)
-
-    @classmethod
-    def from_entry_tuple(cls, width: int, values: Sequence) -> "FundamentalDomain":
-        vals = list(values)
-        if len(vals) != width * (width + 3) // 2:
-            raise ValueError(f"expected {width * (width + 3) // 2} entries for "
-                             f"width {width}, got {len(vals)}")
-        # the row of each entry; the entries of one row come in column order
-        row = key_of_rows(PatternKind.Y, width, [[m] * (width + 3) for m in range(width + 1)])
-        return cls(width, [[v for m, v in zip(row, vals) if m == r] for r in range(1, width + 1)])
-
-
 def key_of_rows(kind: PatternKind, width: int, rows: Sequence[Sequence], shift: int = 0) -> tuple:
     """A catalog entry's key, read off a pattern's rows rotated left by shift: a Coxeter
     frieze's row 2, or a Y pattern's rows 1..width read diagonal-major (column 0 top-down, ...)."""
@@ -333,31 +276,6 @@ def key_of_rows(kind: PatternKind, width: int, rows: Sequence[Sequence], shift: 
         return tuple(rows[2][shift % period:]) + tuple(rows[2][:shift % period])
     return tuple(rows[m][(j + shift) % period]
                  for j in range(width + 1) for m in range(1, min(width, width + 1 - j) + 1))
-
-
-def expand_domain(dom: FundamentalDomain) -> PeriodicPattern:
-    """Unfold a fundamental domain to a full Y pattern over one period.
-
-    Interior row m over the period is D_m followed by D_{n+1-m}, between
-    two zero rows.  Raises InconsistentDomain when the unfolded grid
-    violates a diamond relation.
-    """
-    n = dom.width
-    interior = [dom.rows[m - 1] + dom.rows[n - m] for m in range(1, n + 1)]
-    zeros = (0,) * (n + 3)
-    return PeriodicPattern(PatternKind.Y, n, (zeros, *interior, zeros))
-
-
-def domain_of(pattern: PeriodicPattern) -> FundamentalDomain:
-    """Read one fundamental domain back off a pattern (inverse of expand)."""
-    n = pattern.width
-    rows = tuple(row[:n + 2 - m] for m, row in enumerate(pattern.interior(), start=1))
-    return FundamentalDomain(n, rows)
-
-
-def first_diagonal_of(pattern: PeriodicPattern) -> tuple[Fraction, ...]:
-    """Column 0 of the interior rows, read top-down."""
-    return tuple(row[0] for row in pattern.interior())
 
 
 def is_arithmetic(pattern: PeriodicPattern) -> bool:

@@ -26,13 +26,15 @@ errors read as json.load's.  Both paths share the head and entry checks of
 raw_patterns_from_obj; catalog_from_obj adds the catalog-only ones.  These
 raise ValueError naming the field at fault.
 
+Only the JSON readers and writers import json, so CSV and table output
+load none.
+
 CSV catalogs carry only the identifying tuples (full entry tuple for Y,
 quiddity for Coxeter), one column per letter, in the same order as JSON.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Sequence
 from itertools import chain
@@ -259,6 +261,7 @@ class _CellJson(dict):
     Fraction that are equal render the same."""
 
     def __missing__(self, value) -> str:
+        import json
         self[value] = text = json.dumps(_value_to_json(value))
         return text
 
@@ -278,6 +281,7 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     head, each entry, then the tail.  An entry is written from a fixed
     template, its key and counts as the ints a built catalog holds (with an
     indent, json.dumps runs its pure-Python encoder, several times slower)."""
+    import json
     head = json.dumps({"schema": CATALOG_SCHEMA, "kind": catalog.kind.value,
                        "width": catalog.width, "parameters": catalog.parameters},
                       indent=2)
@@ -312,6 +316,7 @@ def catalog_to_json(catalog: Catalog) -> str:
 
 
 def catalog_from_json(text: str) -> Catalog:
+    import json
     return catalog_from_obj(json.loads(text))
 
 
@@ -364,13 +369,19 @@ def _streamed(fh: TextIO) -> Iterator[tuple]:
     the file is a catalog object with distinct keys whose schema, kind and
     width precede patterns.
     """
+    import json
     buf, pos, eof = "", 0, False
     decode = json.JSONDecoder().raw_decode
 
     def more(size: int) -> None:
+        """Append a read of size characters to the unread rest of the buffer.
+        The consumed buffer is dropped before the read, and a new chunk after
+        nothing unread is taken as it is, so at most the rest, the chunk and
+        their join are held at once."""
         nonlocal buf, pos, eof
+        rest, buf = buf[pos:], ""
         text = fh.read(size)
-        buf, pos, eof = buf[pos:] + text, 0, not text
+        buf, pos, eof = rest + text if rest else text, 0, not text
 
     def peek() -> str:
         """The next character that is not whitespace, "" at the end of the file."""
@@ -441,6 +452,7 @@ def read_patterns(path: str, consume: Callable[[Iterator[tuple]], object]):
         try:
             return consume(_streamed(fh))
         except _Unstreamable:
+            import json
             fh.seek(0)
             return consume(_entries_of_obj(json.load(fh)))
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .core import (FriezeError, NotShiftClosed, PatternKind, PeriodicPattern, is_arithmetic,
-                   rotation_orbits)
+from .core import (FriezeError, InconsistentDomain, NotShiftClosed, PatternKind,
+                   PeriodicPattern, is_arithmetic, rotation_orbits)
 from .io import Catalog
 
 
 class MapFailure(FriezeError):
-    """A frieze's image is not arithmetic (so neither is the frieze), or is
-    missing from a Y enumeration."""
+    """A frieze's image is not an arithmetic Y pattern (so the frieze is not
+    arithmetic), or is missing from a Y enumeration."""
 
 
 class CorrespondenceRecord(NamedTuple):
@@ -48,15 +48,19 @@ class FiberReport(NamedTuple):
 def apply_p(frieze: PeriodicPattern) -> PeriodicPattern:
     """Map a width >= 2 Coxeter frieze to the Y pattern seeded by its second
     interior row: frieze rows 1..n+2 times their left rotations, less 1, are
-    its rows 0..n+1.  Raises MapFailure if the image is not arithmetic."""
+    its rows 0..n+1.  Raises MapFailure if the image is not an arithmetic
+    Y pattern."""
     if frieze.kind is not PatternKind.COXETER:
         raise ValueError("apply_p takes a Coxeter-kind pattern")
     if frieze.width < 2:
         raise ValueError("the transfer map needs a second interior row; "
                          "width-1 friezes are outside its domain")
-    image = PeriodicPattern(PatternKind.Y, frieze.width,
-                            (tuple(a * b - 1 for a, b in zip(row, row[1:] + row[:1]))
-                             for row in frieze.rows[1:-1]))
+    try:
+        image = PeriodicPattern(PatternKind.Y, frieze.width,
+                                (tuple(a * b - 1 for a, b in zip(row, row[1:] + row[:1]))
+                                 for row in frieze.rows[1:-1]))
+    except InconsistentDomain as exc:  # as from a frieze with an entry <= 0
+        raise MapFailure(f"image of frieze is not a Y pattern: {exc}") from None
     if not is_arithmetic(image):
         raise MapFailure("image of frieze is not arithmetic")
     return image

@@ -1,0 +1,166 @@
+"""Oracles the tests check the library against, and the width-3/4 proof layer.
+
+No command runs these; each is a second, independent statement of what a
+`yfrieze` function computes:
+
+  * y_south, coxeter_east   the diamond rules solved for one cell, cell by cell;
+  * FundamentalDomain       one glide domain of a Y pattern, with
+                            expand_domain, domain_of and first_diagonal_of;
+  * w3/w4_system_holds      the defining diamond systems, checked exactly;
+  * the product-ratio and quadratic steps of the proof of the search boxes;
+  * w3_domain, w4_domain    a closed-form domain, its entry tuple read back.
+
+Tests import them as `from oracles import ...` (pyproject puts tests/ on
+the path).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
+
+from yfrieze.closedform import W3Entries, W4Entries, _check_diagonal, w3_entries, w4_entries
+from yfrieze.core import PatternKind, PeriodicPattern, _div, _frac, _frac_rows, key_of_rows
+
+
+def y_south(w, e, n_val) -> "int | Fraction":
+    """Solve the Y rule for the bottom cell: S = W*E/(1+N) - 1.
+
+    Raises ZeroDivisionError when 1 + N == 0.
+    """
+    return _div(_frac(w) * _frac(e), 1 + _frac(n_val)) - 1
+
+
+def coxeter_east(w, n_val, s) -> "int | Fraction":
+    """Solve the unimodular rule for the right cell: E = (1 + N*S)/W.
+
+    Raises ZeroDivisionError when W == 0.
+    """
+    return _div(1 + _frac(n_val) * _frac(s), _frac(w))
+
+
+class FundamentalDomain(NamedTuple("FundamentalDomain", [
+        ("width", int), ("rows", "tuple[tuple[Fraction, ...], ...]")])):
+    """One glide-symmetry domain: triangular array with n(n+3)/2 entries.
+
+    Row m (1-based, m = 1..width) holds width + 2 - m entries; these are
+    the leading entries of the pattern's interior row m.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
+
+    def __new__(cls, width: int, rows: Iterable[Sequence]):
+        rows = _frac_rows(rows)
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        if len(rows) != width:
+            raise ValueError(f"expected {width} domain rows, got {len(rows)}")
+        for m, row in enumerate(rows, start=1):
+            if len(row) != width + 2 - m:
+                raise ValueError(f"domain row {m} must have {width + 2 - m} "
+                                 f"entries, got {len(row)}")
+        return tuple.__new__(cls, (width, rows))
+
+    def first_diagonal(self) -> tuple[Fraction, ...]:
+        return tuple(row[0] for row in self.rows)
+
+    def entry_tuple(self) -> tuple[Fraction, ...]:
+        """Entries flattened diagonal-major: column 0 top-down, column 1, ..."""
+        # domain row m holds the leading entries of pattern row m; row 0 is never read
+        return key_of_rows(PatternKind.Y, self.width, ((),) + self.rows)
+
+    @classmethod
+    def from_entry_tuple(cls, width: int, values: Sequence) -> "FundamentalDomain":
+        vals = list(values)
+        if len(vals) != width * (width + 3) // 2:
+            raise ValueError(f"expected {width * (width + 3) // 2} entries for "
+                             f"width {width}, got {len(vals)}")
+        # the row of each entry; the entries of one row come in column order
+        row = key_of_rows(PatternKind.Y, width, [[m] * (width + 3) for m in range(width + 1)])
+        return cls(width, [[v for m, v in zip(row, vals) if m == r] for r in range(1, width + 1)])
+
+
+def expand_domain(dom: FundamentalDomain) -> PeriodicPattern:
+    """Unfold a fundamental domain to a full Y pattern over one period.
+
+    Interior row m over the period is D_m followed by D_{n+1-m}, between
+    two zero rows.  Raises InconsistentDomain when the unfolded grid
+    violates a diamond relation.
+    """
+    n = dom.width
+    interior = [dom.rows[m - 1] + dom.rows[n - m] for m in range(1, n + 1)]
+    zeros = (0,) * (n + 3)
+    return PeriodicPattern(PatternKind.Y, n, (zeros, *interior, zeros))
+
+
+def domain_of(pattern: PeriodicPattern) -> FundamentalDomain:
+    """Read one fundamental domain back off a pattern (inverse of expand)."""
+    n = pattern.width
+    rows = tuple(row[:n + 2 - m] for m, row in enumerate(pattern.interior(), start=1))
+    return FundamentalDomain(n, rows)
+
+
+def first_diagonal_of(pattern: PeriodicPattern) -> tuple[Fraction, ...]:
+    """Column 0 of the interior rows, read top-down."""
+    return tuple(row[0] for row in pattern.interior())
+
+
+def w3_system_holds(diag: Sequence[int], ent: W3Entries) -> bool:
+    """Exact check of the six defining relations for width 3."""
+    a, b, c = (Fraction(v) for v in diag)
+    d, e, f, g, h, i = ent.as_tuple()
+    return (a * d == 1 + b
+            and b * e == (1 + d) * (1 + c)
+            and c * f == 1 + e
+            and d * g == 1 + e
+            and e * h == (1 + g) * (1 + f)
+            and g * i == 1 + h)
+
+
+def w4_system_holds(diag: Sequence[int], ent: W4Entries) -> bool:
+    """Exact check of the ten defining relations for width 4."""
+    a, b, c, d = (Fraction(v) for v in diag)
+    e, f, g, h, i, j, k, l, m, n = ent.as_tuple()
+    return (a * e == 1 + b
+            and b * f == (1 + e) * (1 + c)
+            and c * g == (1 + f) * (1 + d)
+            and d * h == 1 + g
+            and e * i == 1 + f
+            and f * j == (1 + i) * (1 + g)
+            and g * k == (1 + j) * (1 + h)
+            and i * l == 1 + j
+            and j * m == (1 + l) * (1 + k)
+            and l * n == 1 + m)
+
+
+def w3_product_ratio_at_least_2(diag: Sequence[int]) -> bool:
+    """(a+1)(b+1)(c+1) >= 2abc; equivalent form of width-3 inequality (iii)."""
+    a, b, c = _check_diagonal(diag, 3)
+    return (a + 1) * (b + 1) * (c + 1) >= 2 * a * b * c
+
+
+def w4_product_ratio_at_least_2(diag: Sequence[int]) -> bool:
+    """(a+1)(b+1)(c+1)(d+1) >= 2abcd; equivalent form of width-4 inequality (iv)."""
+    a, b, c, d = _check_diagonal(diag, 4)
+    return (a + 1) * (b + 1) * (c + 1) * (d + 1) >= 2 * a * b * c * d
+
+
+def w3_b_quadratic_nonpositive(b: int) -> bool:
+    """b^2 - 15b - 60 <= 0: the step bounding b <= 18 once a <= 4, c <= 11."""
+    return b * b - 15 * b - 60 <= 0
+
+
+def w4_bc_quadratic_nonpositive(x: int) -> bool:
+    """x^2 - 143x - 4326 <= 0: bounds b or c by 168 once d <= 41 and the other <= 102."""
+    return x * x - 143 * x - 4326 <= 0
+
+
+def w3_domain(diag: Sequence[int]) -> FundamentalDomain:
+    """The width-3 domain of a diagonal: its entry tuple read back."""
+    return FundamentalDomain.from_entry_tuple(3, (*_check_diagonal(diag, 3), *w3_entries(diag)))
+
+
+def w4_domain(diag: Sequence[int]) -> FundamentalDomain:
+    """The width-4 domain of a diagonal: its entry tuple read back."""
+    return FundamentalDomain.from_entry_tuple(4, (*_check_diagonal(diag, 4), *w4_entries(diag)))

@@ -17,9 +17,9 @@ import pytest
 import yfrieze as yf
 from yfrieze import io
 from yfrieze.cli import main as cli_main
-from yfrieze.closedform import w3_system_holds, w4_system_holds
 from yfrieze.core import check_rows
 from conftest import W3_GOLDEN
+from oracles import expand_domain, w3_domain, w3_system_holds, w4_domain, w4_system_holds
 
 GOLDEN_W4_CSV = Path(__file__).parent / "data" / "w4_golden.csv"
 
@@ -118,9 +118,9 @@ def test_criterion_08a_closed_form_satisfies_systems():
 
 def test_criterion_08b_propagation_agrees_with_expansion(w3_solutions, w4_solutions):
     cases = 0
-    for sols, builder in ((w3_solutions, yf.w3_domain), (w4_solutions, yf.w4_domain)):
+    for sols, builder in ((w3_solutions, w3_domain), (w4_solutions, w4_domain)):
         for diag in sols.diagonals:
-            expanded = yf.expand_domain(builder(diag))
+            expanded = expand_domain(builder(diag))
             assert yf.propagate_y(expanded.rows[1], sols.width) == expanded
             cases += 1
     assert cases == 52

@@ -12,6 +12,7 @@ import pytest
 
 import yfrieze as yf
 from yfrieze.cli import main
+from oracles import FundamentalDomain, expand_domain, w3_domain
 
 
 def run(capsys, *argv):
@@ -449,7 +450,7 @@ def test_output_check_keeps_an_existing_file_and_leaves_no_new_one(tmp_path, cap
 
 def test_verify_single_pattern_object(tmp_path, capsys):
     from yfrieze import io
-    pattern = yf.expand_domain(yf.w3_domain((3, 8, 3)))
+    pattern = expand_domain(w3_domain((3, 8, 3)))
     path = tmp_path / "pattern.json"
     path.write_text(json.dumps(io.pattern_to_obj(pattern)))
     code, out, _ = run(capsys, "verify", str(path))
@@ -476,7 +477,7 @@ def test_boolean_width_is_a_parse_error(tmp_path, capsys, command, container):
 
 def test_verify_flags_nonarithmetic_pattern(tmp_path, capsys):
     from yfrieze import io
-    pattern = yf.expand_domain(yf.w3_domain((1, 1, 1)))
+    pattern = expand_domain(w3_domain((1, 1, 1)))
     path = tmp_path / "frac.json"
     path.write_text(json.dumps(io.pattern_to_obj(pattern)))
     code, out, _ = run(capsys, "verify", str(path))
@@ -752,9 +753,9 @@ def test_map_decomposes_orbits_once(capsys, monkeypatch):
 def test_csv_table_and_map_build_no_entry_and_no_domain(capsys, monkeypatch):
     # csv and table read each key off its orbit's root, and map reads the
     # orbits both catalogs hold: no catalog entry or fundamental domain is built
-    from yfrieze import core, io
+    from yfrieze import io
     built = []
-    for cls in (io.CatalogEntry, core.FundamentalDomain):
+    for cls in (io.CatalogEntry, FundamentalDomain):
         def counting(cls, *args, new=cls.__new__):
             built.append(cls.__name__)
             return new(cls, *args)
@@ -991,16 +992,23 @@ def test_stdout_closed_by_its_reader_is_one_write_error(fmt, unbuffered, tmp_pat
     assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
+def _modules_after(code, argv=()):
+    """Run `code` in a fresh interpreter; return its stdout and the sorted
+    names in sys.modules after it, which the child lists with no import of
+    its own, one name per line of its stderr after a marker line."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
+    code = ("import sys\n" + code
+            + "print('-- modules', *sorted(sys.modules), sep='\\n', file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                          capture_output=True)
+    return proc.stdout, proc.stderr.decode().split("-- modules\n")[-1].split()
+
+
 def _loaded_modules(argv=None):
     """Run `main(argv)` in a fresh interpreter, or only `import yfrieze.cli`
     when argv is None; return its stdout and the sorted names in sys.modules."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
     call = "" if argv is None else "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-    code = ("import json, sys\nfrom yfrieze.cli import main\n" + call
-            + "print(json.dumps(sorted(sys.modules)), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code, *(argv or ())], env=env, check=True,
-                          capture_output=True)
-    return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+    return _modules_after("from yfrieze.cli import main\n" + call, argv or ())
 
 
 def _in_packages(modules, *packages):
@@ -1077,7 +1085,7 @@ def test_reader_commands_load_fractions_for_a_rational_pattern(tmp_path, capsys,
     # fractions is loaded already
     from yfrieze import io
     path = tmp_path / "frac.json"
-    path.write_text(json.dumps(io.pattern_to_obj(yf.expand_domain(yf.w3_domain((1, 1, 1))))))
+    path.write_text(json.dumps(io.pattern_to_obj(expand_domain(w3_domain((1, 1, 1))))))
     code, expected, _ = run(capsys, command, str(path))
     assert code == (1 if command == "verify" else 0) and "7/2" in expected
     out, modules = _loaded_modules([command, str(path)])
@@ -1099,6 +1107,42 @@ def test_no_command_loads_dataclasses_or_inspect(coxeter3_catalog_file, argv):
     # 10 ms of start-up that no command needs.
     argv = [str(coxeter3_catalog_file) if arg == "F" else arg for arg in argv]
     assert _in_packages(_loaded_modules(argv)[1], "dataclasses", "inspect") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--kind", "y", "--width", "4", "--format", "csv", "--parallelism", "1"),
+    ("enumerate", "--kind", "y", "--width", "4", "--format", "csv", "--parallelism", "2"),
+    ("enumerate", "--kind", "y", "--width", "3"),
+    ("map", "--width", "4"),
+    ("map", "--width", "4", "--format", "csv"),
+    ("orbits", "--kind", "y", "--width", "3"),
+    ("orbits", "--kind", "coxeter", "--width", "4", "--format", "csv"),
+    ("--help",),
+], ids=["enumerate-y-csv-1", "enumerate-y-csv-2", "enumerate-y-table", "map-table", "map-csv",
+        "orbits-table", "orbits-csv", "help"])
+def test_commands_without_json_load_no_json(argv):
+    # only the JSON readers and writers import json
+    out, modules = _loaded_modules(argv)
+    assert out and _in_packages(modules, "json") == []
+
+
+def test_json_output_loads_json():
+    # the negative control of the test above: the child's listing sees json
+    _, modules = _loaded_modules(["orbits", "--kind", "y", "--width", "3", "--format", "json"])
+    assert "json" in modules
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import yfrieze.closedform\n", b""),
+    ("from yfrieze import closedform, search\n"
+     "print(len(search.enumerate_generic(4, closedform.SearchBox((41, 40, 40, 41)))))\n",
+     b"42\n"),
+], ids=["import-closedform", "generic-search"])
+def test_closedform_and_the_generic_search_load_no_fractions(code, expected):
+    # closedform imports fractions only to build its entries as Fractions
+    out, modules = _modules_after(code)
+    assert out == expected and "yfrieze.closedform" in modules
+    assert _in_packages(modules, "fractions", "decimal", "numbers") == []
 
 
 def test_closedform_re_exports_the_search_boxes():

@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
-from yfrieze import FundamentalDomain
-from yfrieze.closedform import (w3_b_quadratic_nonpositive, w3_product_ratio_at_least_2,
-                                w3_system_holds, w4_bc_quadratic_nonpositive,
-                                w4_product_ratio_at_least_2, w4_system_holds)
+from oracles import (FundamentalDomain, expand_domain, w3_b_quadratic_nonpositive, w3_domain,
+                     w3_product_ratio_at_least_2, w3_system_holds, w4_bc_quadratic_nonpositive,
+                     w4_domain, w4_product_ratio_at_least_2, w4_system_holds)
 
 diag3 = st.tuples(*(st.integers(1, 3000) for _ in range(3)))
 diag4 = st.tuples(*(st.integers(1, 3000) for _ in range(4)))
 big_diag3 = st.tuples(*(st.integers(1, 10 ** 6) for _ in range(3)))
 big_diag4 = st.tuples(*(st.integers(1, 10 ** 6) for _ in range(4)))
 
-CLOSED_FORMS = {3: (yf.w3_entries, yf.w3_inequalities, yf.w3_domain),
-                4: (yf.w4_entries, yf.w4_inequalities, yf.w4_domain)}
+CLOSED_FORMS = {3: (yf.w3_entries, yf.w3_inequalities, w3_domain),
+                4: (yf.w4_entries, yf.w4_inequalities, w4_domain)}
 
 
 # ----------------------------------------------------------------- entries
@@ -31,7 +30,7 @@ def test_w3_entries_known_diagonals():
 
 def test_w3_entries_cross_checked_by_propagation():
     # the (1,1,1) values are not integral but still form a closed pattern
-    pattern = yf.expand_domain(yf.w3_domain((1, 1, 1)))
+    pattern = expand_domain(w3_domain((1, 1, 1)))
     assert yf.propagate_y(pattern.rows[1], 3) == pattern
 
 
@@ -44,7 +43,7 @@ def test_w4_entries_all_ones_diagonal():
     ent = yf.w4_entries((1, 1, 1, 1))
     assert ent.e == 2 and ent.n == 2
     assert any(v.denominator != 1 for v in ent.as_tuple())
-    pattern = yf.expand_domain(yf.w4_domain((1, 1, 1, 1)))
+    pattern = expand_domain(w4_domain((1, 1, 1, 1)))
     assert yf.propagate_y(pattern.rows[1], 4) == pattern
 
 
@@ -77,14 +76,14 @@ def test_w4_system_holds_for_random_diagonals(diag):
 @given(diag3)
 def test_w3_closed_form_expands_to_valid_pattern(diag):
     # construction validates every diamond, including the wrap-around ones
-    pattern = yf.expand_domain(yf.w3_domain(diag))
+    pattern = expand_domain(w3_domain(diag))
     assert yf.glide_shift(pattern) is not None
 
 
 @settings(max_examples=200, deadline=None)
 @given(diag4)
 def test_w4_closed_form_expands_to_valid_pattern(diag):
-    pattern = yf.expand_domain(yf.w4_domain(diag))
+    pattern = expand_domain(w4_domain(diag))
     assert yf.glide_shift(pattern) is not None
 
 
@@ -176,10 +175,10 @@ def test_search_box_basics():
 # ----------------------------------------------------------------- domains
 
 def test_domain_builders():
-    dom = yf.w3_domain((1, 1, 2))
+    dom = w3_domain((1, 1, 2))
     assert dom.first_diagonal() == (1, 1, 2)
     assert tuple(int(v) for v in dom.entry_tuple()) == (1, 1, 2, 2, 9, 5, 5, 4, 1)
-    dom4 = yf.w4_domain((1, 1, 2, 3))
+    dom4 = w4_domain((1, 1, 2, 3))
     assert tuple(int(v) for v in dom4.entry_tuple()) \
         == (1, 1, 2, 3, 2, 9, 20, 7, 5, 14, 6, 3, 2, 1)
 

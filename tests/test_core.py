@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
 from yfrieze.core import PatternKind, Violation, check_rows
+from oracles import (FundamentalDomain, coxeter_east, domain_of, expand_domain, first_diagonal_of,
+                     w3_domain, w4_domain, y_south)
 
 
 def diamonds(p):
@@ -22,21 +24,21 @@ def diamonds(p):
 # ---------------------------------------------------------------- y_south
 
 def test_y_south_values():
-    assert yf.y_south(3, 3, 0) == 8
-    assert yf.y_south(1, 1, 0) == 0
-    assert yf.y_south(8, 2, 3) == 3
+    assert y_south(3, 3, 0) == 8
+    assert y_south(1, 1, 0) == 0
+    assert y_south(8, 2, 3) == 3
 
 
 def test_y_south_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        yf.y_south(1, 1, -1)
+        y_south(1, 1, -1)
 
 
 # ------------------------------------------------------------ coxeter_east
 
 def test_coxeter_east_values():
-    assert yf.coxeter_east(1, 0, 0) == 1
-    assert yf.coxeter_east(1, 1, 1) == 2
+    assert coxeter_east(1, 0, 0) == 1
+    assert coxeter_east(1, 1, 1) == 2
 
 
 def test_coxeter_east_against_zigzag_frieze():
@@ -46,16 +48,16 @@ def test_coxeter_east_against_zigzag_frieze():
     frieze = yf.frieze_from_quiddity((2, 1, 3, 2, 1, 3))
     seen = set()
     for w, e, n_val, s in diamonds(frieze):
-        assert yf.coxeter_east(w, n_val, s) == e
-        assert yf.coxeter_east(e, n_val, s) == w
+        assert coxeter_east(w, n_val, s) == e
+        assert coxeter_east(e, n_val, s) == w
         seen.add((w, e, n_val, s))
     assert (F(3), F(2), F(1), F(5)) in seen
-    assert yf.coxeter_east(2, 1, 5) == 3
+    assert coxeter_east(2, 1, 5) == 3
 
 
 def test_coxeter_east_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        yf.coxeter_east(0, 1, 1)
+        coxeter_east(0, 1, 1)
 
 
 # ------------------------------------------------------------- propagate_y
@@ -100,37 +102,37 @@ def test_propagate_rejects_wrong_length():
 # ----------------------------------------------------------- expand_domain
 
 def test_expand_domain_rows_match_known_friezes():
-    assert yf.expand_domain(yf.w3_domain((3, 8, 3))).rows[1] == (3, 3, 1, 3, 3, 1)
-    assert yf.expand_domain(yf.w3_domain((2, 3, 2))).rows[2] == (3, 3, 3, 3, 3, 3)
-    assert yf.expand_domain(yf.w3_domain((5, 9, 2))).rows[1] == (5, 2, 1, 5, 2, 1)
+    assert expand_domain(w3_domain((3, 8, 3))).rows[1] == (3, 3, 1, 3, 3, 1)
+    assert expand_domain(w3_domain((2, 3, 2))).rows[2] == (3, 3, 3, 3, 3, 3)
+    assert expand_domain(w3_domain((5, 9, 2))).rows[1] == (5, 2, 1, 5, 2, 1)
 
 
 def test_expand_domain_rejects_inconsistent_entries():
-    bad = yf.FundamentalDomain(3, ((1, 1, 1, 1), (1, 1, 1), (1, 1)))
+    bad = FundamentalDomain(3, ((1, 1, 1, 1), (1, 1, 1), (1, 1)))
     with pytest.raises(yf.InconsistentDomain) as exc:
-        yf.expand_domain(bad)
+        expand_domain(bad)
     assert exc.value.violation.check == "diamond"
 
 
 def test_expand_agrees_with_propagation(w3_solutions, w4_solutions):
-    for sols, builder in ((w3_solutions, yf.w3_domain), (w4_solutions, yf.w4_domain)):
+    for sols, builder in ((w3_solutions, w3_domain), (w4_solutions, w4_domain)):
         for diag in sols.diagonals:
-            expanded = yf.expand_domain(builder(diag))
+            expanded = expand_domain(builder(diag))
             assert yf.propagate_y(expanded.rows[1], sols.width) == expanded
 
 
 def test_domain_round_trip():
-    dom = yf.w4_domain((2, 3, 2, 3))
-    pattern = yf.expand_domain(dom)
-    assert yf.domain_of(pattern) == dom
-    assert yf.first_diagonal_of(pattern) == (2, 3, 2, 3)
+    dom = w4_domain((2, 3, 2, 3))
+    pattern = expand_domain(dom)
+    assert domain_of(pattern) == dom
+    assert first_diagonal_of(pattern) == (2, 3, 2, 3)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 def test_entry_tuple_round_trip(width):
     count = width * (width + 3) // 2
     values = tuple(range(1, count + 1))
-    dom = yf.FundamentalDomain.from_entry_tuple(width, values)
+    dom = FundamentalDomain.from_entry_tuple(width, values)
     assert tuple(int(v) for v in dom.entry_tuple()) == values
     assert len(dom.rows) == width
     assert [len(r) for r in dom.rows] == [width + 2 - m for m in range(1, width + 1)]
@@ -141,7 +143,7 @@ def test_entry_tuple_round_trip(width):
 def test_is_arithmetic():
     assert yf.is_arithmetic(yf.propagate_y((3, 3, 1, 3, 3, 1), 3))
     # diagonal (1,1,1) develops the entry 7/2
-    half = yf.expand_domain(yf.w3_domain((1, 1, 1)))
+    half = expand_domain(w3_domain((1, 1, 1)))
     assert F(7, 2) in half.rows[1]
     assert not yf.is_arithmetic(half)
 
@@ -162,11 +164,11 @@ def test_cyclic_shift_identity_and_full_turn(y3_patterns):
 
 
 def test_cyclic_shift_orbit_of_first_diagram(y3_patterns):
-    by_diag = {tuple(int(v) for v in yf.first_diagonal_of(p)): p for p in y3_patterns}
+    by_diag = {tuple(int(v) for v in first_diagonal_of(p)): p for p in y3_patterns}
     p = by_diag[(1, 1, 2)]
     orbit = {yf.cyclic_shift(p, s) for s in range(p.period)}
     assert len(orbit) == 3
-    assert {tuple(int(v) for v in yf.first_diagonal_of(q)) for q in orbit} \
+    assert {tuple(int(v) for v in first_diagonal_of(q)) for q in orbit} \
         == {(1, 1, 2), (2, 9, 5), (5, 4, 1)}
 
 
@@ -200,9 +202,9 @@ def test_glide_shift_none_for_asymmetric_grid():
 # --------------------------------------------------------- intrinsic_period
 
 def test_intrinsic_period():
-    assert yf.intrinsic_period(yf.expand_domain(yf.w3_domain((2, 3, 2)))) == 1
-    assert yf.intrinsic_period(yf.expand_domain(yf.w3_domain((3, 8, 3)))) == 3
-    assert yf.intrinsic_period(yf.expand_domain(yf.w4_domain((1, 1, 2, 3)))) == 7
+    assert yf.intrinsic_period(expand_domain(w3_domain((2, 3, 2)))) == 1
+    assert yf.intrinsic_period(expand_domain(w3_domain((3, 8, 3)))) == 3
+    assert yf.intrinsic_period(expand_domain(w4_domain((1, 1, 2, 3)))) == 7
 
 
 # -------------------------------------------------------------- validation
@@ -443,9 +445,9 @@ def _pattern_case(y3):
 
 
 def _domain_case(y3):
-    d = yf.domain_of(y3[1])
-    return (d, yf.FundamentalDomain(3, [list(row) for row in d.rows]),
-            yf.domain_of(yf.cyclic_shift(y3[1], 1)), (3, d.rows[:2]), ValueError)
+    d = domain_of(y3[1])
+    return (d, FundamentalDomain(3, [list(row) for row in d.rows]),
+            domain_of(yf.cyclic_shift(y3[1], 1)), (3, d.rows[:2]), ValueError)
 
 
 def _box_case(y3):

@@ -9,6 +9,7 @@ import pytest
 
 import yfrieze as yf
 from yfrieze import io
+from oracles import expand_domain, w3_domain, w4_domain
 
 
 def all_enumerated_patterns(y3, y4, f3, f4):
@@ -23,7 +24,7 @@ def test_pattern_json_round_trip(y3_patterns, y4_patterns, frieze3, frieze4):
 
 
 def test_nonintegral_entries_serialize_as_strings():
-    p = yf.expand_domain(yf.w3_domain((1, 1, 1)))
+    p = expand_domain(w3_domain((1, 1, 1)))
     obj = io.pattern_to_obj(p)
     assert "7/2" in obj["rows"][1]
     assert io.pattern_from_obj(obj) == p
@@ -373,6 +374,30 @@ def test_writer_memory_does_not_grow_with_the_entry_count(tmp_path):
     assert peak < 1_000_000
 
 
+def test_streamed_read_holds_under_five_chunks(tmp_path):
+    # read_patterns of the width-7 catalog (2.8 MB), its entries only
+    # counted: the streamed read drops the consumed buffer before each read,
+    # so it holds the unread rest, the new chunk and their join at most,
+    # beside the text file's own buffers (about 4.3 chunks; 5.3 when the
+    # consumed buffer was held through the read).  A full collection first
+    # empties the free lists, so that the peak does not depend on the tests
+    # run before.
+    import gc
+    import tracemalloc
+    path = tmp_path / "catalog.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        io.write_catalog_json(io.coxeter_catalog(7), fh)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        count = io.read_patterns(str(path), lambda entries: sum(1 for _ in entries))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1430
+    assert peak < 4.75 * io._CHUNK, peak / io._CHUNK
+
+
 SLICES = [(None, None), (0, 2), (2, -2), (-3, None), (None, -20), (5, 5), (3, 1), (-1, 3)]
 
 
@@ -460,7 +485,7 @@ def test_raw_patterns_from_catalog_obj():
 # --------------------------------------------------------------- rendering
 
 def test_render_constant_width_3_pattern():
-    text = io.render_ascii(yf.expand_domain(yf.w3_domain((2, 3, 2))))
+    text = io.render_ascii(expand_domain(w3_domain((2, 3, 2))))
     lines = text.splitlines()
     assert len(lines) == 5
     assert lines[1].split() == ["2"] * 12
@@ -480,7 +505,7 @@ def test_render_width_1_pattern():
 
 
 def test_render_width_4_block_shape():
-    pattern = yf.expand_domain(yf.w4_domain((1, 1, 2, 3)))
+    pattern = expand_domain(w4_domain((1, 1, 2, 3)))
     lines = io.render_ascii(pattern).splitlines()
     assert len(lines) == 6  # zero row, four interior rows, zero row
     assert lines[1].split()[:7] == ["1", "2", "5", "3", "1", "3", "7"]
@@ -489,5 +514,5 @@ def test_render_width_4_block_shape():
 
 
 def test_render_fractional_entries():
-    text = io.render_ascii(yf.expand_domain(yf.w3_domain((1, 1, 1))))
+    text = io.render_ascii(expand_domain(w3_domain((1, 1, 1))))
     assert "7/2" in text

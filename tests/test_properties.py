@@ -14,12 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 import yfrieze as yf
 from yfrieze import io
 from yfrieze.cli import _entry_violation, _verify_all, _verify_one, main
+from oracles import expand_domain, w3_domain
 
 # Real patterns to mutate, so that valid and nearly valid files are drawn too.
 BASES = [(p.kind.value, p.width, io.pattern_to_obj(p)["rows"])
          for p in (*yf.enumerate_frieze(1), *yf.enumerate_frieze(3),
                    *yf.enumerate_w3().patterns,
-                   yf.expand_domain(yf.w3_domain((1, 1, 1))))]
+                   expand_domain(w3_domain((1, 1, 1))))]
 
 VALUES = st.one_of(st.integers(-2, 12), st.booleans(), st.none(),
                    st.sampled_from(["1/2", "-7/2", "3/1", "2.0", "2", "1/0", "x", ""]))

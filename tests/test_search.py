@@ -8,6 +8,7 @@ import pytest
 
 import yfrieze as yf
 from conftest import W3_GOLDEN
+from oracles import FundamentalDomain, expand_domain
 
 
 def test_enumerate_w3_exact(w3_solutions):
@@ -185,7 +186,7 @@ def test_a_hit_in_the_bounding_box_but_in_no_box_is_dropped(w4_solutions):
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_patterns_of_matches_domain_rebuild(width):
     sols = yf.y_solutions(width)
-    rebuilt = [yf.expand_domain(yf.FundamentalDomain.from_entry_tuple(width, t))
+    rebuilt = [expand_domain(FundamentalDomain.from_entry_tuple(width, t))
                for t in sols.full_tuples]
     patterns = list(sols.patterns)
     assert patterns == rebuilt

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import yfrieze as yf
 from yfrieze import io, ymap
 from yfrieze.core import NotShiftClosed, rotation_orbits
+from oracles import expand_domain, first_diagonal_of, w3_domain
 
 
 # ----------------------------------------------------------------- apply_p
@@ -34,6 +35,16 @@ def test_apply_p_flags_nonarithmetic_image():
     fractional = yf.frieze_from_quiddity((2, F(3, 2), F(3, 2), 2, F(5, 4)))
     with pytest.raises(yf.MapFailure):
         yf.apply_p(fractional)
+
+
+def test_apply_p_flags_an_image_that_is_no_y_pattern():
+    # A Coxeter pattern with a non-positive interior can pass check_rows;
+    # here its image's row 1 is identically 0, a closure violation.
+    frieze = yf.PeriodicPattern(yf.PatternKind.COXETER, 2,
+                                [(0,) * 5, (1,) * 5, (-1,) * 5, (0,) * 5, (1,) * 5, (0,) * 5])
+    with pytest.raises(yf.MapFailure) as exc:
+        yf.apply_p(frieze)
+    assert "closure violation at row 1" in str(exc.value) and "\n" not in str(exc.value)
 
 
 def test_apply_p_images_are_enumerated_solutions(frieze3, y3_patterns):
@@ -105,7 +116,7 @@ def test_orbit_decomposition_sizes(frieze3, y3_patterns):
 
 
 def test_orbit_of_constant_pattern_is_a_singleton():
-    constant = yf.expand_domain(yf.w3_domain((2, 3, 2)))
+    constant = expand_domain(w3_domain((2, 3, 2)))
     assert yf.orbit_decomposition([constant]) == [[0]]
 
 
@@ -294,7 +305,7 @@ def test_friezes_per_row_3(width, distinct):
 def test_the_image_box_holds_exactly_the_image(width, box, monkeypatch):
     # results within a box: no proven box exists past width 4
     rows3 = {r for _, r in _rows_2_and_3(width)}
-    diagonals = [yf.first_diagonal_of(yf.apply_p(f)) for f in yf.enumerate_frieze(width)]
+    diagonals = [first_diagonal_of(yf.apply_p(f)) for f in yf.enumerate_frieze(width)]
     assert tuple(map(max, zip(*diagonals))) == box
     monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
     sols = yf.enumerate_generic(width, yf.SearchBox(box))
