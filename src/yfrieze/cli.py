@@ -16,8 +16,8 @@ from io import FileIO
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import io
-from .core import (InconsistentDomain, NotShiftClosed, PatternKind, PeriodicPattern, Violation,
-                   candidate_ceiling, check_rows, glide_shift_of_rows, key_of_rows)
+from .core import (NotShiftClosed, PatternKind, Violation, candidate_ceiling, check_rows,
+                   glide_shift_of_rows, key_of_rows)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -336,10 +336,10 @@ def cmd_render(args) -> int:
         return []
 
     try:
-        patterns = [PeriodicPattern(kind, width, rows)
+        patterns = [io._pattern(args.input, kind, width, rows)
                     for kind, width, rows, _ in _read(args.input, pick)]
-    except InconsistentDomain as exc:
-        raise _Failure(EXIT_USAGE, f"{args.input} holds an invalid pattern: {exc}")
+    except ValueError as exc:  # io._pattern's "holds an invalid pattern"
+        raise _Failure(EXIT_USAGE, str(exc))
     if not patterns:
         raise _Failure(EXIT_USAGE, f"{args.input} holds no patterns")
     text = "\n".join(io.render_ascii(p) for p in patterns)

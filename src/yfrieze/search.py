@@ -10,10 +10,9 @@ serves every width:
                                 reference showing that the boxes and the
                                 pruning lose nothing
 
-One DFS walks the coordinatewise maximum of the boxes and keeps a closed
-pattern only if its diagonal lies in one of them, so overlapping boxes are
-searched once.  Every hit is re-verified by propagate_y, which rebuilds its
-pattern row by row, and its full entry tuple is read off that pattern.
+One DFS walks the boxes' coordinatewise maximum and keeps a first row if its
+diagonal lies in a box, so overlapping boxes are searched once.  propagate_y
+rebuilds each hit's pattern, the one closure check, to read its entry tuple.
 
 With parallelism N > 1 the values of x_1 are dealt into N interleaved
 shares: this process scans one, and N - 1 children started with os.fork
@@ -51,8 +50,8 @@ class SearchBox(NamedTuple("SearchBox", [("bounds", tuple[int, ...])])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, bounds: tuple[int, ...]):
-        if any(b < 1 for b in bounds):
-            raise ValueError(f"bounds must be >= 1, got {bounds}")
+        if not bounds or any(type(b) is not int or b < 1 for b in bounds):
+            raise ValueError(f"bounds must be a nonempty tuple of ints >= 1, got {bounds}")
         return tuple.__new__(cls, (bounds,))
 
     def __contains__(self, point: Sequence[int]) -> bool:
@@ -125,8 +124,8 @@ def _scan(boxes: Sequence[SearchBox], firsts: Iterable[int]) -> list[tuple[int, 
     (1 + N)(1 + S) / W.  Its lowest cell is x_{k+1}, chosen within the
     bound, or for k >= n the zero row below the pattern.  Quotients of
     positive integers are positive, so a branch ends at the first
-    non-integral cell.  The pattern closes when anti-diagonal n - 1 comes
-    back one period on, and is kept if its diagonal lies in a box.
+    non-integral cell.  Anti-diagonal n + 2 completes the first row, which is
+    kept if its diagonal lies in a box; closure is left to _solution_set.
     """
     bounds = [max(column) for column in zip(*(box.bounds for box in boxes))]
     n = len(bounds)
@@ -135,10 +134,9 @@ def _scan(boxes: Sequence[SearchBox], firsts: Iterable[int]) -> list[tuple[int, 
 
     def descend(antis: list[list[int]]) -> None:
         k = len(antis)
-        if k == n + period:
-            if (antis[-1] == antis[n - 1]
-                    and any(tuple(anti[0] for anti in antis[:n]) in box for box in boxes)):
-                rows.append(tuple(anti[-1] for anti in antis[:period]))
+        if k == period:
+            if any(tuple(anti[0] for anti in antis[:n]) in box for box in boxes):
+                rows.append(tuple(anti[-1] for anti in antis))
             return
         prev = antis[-1]
         if k < n:
@@ -204,17 +202,16 @@ def _fork_scan(boxes: Sequence[SearchBox],
 
 
 def _solution_set(width: int, first_rows: Iterable[tuple[int, ...]]) -> SolutionSet:
-    """Re-verify every hit by row propagation; sort the hits by diagonal."""
-    found = {}
+    """Re-verify every hit by propagate_y, the one closure check; sort by entry tuple."""
+    hits = []
     for row in first_rows:
         pattern = propagate_y(row, width)
         if not is_arithmetic(pattern):
             raise FriezeError(f"first row {row} fails re-verification")
-        full = key_of_rows(pattern.kind, width, pattern.rows)
-        found[full[:width]] = full, pattern
-    diags = tuple(sorted(found))
-    return SolutionSet(width, diags, tuple(found[d][0] for d in diags),
-                       tuple(found[d][1] for d in diags))
+        hits.append((key_of_rows(pattern.kind, width, pattern.rows), pattern))
+    hits.sort(key=lambda hit: hit[0])
+    return SolutionSet(width, tuple(full[:width] for full, _ in hits),
+                       tuple(full for full, _ in hits), tuple(p for _, p in hits))
 
 
 def _search(width: int, boxes: Iterable[SearchBox], parallelism: int = 1) -> SolutionSet:
@@ -222,6 +219,8 @@ def _search(width: int, boxes: Iterable[SearchBox], parallelism: int = 1) -> Sol
     min(parallelism, CPU count, x_1 values) interleaved shares: this process
     scans the first and a forked child each other one.  The hits are merged
     and sorted, so the output does not depend on the split."""
+    if type(parallelism) is not int or parallelism < 1:
+        raise ValueError(f"parallelism must be an int >= 1, got {parallelism!r}")
     boxes = tuple(boxes)
     firsts = range(1, max(box.bounds[0] for box in boxes) + 1)
     workers = min(parallelism, os.cpu_count() or 1, len(firsts)) if hasattr(os, "fork") else 1
@@ -260,8 +259,8 @@ def oracle_box_check(width: int, bound: int) -> SolutionSet:
     """
     if width != 3:
         raise ValueError(f"oracle check is defined for width 3, got {width}")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    if type(bound) is not int or bound < 1:
+        raise ValueError(f"bound must be an int >= 1, got {bound!r}")
     found = []
     for a in range(1, bound + 1):
         for b in range(1, bound + 1):

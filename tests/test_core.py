@@ -80,6 +80,18 @@ def test_propagate_all_ones_closes_too_early():
     assert (exc.value.row, exc.value.col) == (2, 0)
 
 
+@pytest.mark.parametrize("width", range(1, 7))
+def test_propagate_rejects_an_all_zero_first_row(width):
+    # The search keeps every hit that propagate_y accepts.  At width 2 the
+    # rows 0, 0, -1, 0 close, and only PeriodicPattern's check_rows rejects
+    # them, at the identically zero row 1.
+    with pytest.raises(yf.FriezeError) as exc:
+        yf.propagate_y((0,) * (width + 3), width)
+    if width == 2:
+        assert type(exc.value) is yf.InconsistentDomain
+        assert exc.value.violation[:2] == ("closure", 1)
+
+
 def test_propagate_reports_first_offending_cell():
     first = (2, 2, 2, 2, 2, 1)
     # Independent recomputation of the grid with raw Fractions.

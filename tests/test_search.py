@@ -2,9 +2,10 @@
 
 import os
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
 from conftest import W3_GOLDEN
@@ -256,6 +257,28 @@ def test_generic_rejects_bad_arguments():
         yf.enumerate_generic(2, yf.SearchBox((5,)))
 
 
+@pytest.mark.parametrize("parallelism", [0, -1, True, 2.0, "2", None])
+def test_searches_reject_a_bad_parallelism_before_any_fork(monkeypatch, parallelism):
+    def no_fork(boxes, firsts):
+        raise AssertionError("forked before the check")
+
+    monkeypatch.setattr(yf.search, "_fork_scan", no_fork)
+    monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 4)
+    for search in (lambda: yf.enumerate_w4(parallelism=parallelism),
+                   lambda: yf.enumerate_generic(2, yf.SearchBox((30, 30)), parallelism),
+                   lambda: yf.y_solutions(5, (3,) * 5, parallelism)):
+        with pytest.raises(ValueError, match="parallelism must be an int >= 1"):
+            search()
+
+
+@pytest.mark.parametrize("bounds", [(), (2.5, 3), (True, 3), (3, "4"), (0, 3)])
+def test_search_box_rejects_bad_bounds(bounds):
+    with pytest.raises(ValueError, match="bounds must be a nonempty tuple of ints >= 1"):
+        yf.SearchBox(bounds)
+    with pytest.raises(ValueError, match="bounds must be"):
+        yf.SearchBox((3, 3))._replace(bounds=bounds)
+
+
 def test_box_too_large(monkeypatch):
     monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 6))
     with pytest.raises(yf.BoxTooLarge):
@@ -291,6 +314,12 @@ def test_oracle_rejects_other_widths():
         yf.oracle_box_check(4, 60)
 
 
+@pytest.mark.parametrize("bound", [2.5, True, "18", 0])
+def test_oracle_rejects_a_bound_that_is_no_positive_int(bound):
+    with pytest.raises(ValueError, match="bound must be an int >= 1"):
+        yf.oracle_box_check(3, bound)
+
+
 def test_three_routes_agree(w3_solutions):
     generic = set()
     for box in yf.w3_boxes():
@@ -308,3 +337,30 @@ def test_y_solutions_dispatch(w3_solutions):
     with pytest.raises(ValueError):
         yf.y_solutions(5)
     assert len(yf.y_solutions(5, bounds=(3, 3, 3, 3, 3))) >= 0
+
+
+# -------------------------------------------------------- closure checked once
+
+@st.composite
+def small_boxes(draw):
+    """One to three boxes of one width 1-6, each bound <= 40 and volume <= 10**5."""
+    width = draw(st.integers(1, 6))
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        bounds = [0] * width
+        for i in draw(st.permutations(range(width))):
+            bounds[i] = draw(st.integers(1, min(40, 10 ** 5 // prod(b for b in bounds if b))))
+        boxes.append(yf.SearchBox(tuple(bounds)))
+    return width, boxes
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_boxes())
+def test_every_scanned_first_row_closes(width_and_boxes):
+    # _scan stops once a branch has fixed the first row; propagate_y in
+    # _solution_set is the one closure check, and must accept every row.
+    width, boxes = width_and_boxes
+    rows = yf.search._scan(boxes, range(1, max(box.bounds[0] for box in boxes) + 1))
+    sols = yf.search._solution_set(width, rows)
+    assert len(sols) == len(rows)
+    assert sorted(rows) == sorted(p.rows[1] for p in sols.patterns)
