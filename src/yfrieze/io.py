@@ -18,7 +18,7 @@ rotation orbit, found once, when the patterns are generated; its entries
 are built when they are read.  CSV and table output (through entry_keys)
 and the JSON writer read each entry's key and rows off its orbit's root
 instead, so they build no entry.  write_catalog_json streams a catalog's
-text one entry at a time, and renders each distinct cell value once.
+text one entry at a time, and holds each orbit root's cells as JSON text.
 
 read_patterns streams a catalog file, one entry at a time, and reads any
 other file, or one the streamed read fails on, whole with json.load, so
@@ -160,17 +160,17 @@ class _OrbitEntries(Sequence):
         return len(self.patterns)
 
     def source(self, i: int) -> tuple:
-        """(i, key, rows, shift, orbit fields) of entry i, whose rows are
-        `rows`, its orbit root's, rotated left by `shift`."""
+        """(i, key, rows, shift, orbit, orbit fields) of entry i, whose rows
+        are `rows`, those of root `orbit`, rotated left by `shift`."""
         k, s = self.patterns.locate(i)
         root, (head, size) = self.patterns.roots[k], self.patterns.heads[k]
-        return (i, key_of_rows(root.kind, root.width, root.rows, s), root.rows, s,
+        return (i, key_of_rows(root.kind, root.width, root.rows, s), root.rows, s, k,
                 (head, size, size, self._glides[k]))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
-        i, key, _, _, fields = self.source(range(len(self))[i])
+        i, key, *_, fields = self.source(range(len(self))[i])
         return CatalogEntry(i, key, self.patterns[i], *fields)
 
     def __eq__(self, other) -> bool:
@@ -268,11 +268,11 @@ class _CellJson(dict):
 
 def _entry_sources(catalog: Catalog) -> Iterator[tuple]:
     """_OrbitEntries.source of each entry in catalog order, building no entry;
-    a loaded catalog's entries are taken as roots at shift 0."""
+    a loaded catalog's entries are taken as roots at shift 0, of no orbit (None)."""
     entries = catalog.entries
     if isinstance(entries, _OrbitEntries):
         return map(entries.source, range(len(entries)))
-    return ((entry.id, entry.key_tuple, entry.pattern.rows, 0, entry[3:])  # [3:]: ORBIT_FIELDS
+    return ((entry.id, entry.key_tuple, entry.pattern.rows, 0, None, entry[3:])  # ORBIT_FIELDS
             for entry in entries)
 
 
@@ -280,7 +280,10 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     """The text of json.dumps(catalog_to_obj(catalog), indent=2) + "\\n": the
     head, each entry, then the tail.  An entry is written from a fixed
     template, its key and counts as the ints a built catalog holds (with an
-    indent, json.dumps runs its pure-Python encoder, several times slower)."""
+    indent, json.dumps runs its pure-Python encoder, several times slower).
+    The boundary rows are joined once, and each orbit root's interior cells
+    rendered once, into a flat tuple whose slices, rotated to a member's
+    shift, are joined into its rows; a loaded entry is its own root."""
     import json
     head = json.dumps({"schema": CATALOG_SCHEMA, "kind": catalog.kind.value,
                        "width": catalog.width, "parameters": catalog.parameters},
@@ -289,11 +292,20 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     is_y = catalog.kind is PatternKind.Y
     key_name = KEY_NAMES[catalog.kind]
     cell = _CellJson().__getitem__
+    cols = catalog.width + 3
+    zeros, ones = (_CELL_SEP.join(map(cell, [v] * cols)) for v in (0, 1))
+    top, bottom = ([zeros], [zeros]) if is_y else ([zeros, ones], [ones, zeros])
+    interiors: dict = {}  # orbit -> its root's interior cells, row by row in one tuple
     n = 0
-    for n, (i, key, rows, s, (root, size, period, glide)) in enumerate(_entry_sources(catalog), 1):
+    for n, (i, key, rows, s, k, (root, size, period, glide)) in enumerate(
+            _entry_sources(catalog), 1):
         diagonal = (f'      "diagonal": {_key_json(map(str, key[:catalog.width]))},\n'
                     if is_y else "")
-        cells = _ROW_SEP.join([_CELL_SEP.join(map(cell, row[s:] + row[:s])) for row in rows])
+        flat = interiors.get(k)
+        if flat is None or k is None:  # a loaded entry, of no orbit, is rendered anew
+            flat = interiors[k] = tuple(map(cell, chain.from_iterable(rows[len(top):-len(top)])))
+        cells = _ROW_SEP.join(top + [_CELL_SEP.join(flat[j + s:j + cols] + flat[j:j + s])
+                                     for j in range(0, len(flat), cols)] + bottom)
         yield (
             f'{"," if n > 1 else ""}\n    {{\n      "id": {i},\n'
             f'      "{key_name}": {_key_json(map(str, key))},\n{diagonal}'

@@ -49,7 +49,8 @@ class SearchBox(NamedTuple("SearchBox", [("bounds", tuple[int, ...])])):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __new__(cls, bounds: tuple[int, ...]):
+    def __new__(cls, bounds: Iterable[int]):
+        bounds = tuple(bounds)  # a list or generator too, so boxes hash and compare alike
         if not bounds or any(type(b) is not int or b < 1 for b in bounds):
             raise ValueError(f"bounds must be a nonempty tuple of ints >= 1, got {bounds}")
         return tuple.__new__(cls, (bounds,))

@@ -254,6 +254,20 @@ def test_coxeter_catalog_json_digest(width, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_width_9_coxeter_catalog_file_digest(tmp_path):
+    # 16,796 friezes in 1,424 orbits, 12 rows each: the 44 MB file is
+    # hashed in 1 MiB chunks, never held as one string
+    path = tmp_path / "catalog.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        io.write_catalog_json(io.coxeter_catalog(9), fh)
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    assert path.stat().st_size == 44_040_623
+    assert digest.hexdigest() == "43ac6734ee57a7e48e7feac34be6e9b899c057e6fa9adcd096388d0358868e70"
+
+
 def _writer_catalogs():
     yield from (io.coxeter_catalog(w) for w in range(1, 9))
     yield from (io.y_catalog(w) for w in range(1, 5))
@@ -309,6 +323,26 @@ def test_json_writer_builds_no_entry_and_rotates_no_pattern(monkeypatch, tmp_pat
     assert built == []
 
 
+def test_writer_renders_each_orbit_roots_cells_once(monkeypatch):
+    # the boundary rows are rendered once per catalog, and each orbit root's
+    # interior cells once for all its members; a lookup per entry and cell
+    # would make 157,300 (1,430 entries of 11 rows of 10)
+    lookups = []
+
+    class CountingCellJson(io._CellJson):
+        def __getitem__(self, value):
+            lookups.append(value)
+            return super().__getitem__(value)
+
+    catalog = io.coxeter_catalog(7)
+    expected = json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n"
+    monkeypatch.setattr(io, "_CellJson", CountingCellJson)
+    assert io.catalog_to_json(catalog) == expected
+    period, orbits = 10, len(catalog.entries.patterns.roots)
+    assert orbits == 150
+    assert len(lookups) <= orbits * 7 * period + 4 * period == 10_540
+
+
 def test_writer_takes_each_entry_from_its_own_rows_and_key(tmp_path):
     # the writer renders each rotation orbit's cells once; a loaded catalog
     # may name any orbit_root and key, so each entry must still show its own
@@ -360,8 +394,8 @@ def test_building_and_streaming_the_width_8_catalog_holds_its_orbit_roots_only(t
 
 def test_writer_memory_does_not_grow_with_the_entry_count(tmp_path):
     # with the catalog built first, writing its 4,862 entries keeps one
-    # entry's text and one string per distinct cell value, not a table of
-    # every rotation of every key row
+    # entry's text and the interior cell strings of each of its 442 orbit
+    # roots (0.39 MB), not a table of every rotation of every key row
     import tracemalloc
     catalog = io.coxeter_catalog(8)
     tracemalloc.start()

@@ -279,6 +279,19 @@ def test_search_box_rejects_bad_bounds(bounds):
         yf.SearchBox((3, 3))._replace(bounds=bounds)
 
 
+def test_search_box_holds_its_bounds_as_a_tuple():
+    # a list or a generator of bounds gives the box a tuple of them, so it
+    # hashes and compares as the box of that tuple does
+    bounds = (5, 102, 168, 41)
+    for box in (yf.SearchBox(list(bounds)), yf.SearchBox(b for b in bounds),
+                yf.SearchBox((3, 3))._replace(bounds=list(bounds))):
+        assert type(box.bounds) is tuple
+        assert box == yf.SearchBox(bounds) and hash(box) == hash(yf.SearchBox(bounds))
+        assert box in set(yf.w4_boxes())
+    with pytest.raises(ValueError, match="bounds must be a nonempty tuple of ints >= 1"):
+        yf.SearchBox("34")
+
+
 def test_box_too_large(monkeypatch):
     monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 6))
     with pytest.raises(yf.BoxTooLarge):
