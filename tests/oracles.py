@@ -8,7 +8,8 @@ No command runs these; each is a second, independent statement of what a
                             expand_domain, domain_of and first_diagonal_of;
   * w3/w4_system_holds      the defining diamond systems, checked exactly;
   * the product-ratio and quadratic steps of the proof of the search boxes;
-  * w3_domain, w4_domain    a closed-form domain, its entry tuple read back.
+  * w3_domain, w4_domain    a closed-form domain, its entry tuple read back;
+  * one_cell_scan           the Y search's DFS solving one cell at a time.
 
 Tests import them as `from oracles import ...` (pyproject puts tests/ on
 the path).
@@ -17,10 +18,12 @@ the path).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from yfrieze.closedform import W3Entries, W4Entries, _check_diagonal, w3_entries, w4_entries
 from yfrieze.core import PatternKind, PeriodicPattern, _div, _frac, _frac_rows, key_of_rows
+from yfrieze.search import SearchBox
 
 
 def y_south(w, e, n_val) -> "int | Fraction":
@@ -164,3 +167,54 @@ def w3_domain(diag: Sequence[int]) -> FundamentalDomain:
 def w4_domain(diag: Sequence[int]) -> FundamentalDomain:
     """The width-4 domain of a diagonal: its entry tuple read back."""
     return FundamentalDomain.from_entry_tuple(4, (*_check_diagonal(diag, 4), *w4_entries(diag)))
+
+
+def one_cell_scan(boxes: Sequence[SearchBox], firsts: Iterable[int]) -> list[tuple[int, ...]]:
+    """search._scan as it was before it solved two cells per node: the first
+    rows of the closed arithmetic patterns whose first diagonal
+    starts with a value in `firsts` and lies in one of the boxes.
+
+    The DFS walks the boxes' coordinatewise maximum.  It solves
+    anti-diagonal k of the column triangle, the cells (m, j) with m + j = k
+    listed bottom-up, from anti-diagonal k - 1: each cell is
+    (1 + N)(1 + S) / W.  Its lowest cell is x_{k+1}, chosen within the
+    bound, or for k >= n the zero row below the pattern.  Quotients of
+    positive integers are positive, so a branch ends at the first
+    non-integral cell.  Anti-diagonal n + 2 completes the first row, which is
+    kept if its diagonal lies in a box.
+    """
+    bounds = [max(column) for column in zip(*(box.bounds for box in boxes))]
+    n = len(bounds)
+    period = n + 3
+    rows = []
+
+    def descend(antis: list[list[int]]) -> None:
+        k = len(antis)
+        if k == period:
+            if any(tuple(anti[0] for anti in antis[:n]) in box for box in boxes):
+                rows.append(tuple(anti[-1] for anti in antis))
+            return
+        prev = antis[-1]
+        if k < n:
+            # The lowest solved cell is integral iff x = -1 mod W / gcd(W, 1 + N).
+            step = prev[0] // gcd(prev[0], 1 + (prev[1] if k > 1 else 0))
+            choices = range(max(step - 1, 1), bounds[k] + 1, step)
+        else:
+            choices = (0,)
+        for x in choices:
+            cur = [x] if k < n else []
+            south = x
+            for i, west in enumerate(prev):
+                north = prev[i + 1] if i + 1 < len(prev) else 0
+                south, r = divmod((1 + north) * (1 + south), west)
+                if r:
+                    break
+                cur.append(south)
+            else:
+                antis.append(cur)
+                descend(antis)
+                antis.pop()
+
+    for first in firsts:
+        descend([[first]])
+    return rows

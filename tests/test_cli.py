@@ -285,7 +285,7 @@ def test_verify_rejects_tampered_entry(coxeter3_catalog_file, tmp_path, capsys):
 
 
 def test_verify_checks_each_orbit_once(coxeter3_catalog_file, capsys, monkeypatch):
-    from yfrieze import cli, core
+    from yfrieze import core, verify
     calls = []
     check_rows = core.check_rows
 
@@ -293,7 +293,7 @@ def test_verify_checks_each_orbit_once(coxeter3_catalog_file, capsys, monkeypatc
         calls.append(args)
         return check_rows(*args)
 
-    monkeypatch.setattr(cli, "check_rows", counting_check_rows)
+    monkeypatch.setattr(verify, "check_rows", counting_check_rows)
     monkeypatch.setattr(core, "check_rows", counting_check_rows)
     code, _, _ = run(capsys, "verify", str(coxeter3_catalog_file))
     assert code == 0
@@ -305,28 +305,28 @@ def test_verify_reports_a_ragged_rotation_of_a_passing_entry_as_shape(coxeter3_c
     # An entry that names a passing root is compared with it by columns, and
     # zip drops the extra cell of a longer row: such an entry must still get
     # every check.
-    from yfrieze import cli, io
-    raw = io.read_patterns(str(coxeter3_catalog_file), list)
+    from yfrieze import read, verify
+    raw = read.read_patterns(str(coxeter3_catalog_file), list)
     kind, width, rows, entry = raw[0]
     assert entry["orbit_root"] == 0
     ragged = [row[2:] + row[:2] for row in rows]
     ragged[3] = ragged[3] + [1]
-    violations = cli._verify_all([*raw, (kind, width, ragged, {"orbit_root": 0})])
+    violations = verify._verify_all([*raw, (kind, width, ragged, {"orbit_root": 0})])
     assert violations[:-1] == [None] * len(raw)
     assert violations[-1].check == "shape"
-    assert violations[-1] == cli._verify_one(kind, width, ragged)
+    assert violations[-1] == verify._verify_one(kind, width, ragged)
 
 
 def test_verify_checks_a_rotation_of_a_root_read_as_another_kind_in_full(
         coxeter3_catalog_file):
     # Equal columns fix the rows, but not the kind that they are read as.
-    from yfrieze import cli, io
-    raw = io.read_patterns(str(coxeter3_catalog_file), list)
+    from yfrieze import read, verify
+    raw = read.read_patterns(str(coxeter3_catalog_file), list)
     kind, width, rows, entry = raw[0]
     assert entry["orbit_root"] == 0
     member = (yf.PatternKind.Y, width, [row[1:] + row[:1] for row in rows], {**entry, "id": 1})
-    violations = cli._verify_all([raw[0], member])
-    assert violations == [None, cli._verify_one(*member[:3])]
+    violations = verify._verify_all([raw[0], member])
+    assert violations == [None, verify._verify_one(*member[:3])]
     assert violations[1].check == "shape"
 
 
@@ -334,14 +334,14 @@ def test_verify_names_a_changed_member_of_a_passing_root_with_its_own_violation(
         coxeter3_catalog_file):
     # The member still names its root, which passed, so the hint is taken;
     # its columns are no rotation of the root's, so it gets the full check.
-    from yfrieze import cli, io
-    raw = io.read_patterns(str(coxeter3_catalog_file), list)
+    from yfrieze import read, verify
+    raw = read.read_patterns(str(coxeter3_catalog_file), list)
     i, (kind, width, rows, entry) = next((i, e) for i, e in enumerate(raw)
                                          if e[3]["orbit_root"] != i)
     assert raw[entry["orbit_root"]][3]["orbit_root"] == entry["orbit_root"]
     rows[3][1] += 1
-    violations = cli._verify_all(raw)
-    assert violations[i] == cli._verify_one(kind, width, rows)
+    violations = verify._verify_all(raw)
+    assert violations[i] == verify._verify_one(kind, width, rows)
     assert violations[i].check == "diamond"
     assert violations[:i] + violations[i + 1:] == [None] * (len(raw) - 1)
 
@@ -573,10 +573,10 @@ def _json_error(text: str) -> str:
 
 def test_reader_follows_json_load_on_key_order_duplicates_and_broken_files(
         coxeter3_catalog_file, tmp_path, capsys):
-    from yfrieze import io
+    from yfrieze import read
     text = coxeter3_catalog_file.read_text()
     obj = json.loads(text)
-    expected = io.read_patterns(str(coxeter3_catalog_file), list)
+    expected = read.read_patterns(str(coxeter3_catalog_file), list)
     verified = run(capsys, "verify", str(coxeter3_catalog_file))
     assert verified[:2] == (0, "".join(f"pattern {i}: ok\n" for i in range(14))
                             + "14/14 patterns ok\n")
@@ -585,15 +585,15 @@ def test_reader_follows_json_load_on_key_order_duplicates_and_broken_files(
     # patterns before kind and width: read whole, with the same entries
     path.write_text(json.dumps({"patterns": obj["patterns"],
                                 **{k: v for k, v in obj.items() if k != "patterns"}}))
-    with open(path, encoding="utf-8") as fh, pytest.raises(io._Unstreamable):
-        list(io._streamed(fh))
-    assert io.read_patterns(str(path), list) == expected
+    with open(path, encoding="utf-8") as fh, pytest.raises(read._Unstreamable):
+        list(read._streamed(fh))
+    assert read.read_patterns(str(path), list) == expected
     assert run(capsys, "verify", str(path)) == verified
 
     # a pattern document is one pattern, whatever other keys it holds
     path.write_text(json.dumps({"schema": "frieze/1", "kind": "coxeter", "width": 3,
                                 "rows": obj["patterns"][0]["rows"], "patterns": obj["patterns"]}))
-    assert io.read_patterns(str(path), list) == [(*expected[0][:3], None)]
+    assert read.read_patterns(str(path), list) == [(*expected[0][:3], None)]
 
     # a duplicate kind, before or after the patterns: the last one counts
     body = text.rstrip()[:-1]
@@ -942,6 +942,14 @@ def test_render_index_out_of_range(coxeter3_catalog_file, capsys):
         2, "", "error: index 99 out of range (0..13)\n")
 
 
+def test_render_rejects_a_negative_index_before_any_read(coxeter3_catalog_file, tmp_path,
+                                                        capsys):
+    # a missing file is never opened, so no entry of a real one is decoded
+    for path in (coxeter3_catalog_file, tmp_path / "missing.json"):
+        assert run(capsys, "render", str(path), "--index", "-1") == (
+            2, "", "error: --index must be >= 0, got -1\n")
+
+
 def test_render_index_on_a_catalog_without_patterns(tmp_path, capsys):
     from yfrieze import io
     empty = tmp_path / "empty.json"
@@ -1022,10 +1030,13 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 @pytest.mark.parametrize("argv", [("verify", "F"), ("render", "F", "--index", "0"), ("--help",)])
 def test_reader_commands_load_only_the_reader_modules(coxeter3_catalog_file, argv):
-    # verify, render and --help need neither the searches nor the transfer map.
+    # verify, render and --help need neither the searches nor the transfer
+    # map; only verify runs verify's checks, and --help reads no file.
+    readers = {"verify": ["yfrieze.read", "yfrieze.verify"], "render": ["yfrieze.read"]}
+    modules = readers.get(argv[0], [])
     argv = [str(coxeter3_catalog_file) if arg == "F" else arg for arg in argv]
     assert _in_packages(_loaded_modules(argv)[1], "yfrieze") == [
-        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.io"]
+        "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.io", *modules]
 
 
 def test_width_4_y_enumeration_loads_only_the_search_modules():
@@ -1055,6 +1066,17 @@ def test_coxeter_json_enumeration_loads_only_the_catalog_modules():
     assert _in_packages(modules, "yfrieze") == [
         "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.coxeter", "yfrieze.io"]
     assert out.decode() == io.catalog_to_json(io.coxeter_catalog(4))
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "--width", "3", "--format", "json"),
+    ("orbits", "--kind", "coxeter", "--width", "4", "--format", "csv"),
+], ids=["map", "orbits"])
+def test_map_and_orbits_load_neither_the_reader_nor_the_checks(argv):
+    # the streamed reader and verify's checks are compiled only where they
+    # run; the enumerate tests above pin their whole module lists
+    out, modules = _loaded_modules(argv)
+    assert out and not {"yfrieze.read", "yfrieze.verify"} & set(modules)
 
 
 @pytest.mark.parametrize("argv", [

@@ -190,14 +190,14 @@ def test_coxeter_catalog_entries_pass_the_checks_generation_skips(width):
     # the other members: every entry must still pass the full checks, and
     # the orbits must be those found by rotating every entry's rows.  The
     # keys read off the roots are each entry's own row 2.
-    from yfrieze import cli, coxeter
+    from yfrieze import coxeter, verify
     catalog = io.coxeter_catalog(width)
     patterns = [entry.pattern for entry in catalog.entries]
     assert list(io.entry_keys(catalog)) == [entry.key_tuple for entry in catalog.entries] == [
         p.rows[2] for p in patterns]
     for pattern in patterns:
         assert yf.check_rows(pattern.kind, width, pattern.rows) is None
-        assert cli._verify_one(pattern.kind, width, pattern.rows) is None
+        assert verify._verify_one(pattern.kind, width, pattern.rows) is None
     orbits = yf.orbit_decomposition(patterns)
     assert coxeter.enumerate_frieze(width).orbits == orbits
     for orbit in orbits:
@@ -363,7 +363,7 @@ def test_writer_takes_each_entry_from_its_own_rows_and_key(tmp_path):
 
 def test_streaming_the_width_7_catalog_holds_under_half_its_text(tmp_path):
     # the joined text alone would be 2.8 MB; the writer keeps one entry's
-    # text and the cell strings of each orbit root (about 0.4 MB)
+    # text and the cell strings of each orbit root (0.13-0.22 MB traced)
     import tracemalloc
     catalog = io.coxeter_catalog(7)
     tracemalloc.start()
@@ -418,18 +418,19 @@ def test_streamed_read_holds_under_five_chunks(tmp_path):
     # run before.
     import gc
     import tracemalloc
+    from yfrieze import read
     path = tmp_path / "catalog.json"
     with open(path, "w", encoding="utf-8") as fh:
         io.write_catalog_json(io.coxeter_catalog(7), fh)
     gc.collect()
     tracemalloc.start()
     try:
-        count = io.read_patterns(str(path), lambda entries: sum(1 for _ in entries))
+        count = read.read_patterns(str(path), lambda entries: sum(1 for _ in entries))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert count == 1430
-    assert peak < 4.75 * io._CHUNK, peak / io._CHUNK
+    assert peak < 4.75 * read._CHUNK, peak / read._CHUNK
 
 
 SLICES = [(None, None), (0, 2), (2, -2), (-3, None), (None, -20), (5, 5), (3, 1), (-1, 3)]

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import yfrieze as yf
-from yfrieze import io
-from yfrieze.cli import _entry_violation, _verify_all, _verify_one, main
+from yfrieze import io, read
+from yfrieze.cli import main
+from yfrieze.verify import _entry_violation, _verify_all, _verify_one
 from oracles import expand_domain, w3_domain
 
 # Real patterns to mutate, so that valid and nearly valid files are drawn too.
@@ -293,8 +294,8 @@ def test_streamed_entries_equal_the_decoded_document(obj, indent, separators, ch
     if width is not None:
         obj = {**obj, "width": width}
     text = json.dumps(obj, indent=indent, separators=separators)
-    with mock.patch.object(io, "_CHUNK", chunk):
-        entries = list(io._streamed(StringIO(text)))
+    with mock.patch.object(read, "_CHUNK", chunk):
+        entries = list(read._streamed(StringIO(text)))
     assert [entry[:3] for entry in entries] == io.raw_patterns_from_obj(json.loads(text))
     assert [entry[3] for entry in entries] == obj["patterns"]
 
@@ -312,8 +313,8 @@ def test_streamed_read_doubles_while_a_value_is_cut():
     # log2(n) reads, not n, and so is not decoded again n times
     obj = READER_CATALOGS[-1]
     fh = _CountingReads(json.dumps(obj, separators=(",", ":")))
-    with mock.patch.object(io, "_CHUNK", 1):
-        assert len(list(io._streamed(fh))) == len(obj["patterns"]) == 42
+    with mock.patch.object(read, "_CHUNK", 1):
+        assert len(list(read._streamed(fh))) == len(obj["patterns"]) == 42
     assert fh.reads < 20 * 42
 
 
@@ -322,7 +323,7 @@ def test_streamed_read_of_a_broken_entry_stops_at_the_value_limit():
     # read gives up once the value outgrows _MAX_VALUE
     text = json.dumps(READER_CATALOGS[-1], indent=2)
     fh = StringIO(text.replace('"rows"', 'x"rows"', 1))
-    with mock.patch.object(io, "_CHUNK", 16), mock.patch.object(io, "_MAX_VALUE", 1000):
-        with pytest.raises(io._Unstreamable):
-            list(io._streamed(fh))
+    with mock.patch.object(read, "_CHUNK", 16), mock.patch.object(read, "_MAX_VALUE", 1000):
+        with pytest.raises(read._Unstreamable):
+            list(read._streamed(fh))
     assert fh.tell() < 4000 < len(text)

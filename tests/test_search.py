@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
 from conftest import W3_GOLDEN
-from oracles import FundamentalDomain, expand_domain
+from oracles import FundamentalDomain, expand_domain, one_cell_scan
 
 
 def test_enumerate_w3_exact(w3_solutions):
@@ -71,7 +71,8 @@ def test_enumerate_w4_caps_its_workers(monkeypatch, w4_solutions):
     monkeypatch.setattr(yf.search, "_fork_scan", scan_in_process)
     monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 4)
     run(10 ** 6)
-    assert shares == [range(2, 42, 4), range(3, 42, 4), range(4, 42, 4)]  # interleaved
+    assert shares == [sorted([*range(s, 42, 8), *range(9 - s, 42, 8)])  # snake order
+                      for s in (2, 3, 4)]
     run(3)
     run(1)  # serial, no child
     monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 10 ** 6)
@@ -98,9 +99,9 @@ def test_bounded_searches_share_their_scan(monkeypatch):
     monkeypatch.setattr(yf.search, "_fork_scan", scan_in_process)
     monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 4)
     assert yf.y_solutions(5, bounds=(20,) * 5, parallelism=2) == serial
-    assert shares == [range(2, 21, 2)]
+    assert shares == [[2, 3, 6, 7, 10, 11, 14, 15, 18, 19]]  # snake order
     assert yf.enumerate_generic(5, yf.SearchBox((20,) * 5), parallelism=3) == serial
-    assert shares[1:] == [range(2, 21, 3), range(3, 21, 3)]
+    assert shares[1:] == [[2, 5, 8, 11, 14, 17, 20], [3, 4, 9, 10, 15, 16]]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="children are started with os.fork")
@@ -377,3 +378,13 @@ def test_every_scanned_first_row_closes(width_and_boxes):
     sols = yf.search._solution_set(width, rows)
     assert len(sols) == len(rows)
     assert sorted(rows) == sorted(p.rows[1] for p in sols.patterns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_boxes())
+def test_scan_finds_what_the_one_cell_scan_finds(width_and_boxes):
+    # _scan tries only the x that make two cells integral, and prunes a node
+    # none can; the DFS that solves one cell at a time is the reference
+    _, boxes = width_and_boxes
+    firsts = range(1, max(box.bounds[0] for box in boxes) + 1)
+    assert yf.search._scan(boxes, firsts) == one_cell_scan(boxes, firsts)
