@@ -18,10 +18,14 @@ import argparse
 import os
 import sys
 from io import FileIO
-from typing import Callable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
 
 from . import io
-from .core import NotShiftClosed, PatternKind, candidate_ceiling
+from .core import (InconsistentDomain, NotShiftClosed, PatternKind, PeriodicPattern,
+                   candidate_ceiling)
+
+if TYPE_CHECKING:
+    from . import ymap
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -265,10 +269,10 @@ def cmd_render(args) -> int:
         return []
 
     try:
-        patterns = [io._pattern(args.input, kind, width, rows)
+        patterns = [PeriodicPattern(kind, width, rows)
                     for kind, width, rows, _ in _read(args.input, pick)]
-    except ValueError as exc:  # io._pattern's "holds an invalid pattern"
-        raise _Failure(EXIT_USAGE, str(exc))
+    except InconsistentDomain as exc:
+        raise _Failure(EXIT_USAGE, f"{args.input} holds an invalid pattern: {exc}")
     if not patterns:
         raise _Failure(EXIT_USAGE, f"{args.input} holds no patterns")
     text = "\n".join(io.render_ascii(p) for p in patterns)

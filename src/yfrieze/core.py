@@ -84,7 +84,7 @@ class NotShiftClosed(FriezeError, ValueError):
 class Violation(NamedTuple):
     """First failed structural check of a raw grid, with coordinates."""
 
-    check: str  # shape | boundary | diamond | positivity | glide | id | key
+    check: str  # shape | boundary | diamond | positivity | glide | id | key | orbit
     row: int
     col: int
     detail: str

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import PatternKind, Violation, check_rows, glide_shift_of_rows, key_of_rows
-from .io import KEY_NAMES
+from .io import KEY_NAMES, ORBIT_FIELDS
 
 
 def _verify_one(kind: PatternKind, width: int, rows) -> Optional[Violation]:
@@ -30,8 +30,9 @@ def _verify_one(kind: PatternKind, width: int, rows) -> Optional[Violation]:
 
 def _entry_violation(i: int, kind: PatternKind, width: int, rows,
                      entry: dict) -> Optional[Violation]:
-    """The id or key of catalog entry i that disagrees with its place or its
-    valid rows: the id must be i, the key the one core.key_of_rows reads off."""
+    """The id, key or orbit field of catalog entry i that disagrees with its
+    place or its valid rows: the id must be i, the key the one
+    core.key_of_rows reads off, and each orbit field an int."""
     if type(entry.get("id")) is not int or entry["id"] != i:
         return Violation("id", -1, -1, f"id {entry.get('id')!r} is not the entry's index {i}")
     key = list(map(int, key_of_rows(kind, width, rows)))
@@ -43,6 +44,9 @@ def _entry_violation(i: int, kind: PatternKind, width: int, rows,
         if type(value) is not list or value != expected or not all(type(v) is int for v in value):
             return Violation("key", -1, -1,
                              f"{name} {value!r} is not {expected}, read off the rows")
+    for name in ORBIT_FIELDS:
+        if type(entry.get(name)) is not int:  # JSON true and false load as bool, an int subclass
+            return Violation("orbit", -1, -1, f"{name} {entry.get(name)!r} is not an int")
     return None
 
 

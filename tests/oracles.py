@@ -9,7 +9,12 @@ No command runs these; each is a second, independent statement of what a
   * w3/w4_system_holds      the defining diamond systems, checked exactly;
   * the product-ratio and quadratic steps of the proof of the search boxes;
   * w3_domain, w4_domain    a closed-form domain, its entry tuple read back;
-  * one_cell_scan           the Y search's DFS solving one cell at a time.
+  * one_cell_scan           the Y search's DFS solving one cell at a time;
+  * entry_parts             the closed form of every domain entry, at any width;
+  * pattern_to_obj, catalog_to_obj
+                            the JSON documents the writer's text must equal
+                            under json.dumps, and catalog_from_json, which
+                            loads a catalog back for the round-trip tests.
 
 Tests import them as `from oracles import ...` (pyproject puts tests/ on
 the path).
@@ -17,12 +22,16 @@ the path).
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from yfrieze.closedform import W3Entries, W4Entries, _check_diagonal, w3_entries, w4_entries
 from yfrieze.core import PatternKind, PeriodicPattern, _div, _frac, _frac_rows, key_of_rows
+from yfrieze.io import (CATALOG_SCHEMA, KEY_NAMES, ORBIT_FIELDS, PATTERN_SCHEMA, Catalog,
+                        CatalogEntry, _value_to_json)
+from yfrieze.read import raw_patterns_from_obj
 from yfrieze.search import SearchBox
 
 
@@ -218,3 +227,65 @@ def one_cell_scan(boxes: Sequence[SearchBox], firsts: Iterable[int]) -> list[tup
     for first in firsts:
         descend([[first]])
     return rows
+
+
+def entry_parts(diag: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of each domain entry a first diagonal x_1..x_n
+    fixes, unreduced, column j = 1..n left to right and row m top-down in
+    it (closedform's W3Entries and W4Entries order):
+
+        P(j, j+m-1) * P(j-1, j+m) / prod(x_l * (1 + x_l), l = j..j+m-1),
+
+    where P(i, k) = prod(1 + x_l) - prod(x_l) over l = i..k, and
+    x_0 = x_{n+1} = 0.
+    """
+    n = len(diag)
+    x = (0, *diag, 0)
+
+    def p(i: int, k: int) -> int:
+        return prod(1 + v for v in x[i:k + 1]) - prod(x[i:k + 1])
+
+    return tuple((p(j, j + m - 1) * p(j - 1, j + m), prod(v * (1 + v) for v in x[j:j + m]))
+                 for j in range(1, n + 1) for m in range(1, n + 2 - j))
+
+
+def pattern_to_obj(p: PeriodicPattern) -> dict:
+    return {
+        "schema": PATTERN_SCHEMA,
+        "kind": p.kind.value,
+        "width": p.width,
+        "rows": [[_value_to_json(v) for v in row] for row in p.rows],
+    }
+
+
+def catalog_to_obj(catalog: Catalog) -> dict:
+    """The document whose json.dumps(..., indent=2) + "\\n" io.catalog_to_json must write."""
+    key_name = KEY_NAMES[catalog.kind]
+    patterns = []
+    for entry in catalog.entries:
+        obj = {"id": entry.id, key_name: list(entry.key_tuple)}
+        if catalog.kind is PatternKind.Y:
+            obj["diagonal"] = list(entry.key_tuple[:catalog.width])
+        obj.update({name: getattr(entry, name) for name in ORBIT_FIELDS})
+        obj["rows"] = pattern_to_obj(entry.pattern)["rows"]
+        patterns.append(obj)
+    return {
+        "schema": CATALOG_SCHEMA,
+        "kind": catalog.kind.value,
+        "width": catalog.width,
+        "parameters": catalog.parameters,
+        "patterns": patterns,
+    }
+
+
+def catalog_from_json(text: str) -> Catalog:
+    """A catalog's text loaded back, its entries a tuple, which compares
+    equal to a built catalog's entries: the rows decoded by
+    read.raw_patterns_from_obj, every other field taken as it stands."""
+    obj = json.loads(text)
+    kind, width = PatternKind(obj["kind"]), obj["width"]
+    entries = tuple(
+        CatalogEntry(entry["id"], tuple(entry[KEY_NAMES[kind]]), PeriodicPattern(*raw),
+                     *(entry[name] for name in ORBIT_FIELDS))
+        for raw, entry in zip(raw_patterns_from_obj(obj), obj["patterns"]))
+    return Catalog(kind, width, obj["parameters"], entries)

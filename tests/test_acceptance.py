@@ -19,7 +19,8 @@ from yfrieze import io
 from yfrieze.cli import main as cli_main
 from yfrieze.core import check_rows
 from conftest import W3_GOLDEN
-from oracles import expand_domain, w3_domain, w3_system_holds, w4_domain, w4_system_holds
+from oracles import (catalog_from_json, expand_domain, w3_domain, w3_system_holds, w4_domain,
+                     w4_system_holds)
 
 GOLDEN_W4_CSV = Path(__file__).parent / "data" / "w4_golden.csv"
 
@@ -176,7 +177,7 @@ def test_criterion_10_round_trips_and_parallel_determinism(tmp_path):
     entries = 0
     for catalog in (io.y_catalog(3), io.y_catalog(4),
                     io.coxeter_catalog(3), io.coxeter_catalog(4)):
-        assert io.catalog_from_json(io.catalog_to_json(catalog)) == catalog
+        assert catalog_from_json(io.catalog_to_json(catalog)) == catalog
         csv_text = io.catalog_to_csv(catalog)
         header, rows = io.tuples_from_csv(csv_text)
         assert rows == [e.key_tuple for e in catalog.entries]

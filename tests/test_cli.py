@@ -12,7 +12,8 @@ import pytest
 
 import yfrieze as yf
 from yfrieze.cli import main
-from oracles import FundamentalDomain, expand_domain, w3_domain
+from oracles import (FundamentalDomain, catalog_from_json, catalog_to_obj, expand_domain,
+                     pattern_to_obj, w3_domain)
 
 
 def run(capsys, *argv):
@@ -151,7 +152,7 @@ def test_enumerate_json_streams_the_same_bytes_to_stdout_and_output(tmp_path, ca
                                                                      monkeypatch, kind, width):
     from yfrieze import io
     catalog = io.coxeter_catalog(width) if kind == "coxeter" else io.y_catalog(width)
-    expected = json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n"
+    expected = json.dumps(catalog_to_obj(catalog), indent=2) + "\n"
 
     def no_text(catalog):
         raise AssertionError("enumerate built the whole catalog text")
@@ -377,7 +378,7 @@ def test_malformed_catalog_is_one_line_naming_the_field(tmp_path, capsys, comman
     # it as a key violation (exit 1), and render reads the rows only.
     from yfrieze import io
     (*parents, last), value, message = MALFORMED_CATALOGS[shape]
-    obj = io.catalog_to_obj(io.coxeter_catalog(2))
+    obj = catalog_to_obj(io.coxeter_catalog(2))
     target = obj
     for key in parents:
         target = target[key]
@@ -449,10 +450,9 @@ def test_output_check_keeps_an_existing_file_and_leaves_no_new_one(tmp_path, cap
 
 
 def test_verify_single_pattern_object(tmp_path, capsys):
-    from yfrieze import io
     pattern = expand_domain(w3_domain((3, 8, 3)))
     path = tmp_path / "pattern.json"
-    path.write_text(json.dumps(io.pattern_to_obj(pattern)))
+    path.write_text(json.dumps(pattern_to_obj(pattern)))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert "1/1 patterns ok" in out
@@ -464,9 +464,9 @@ def test_boolean_width_is_a_parse_error(tmp_path, capsys, command, container):
     # JSON true loads as a bool, which is an int subclass equal to 1
     from yfrieze import io
     if container == "catalog":
-        obj = io.catalog_to_obj(io.coxeter_catalog(1))
+        obj = catalog_to_obj(io.coxeter_catalog(1))
     else:
-        obj = io.pattern_to_obj(yf.enumerate_frieze(1)[0])
+        obj = pattern_to_obj(yf.enumerate_frieze(1)[0])
     obj["width"] = True
     path = tmp_path / "bool-width.json"
     path.write_text(json.dumps(obj))
@@ -476,10 +476,9 @@ def test_boolean_width_is_a_parse_error(tmp_path, capsys, command, container):
 
 
 def test_verify_flags_nonarithmetic_pattern(tmp_path, capsys):
-    from yfrieze import io
     pattern = expand_domain(w3_domain((1, 1, 1)))
     path = tmp_path / "frac.json"
-    path.write_text(json.dumps(io.pattern_to_obj(pattern)))
+    path.write_text(json.dumps(pattern_to_obj(pattern)))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "positivity violation" in out
@@ -497,13 +496,13 @@ def tampered_width4_catalog(kind):
     else:
         catalog = io.coxeter_catalog(4)
         rational = yf.frieze_from_quiddity((2, F(5, 4), F(8, 3), F(9, 4), 1, 3, F(5, 3)))
-    obj = io.catalog_to_obj(catalog)
+    obj = catalog_to_obj(catalog)
     rows = [entry["rows"] for entry in obj["patterns"]]
     rows[0].pop()
     rows[1][0][3] = 1
     rows[2][2] = [0 if kind == "y" else 1] * 7
     rows[3][3][2] += 1
-    obj["patterns"][4]["rows"] = io.pattern_to_obj(rational)["rows"]
+    obj["patterns"][4]["rows"] = pattern_to_obj(rational)["rows"]
     rows[5][2][1] = "1/2"
     return obj
 
@@ -549,7 +548,7 @@ def test_verify_names_an_entry_whose_id_or_key_disagrees(tmp_path, capsys, shape
     from yfrieze import io
     kind, i, field, value, check, detail = TAMPERED_FIELDS[shape]
     catalog = io.coxeter_catalog(3) if kind == "coxeter" else io.y_catalog(3)
-    obj = io.catalog_to_obj(catalog)
+    obj = catalog_to_obj(catalog)
     if value is DELETE:
         del obj["patterns"][i][field]
     else:
@@ -562,6 +561,27 @@ def test_verify_names_an_entry_whose_id_or_key_disagrees(tmp_path, capsys, shape
     assert (code, err) == (1, "")
     assert out.splitlines() == [f"pattern {j}: {line if j == i else 'ok'}" for j in range(n)] \
         + [f"{n - 1}/{n} patterns ok"]
+
+
+@pytest.mark.parametrize("value", [DELETE, None, "x", True], ids=["missing", "null", "x", "true"])
+@pytest.mark.parametrize("field", ["orbit_root", "orbit_size", "intrinsic_period", "glide_shift"])
+def test_verify_names_an_orbit_field_that_is_not_an_int(tmp_path, capsys, field, value):
+    # the orbit fields were checked only by a loaded reader that no command ran,
+    # so a catalog missing them, or holding a string or a bool, passed verify
+    from yfrieze import io
+    obj = catalog_to_obj(io.coxeter_catalog(3))
+    if value is DELETE:
+        del obj["patterns"][1][field]
+    else:
+        obj["patterns"][1][field] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj))
+    shown = None if value is DELETE else value
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:2] + out.splitlines()[-1:] == [
+        f"pattern 1: orbit violation at row -1, col -1: {field} {shown!r} is not an int",
+        "13/14 patterns ok"]
 
 
 def _json_error(text: str) -> str:
@@ -869,9 +889,9 @@ def test_render_rejects_tampered_entry(coxeter3_catalog_file, tmp_path, capsys):
     obj["patterns"][0]["rows"][2][0] = 6
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "render", str(bad))
-    assert code == 2 and out == ""
-    assert "diamond violation" in err and err.count("\n") == 1
+    assert run(capsys, "render", str(bad)) == (
+        2, "", f"error: {bad} holds an invalid pattern: "
+               "diamond violation at row 2, col 0: W*E - N*S = 3, expected 1\n")
 
 
 @pytest.fixture()
@@ -908,7 +928,7 @@ def test_render_index_builds_the_drawn_entry_only(coxeter3_catalog_file, tmp_pat
     assert code == 2 and out == ""
     assert "diamond violation" in err and err.count("\n") == 1
 
-    entry = io.catalog_from_json(coxeter3_catalog_file.read_text()).entries[1]
+    entry = catalog_from_json(coxeter3_catalog_file.read_text()).entries[1]
     calls = []
     check_rows = core.check_rows
 
@@ -953,7 +973,7 @@ def test_render_rejects_a_negative_index_before_any_read(coxeter3_catalog_file, 
 def test_render_index_on_a_catalog_without_patterns(tmp_path, capsys):
     from yfrieze import io
     empty = tmp_path / "empty.json"
-    empty.write_text(io.catalog_to_json(io.Catalog(yf.PatternKind.COXETER, 3, {}, ())))
+    empty.write_text(io.catalog_to_json(io.y_catalog(3, bounds=(1, 1, 1))))
     assert run(capsys, "render", str(empty), "--index", "0") == (
         2, "", f"error: {empty} holds no patterns\n")
 
@@ -962,14 +982,14 @@ def test_verify_of_a_catalog_without_patterns_fails(tmp_path, capsys):
     # an empty file is no verified catalog: a width-3 catalog holds 14 friezes
     from yfrieze import io
     empty = tmp_path / "empty.json"
-    empty.write_text(io.catalog_to_json(io.Catalog(yf.PatternKind.COXETER, 3, {}, ())))
+    empty.write_text(io.catalog_to_json(io.y_catalog(3, bounds=(1, 1, 1))))
     assert run(capsys, "verify", str(empty)) == (1, "", f"error: {empty} holds no patterns\n")
 
 
 def test_render_of_a_catalog_without_patterns_is_a_usage_error(tmp_path, capsys):
     from yfrieze import io
     empty = tmp_path / "empty.json"
-    empty.write_text(io.catalog_to_json(io.Catalog(yf.PatternKind.Y, 3, {}, ())))
+    empty.write_text(io.catalog_to_json(io.y_catalog(3, bounds=(1, 1, 1))))
     assert run(capsys, "render", str(empty)) == (2, "", f"error: {empty} holds no patterns\n")
 
 
@@ -1105,9 +1125,8 @@ def test_no_command_on_integer_data_loads_fractions(coxeter3_catalog_file, argv)
 def test_reader_commands_load_fractions_for_a_rational_pattern(tmp_path, capsys, command):
     # a fresh interpreter reads the "p/q" cells as in this one, where
     # fractions is loaded already
-    from yfrieze import io
     path = tmp_path / "frac.json"
-    path.write_text(json.dumps(io.pattern_to_obj(expand_domain(w3_domain((1, 1, 1))))))
+    path.write_text(json.dumps(pattern_to_obj(expand_domain(w3_domain((1, 1, 1))))))
     code, expected, _ = run(capsys, command, str(path))
     assert code == (1 if command == "verify" else 0) and "7/2" in expected
     out, modules = _loaded_modules([command, str(path)])

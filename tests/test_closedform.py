@@ -1,5 +1,6 @@
 """Closed-form entries, integrality inequalities and proven search boxes."""
 
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
-from oracles import (FundamentalDomain, expand_domain, w3_b_quadratic_nonpositive, w3_domain,
-                     w3_product_ratio_at_least_2, w3_system_holds, w4_bc_quadratic_nonpositive,
-                     w4_domain, w4_product_ratio_at_least_2, w4_system_holds)
+from yfrieze.closedform import _w3_parts, _w4_parts
+from oracles import (FundamentalDomain, entry_parts, expand_domain, w3_b_quadratic_nonpositive,
+                     w3_domain, w3_product_ratio_at_least_2, w3_system_holds,
+                     w4_bc_quadratic_nonpositive, w4_domain, w4_product_ratio_at_least_2,
+                     w4_system_holds)
 
 diag3 = st.tuples(*(st.integers(1, 3000) for _ in range(3)))
 diag4 = st.tuples(*(st.integers(1, 3000) for _ in range(4)))
@@ -85,6 +88,36 @@ def test_w3_closed_form_expands_to_valid_pattern(diag):
 def test_w4_closed_form_expands_to_valid_pattern(diag):
     pattern = expand_domain(w4_domain(diag))
     assert yf.glide_shift(pattern) is not None
+
+
+def _propagated_entries(diag):
+    """The domain entries a first diagonal fixes, in entry_parts' order,
+    found column by column: E = (1 + N)(1 + S) / W, where N is the cell
+    above E, found first, and W and S are E's row and the row below it in
+    the column before, between zero rows 0 and n + 1."""
+    n = len(diag)
+    column, entries = [0, *map(F, diag), 0], []
+    for j in range(1, n + 1):
+        new = [0]
+        for m in range(1, n + 1):
+            new.append((1 + new[m - 1]) * (1 + column[m + 1]) / column[m])
+        column = new + [0]
+        entries += column[1:n + 2 - j]
+    return entries
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_entry_parts_equal_column_by_column_propagation(width):
+    rng = random.Random(width)
+    for diag in [[1] * width, *([rng.randint(1, 40) for _ in range(width)] for _ in range(25))]:
+        assert [F(*part) for part in entry_parts(diag)] == _propagated_entries(diag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(diag3, diag4))
+def test_entry_parts_equal_the_width_3_and_4_tables(diag):
+    table = _w3_parts if len(diag) == 3 else _w4_parts
+    assert [F(*part) for part in entry_parts(diag)] == [F(*part) for part in table(diag)]
 
 
 # ------------------------------------------------------------ inequalities

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import re
-from fractions import Fraction as F
 
 import pytest
 
 import yfrieze as yf
 from yfrieze import io
-from oracles import expand_domain, w3_domain, w4_domain
+from yfrieze.read import raw_patterns_from_obj
+from oracles import (catalog_from_json, catalog_to_obj, expand_domain, pattern_to_obj, w3_domain,
+                     w4_domain)
 
 
 def all_enumerated_patterns(y3, y4, f3, f4):
@@ -20,114 +21,77 @@ def all_enumerated_patterns(y3, y4, f3, f4):
 
 def test_pattern_json_round_trip(y3_patterns, y4_patterns, frieze3, frieze4):
     for p in all_enumerated_patterns(y3_patterns, y4_patterns, frieze3, frieze4):
-        assert io.pattern_from_obj(io.pattern_to_obj(p)) == p
+        assert yf.PeriodicPattern(*raw_patterns_from_obj(pattern_to_obj(p))[0]) == p
 
 
 def test_nonintegral_entries_serialize_as_strings():
     p = expand_domain(w3_domain((1, 1, 1)))
-    obj = io.pattern_to_obj(p)
+    obj = pattern_to_obj(p)
     assert "7/2" in obj["rows"][1]
-    assert io.pattern_from_obj(obj) == p
+    assert yf.PeriodicPattern(*raw_patterns_from_obj(obj)[0]) == p
 
 
 def test_pattern_obj_rejects_garbage():
     with pytest.raises(ValueError):
-        io.raw_pattern_from_obj({"schema": "nope"})
+        raw_patterns_from_obj({"schema": "nope"})
     # entries are JSON ints or "p/q" strings, nothing else
     for bad in (1.5, True, False, "2.0", "2", "1/0", "1/2/3", " 1/2", None):
         with pytest.raises(ValueError):
-            io.raw_pattern_from_obj({"schema": "frieze/1", "kind": "y", "width": 3,
-                                     "rows": [[bad]]})
+            raw_patterns_from_obj({"schema": "frieze/1", "kind": "y", "width": 3,
+                                   "rows": [[bad]]})
         # a row of ints is decoded whole; one bad value among them still fails
         with pytest.raises(ValueError, match="ints or 'p/q' strings"):
-            io.raw_patterns_from_obj({"schema": "frieze-catalog/1", "kind": "y",
-                                      "width": 3, "patterns": [{"rows": [[1, 2, bad, 3]]}]})
+            raw_patterns_from_obj({"schema": "frieze-catalog/1", "kind": "y",
+                                   "width": 3, "patterns": [{"rows": [[1, 2, bad, 3]]}]})
 
 
 def test_json_that_is_not_an_object_is_a_value_error():
-    # a list or a number names no schema: malformed input, not an AttributeError
-    with pytest.raises(ValueError, match="expected schema 'frieze-catalog/1', got None"):
-        io.catalog_from_json("[]")
-    with pytest.raises(ValueError, match="expected schema 'frieze/1', got None"):
-        io.pattern_from_obj([])
-    with pytest.raises(ValueError, match="expected schema 'frieze/1', got None"):
-        io.raw_pattern_from_obj(5)
-    with pytest.raises(ValueError, match="unrecognized schema None"):
-        io.raw_patterns_from_obj("frieze/1")
+    # a list, a number or a string names no schema: malformed input, not an AttributeError
+    for obj in ([], 5, "frieze/1"):
+        with pytest.raises(ValueError, match="unrecognized schema None"):
+            raw_patterns_from_obj(obj)
 
 
 def test_catalog_entry_that_is_not_an_object_is_a_value_error():
-    obj = io.catalog_to_obj(io.coxeter_catalog(1))
+    obj = catalog_to_obj(io.coxeter_catalog(1))
     obj["patterns"] = [5]
     with pytest.raises(ValueError, match="catalog entry 0 is not an object"):
-        io.catalog_from_json(json.dumps(obj))
-
-
-def test_catalog_entry_missing_a_field_is_a_value_error():
-    obj = io.catalog_to_obj(io.y_catalog(3))
-    obj["patterns"][1] = {"rows": []}
-    with pytest.raises(ValueError, match="catalog entry 1 lacks id, tuple, orbit_root"):
-        io.catalog_from_json(json.dumps(obj))
-    obj["patterns"][1] = dict(obj["patterns"][0])
-    del obj["patterns"][1]["glide_shift"]
-    with pytest.raises(ValueError, match="catalog entry 1 lacks glide_shift"):
-        io.catalog_from_json(json.dumps(obj))
+        raw_patterns_from_obj(obj)
 
 
 @pytest.mark.parametrize("field, value, message", [
     ("kind", None, "catalog lacks kind"),
     ("width", None, "catalog lacks width"),
     ("patterns", None, "catalog lacks patterns"),
-    ("parameters", None, "catalog lacks parameters"),
     ("patterns", 5, "catalog patterns must be a list, got 5"),
     ("patterns", {}, "catalog patterns must be a list, got {}"),
-    ("parameters", 5, "catalog parameters must be a dict, got 5"),
 ])
 def test_catalog_with_a_missing_or_mistyped_field_is_a_value_error(field, value, message):
     # a malformed top level is a ValueError, not a KeyError or TypeError
-    obj = io.catalog_to_obj(io.coxeter_catalog(1))
+    obj = catalog_to_obj(io.coxeter_catalog(1))
     if value is None:
         del obj[field]
     else:
         obj[field] = value
     with pytest.raises(ValueError, match=f"^{message}$"):
-        io.catalog_from_json(json.dumps(obj))
+        raw_patterns_from_obj(obj)
 
 
 @pytest.mark.parametrize("field, value, message", [
     ("rows", None, "catalog entry 0 lacks rows"),
     ("rows", 5, "catalog entry 0 rows must be a list of lists, got 5"),
     ("rows", [5], "catalog entry 0 rows must be a list of lists, got [5]"),
-    ("quiddity", 5, "catalog entry 0 quiddity must be a list, got 5"),
 ])
 def test_catalog_entry_with_a_missing_or_mistyped_field_is_a_value_error(field, value,
                                                                          message):
     # named by entry and field, not a TypeError such as "'int' object is not iterable"
-    obj = io.catalog_to_obj(io.coxeter_catalog(1))
+    obj = catalog_to_obj(io.coxeter_catalog(1))
     if value is None:
         del obj["patterns"][0][field]
     else:
         obj["patterns"][0][field] = value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        io.catalog_from_json(json.dumps(obj))
-
-
-def test_catalog_entry_with_an_invalid_pattern_is_a_value_error():
-    obj = io.catalog_to_obj(io.coxeter_catalog(3))
-    obj["patterns"][2]["rows"][2][0] += 1
-    # a ValueError naming the entry, not the InconsistentDomain PeriodicPattern raises
-    with pytest.raises(ValueError, match="^catalog entry 2 holds an invalid pattern: "
-                                         "diamond violation at row 2, col 0: "):
-        io.catalog_from_json(json.dumps(obj))
-
-
-def test_pattern_document_with_an_invalid_pattern_is_a_value_error():
-    obj = io.pattern_to_obj(yf.enumerate_frieze(3)[0])
-    obj["rows"][2][0] += 1
-    # the wording of catalog_from_obj, not the InconsistentDomain PeriodicPattern raises
-    with pytest.raises(ValueError, match="^pattern document holds an invalid pattern: "
-                                         "diamond violation at row 2, col 0: "):
-        io.pattern_from_obj(obj)
+        raw_patterns_from_obj(obj)
 
 
 def test_tuples_from_empty_csv():
@@ -140,7 +104,7 @@ def test_tuples_from_empty_csv():
 def test_y_catalog_round_trips(w3_solutions):
     catalog = io.y_catalog(3)
     assert [e.key_tuple for e in catalog.entries] == list(w3_solutions.full_tuples)
-    assert io.catalog_from_json(io.catalog_to_json(catalog)) == catalog
+    assert catalog_from_json(io.catalog_to_json(catalog)) == catalog
 
     header, rows = io.tuples_from_csv(io.catalog_to_csv(catalog))
     assert header == tuple("abcdefghi")
@@ -155,7 +119,7 @@ def test_y_catalog_round_trips(w3_solutions):
 def test_coxeter_catalog_round_trips():
     catalog = io.coxeter_catalog(3)
     assert len(catalog.entries) == 14
-    assert io.catalog_from_json(io.catalog_to_json(catalog)) == catalog
+    assert catalog_from_json(io.catalog_to_json(catalog)) == catalog
     header, rows = io.tuples_from_csv(io.catalog_to_csv(catalog))
     assert header == tuple(f"q{i}" for i in range(6))
     assert rows == [e.key_tuple for e in catalog.entries]
@@ -163,10 +127,10 @@ def test_coxeter_catalog_round_trips():
 
 @pytest.mark.parametrize("width", [True, "1"])
 def test_catalog_from_json_rejects_a_width_that_is_not_an_int(width):
-    obj = io.catalog_to_obj(io.coxeter_catalog(1))
+    obj = catalog_to_obj(io.coxeter_catalog(1))
     obj["width"] = width
     with pytest.raises(ValueError, match="width must be an int"):
-        io.catalog_from_json(json.dumps(obj))
+        raw_patterns_from_obj(obj)
 
 
 def test_coxeter_catalog_validates_each_orbit_once(monkeypatch):
@@ -271,13 +235,7 @@ def test_width_9_coxeter_catalog_file_digest(tmp_path):
 def _writer_catalogs():
     yield from (io.coxeter_catalog(w) for w in range(1, 9))
     yield from (io.y_catalog(w) for w in range(1, 5))
-    yield io.Catalog(yf.PatternKind.COXETER, 3, {"mode": "triangulations", "polygon": 6}, ())
-    half = yf.PeriodicPattern(yf.PatternKind.Y, 1,
-                              ((0, 0, 0, 0), (2, F(1, 2), 2, F(1, 2)), (0, 0, 0, 0)))
-    # built catalogs key their entries by int tuples only, so this entry for
-    # the tuple (2, 1/2) carries the int stand-in (2, 1); its rows are the case
-    yield io.Catalog(yf.PatternKind.Y, 1, {"mode": "generic", "bounds": [2]},
-                     (io.CatalogEntry(0, (2, 1), half, 0, 2, 2, None),))
+    yield io.y_catalog(3, bounds=(1, 1, 1))  # a box that holds no pattern
 
 
 def _written(catalog, path):
@@ -288,12 +246,12 @@ def _written(catalog, path):
 
 def test_catalog_json_writer_matches_json_dumps(monkeypatch, tmp_path):
     # catalog_to_json and write_catalog_json write the text themselves;
-    # catalog_to_obj plus json.dumps is the reference layout.
+    # oracles.catalog_to_obj plus json.dumps is the reference layout.
     catalogs = list(_writer_catalogs())
     monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
     catalogs.append(io.y_catalog(5, bounds=(64,) * 5))
     for catalog in catalogs:
-        expected = json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n"
+        expected = json.dumps(catalog_to_obj(catalog), indent=2) + "\n"
         assert io.catalog_to_json(catalog) == expected
         assert _written(catalog, tmp_path / "catalog.json") == expected
 
@@ -302,7 +260,7 @@ def test_json_writer_builds_no_entry_and_rotates_no_pattern(monkeypatch, tmp_pat
     # the writer reads each entry's key and rows off its orbit's root
     from yfrieze import core
     catalogs = [io.coxeter_catalog(5), io.y_catalog(4)]
-    expected = [json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n" for catalog in catalogs]
+    expected = [json.dumps(catalog_to_obj(catalog), indent=2) + "\n" for catalog in catalogs]
     built = []
     new = io.CatalogEntry.__new__
     rotated = core._rotated
@@ -335,30 +293,12 @@ def test_writer_renders_each_orbit_roots_cells_once(monkeypatch):
             return super().__getitem__(value)
 
     catalog = io.coxeter_catalog(7)
-    expected = json.dumps(io.catalog_to_obj(catalog), indent=2) + "\n"
+    expected = json.dumps(catalog_to_obj(catalog), indent=2) + "\n"
     monkeypatch.setattr(io, "_CellJson", CountingCellJson)
     assert io.catalog_to_json(catalog) == expected
     period, orbits = 10, len(catalog.entries.patterns.roots)
     assert orbits == 150
     assert len(lookups) <= orbits * 7 * period + 4 * period == 10_540
-
-
-def test_writer_takes_each_entry_from_its_own_rows_and_key(tmp_path):
-    # the writer renders each rotation orbit's cells once; a loaded catalog
-    # may name any orbit_root and key, so each entry must still show its own
-    catalog = io.catalog_from_json(io.catalog_to_json(io.coxeter_catalog(5)))
-    roots = sorted({entry.orbit_root for entry in catalog.entries})
-    assert len(roots) == 19
-
-    def elsewhere(entry):  # the root of another orbit, which differs between members
-        others = [root for root in roots if root != entry.orbit_root]
-        return entry._replace(orbit_root=others[entry.id % len(others)],
-                              key_tuple=entry.key_tuple[::-1])
-
-    tampered = catalog._replace(entries=tuple(map(elsewhere, catalog.entries)))
-    expected = json.dumps(io.catalog_to_obj(tampered), indent=2) + "\n"
-    assert _written(tampered, tmp_path / "catalog.json") == expected
-    assert list(io.entry_keys(tampered)) == [entry.key_tuple[::-1] for entry in catalog.entries]
 
 
 def test_streaming_the_width_7_catalog_holds_under_half_its_text(tmp_path):
@@ -493,7 +433,7 @@ def test_orbit_fields_equal_per_pattern_values(monkeypatch):
 
 def test_csv_and_json_catalogs_agree(w4_solutions):
     catalog = io.y_catalog(4)
-    obj = io.catalog_to_obj(catalog)
+    obj = catalog_to_obj(catalog)
     _, csv_rows = io.tuples_from_csv(io.catalog_to_csv(catalog))
     json_rows = [tuple(p["tuple"]) for p in obj["patterns"]]
     assert csv_rows == json_rows == list(w4_solutions.full_tuples)
@@ -511,8 +451,8 @@ def test_catalog_orbit_metadata(w3_solutions):
 
 def test_raw_patterns_from_catalog_obj():
     catalog = io.coxeter_catalog(1)
-    obj = io.catalog_to_obj(catalog)
-    raw = io.raw_patterns_from_obj(obj)
+    obj = catalog_to_obj(catalog)
+    raw = raw_patterns_from_obj(obj)
     assert len(raw) == 2
     assert raw[0][0] is yf.PatternKind.COXETER
 

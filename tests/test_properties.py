@@ -14,11 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 import yfrieze as yf
 from yfrieze import io, read
 from yfrieze.cli import main
+from yfrieze.io import ORBIT_FIELDS
+from yfrieze.read import raw_patterns_from_obj
 from yfrieze.verify import _entry_violation, _verify_all, _verify_one
-from oracles import expand_domain, w3_domain
+from oracles import catalog_to_obj, expand_domain, pattern_to_obj, w3_domain
 
 # Real patterns to mutate, so that valid and nearly valid files are drawn too.
-BASES = [(p.kind.value, p.width, io.pattern_to_obj(p)["rows"])
+BASES = [(p.kind.value, p.width, pattern_to_obj(p)["rows"])
          for p in (*yf.enumerate_frieze(1), *yf.enumerate_frieze(3),
                    *yf.enumerate_w3().patterns,
                    expand_domain(w3_domain((1, 1, 1))))]
@@ -68,7 +70,7 @@ def test_verify_and_render_exit_with_documented_codes(blob_path, blob):
 
 
 # Decoded JSON of real catalogs, one per kind, for tampered_catalogs to edit.
-CATALOGS = [io.catalog_to_obj(io.coxeter_catalog(2)), io.catalog_to_obj(io.y_catalog(3))]
+CATALOGS = [catalog_to_obj(io.coxeter_catalog(2)), catalog_to_obj(io.y_catalog(3))]
 
 JSON_VALUES = st.recursive(
     st.one_of(VALUES, st.integers(), st.text(max_size=4)),
@@ -104,19 +106,22 @@ def tampered_catalogs(draw):
 @settings(max_examples=200, deadline=None)
 @given(obj=tampered_catalogs())
 @example(obj={**CATALOGS[0], "patterns": []})
+@example(obj={**CATALOGS[0], "patterns": [*CATALOGS[0]["patterns"][:1],
+                                          {**CATALOGS[0]["patterns"][1], "glide_shift": "x"}]})
 def test_tampered_catalog_decodes_or_fails_in_one_line(blob_path, obj):
     # exit 2 prints one line; exit 1 prints nothing on stderr, except for a
-    # catalog without patterns, which fails verify with one line
+    # catalog without patterns, which fails verify with one line.  A file
+    # that reads has entry objects only, and one whose orbit field is no
+    # int fails verify.
     text = json.dumps(obj)
-    try:
-        io.catalog_from_json(text)
-    except ValueError:
-        pass
     blob_path.write_text(text)
     err = StringIO()
     with redirect_stdout(StringIO()), redirect_stderr(err):
         code = main(["verify", str(blob_path)])
     assert code in {0, 1, 2}
+    if code != 2 and any(type(entry.get(name)) is not int
+                         for entry in obj["patterns"] for name in ORBIT_FIELDS):
+        assert code == 1
     if code == 2:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     elif code == 1 and obj.get("patterns") == []:
@@ -126,7 +131,7 @@ def test_tampered_catalog_decodes_or_fails_in_one_line(blob_path, obj):
 
 
 # The raw entries of the width-4 catalogs, one per kind, as verify reads them.
-W4_RAW = [io.raw_patterns_from_obj(io.catalog_to_obj(catalog))
+W4_RAW = [raw_patterns_from_obj(catalog_to_obj(catalog))
           for catalog in (io.coxeter_catalog(4), io.y_catalog(4))]
 
 
@@ -172,7 +177,7 @@ def test_verify_checks_once_per_orbit_with_the_per_entry_verdicts(raw):
 
 # The width-4 catalogs' entries, one list per kind, with their entry objects.
 W4_ENTRIES = [[(catalog.kind, catalog.width, entry["rows"], entry)
-               for entry in io.catalog_to_obj(catalog)["patterns"]]
+               for entry in catalog_to_obj(catalog)["patterns"]]
               for catalog in (io.coxeter_catalog(4), io.y_catalog(4))]
 HINTS = ["correct", "own index", "other root", "later", -1, 10 ** 30, True, "0", [0], "missing"]
 
@@ -277,7 +282,7 @@ def test_cli_argv_exits_with_documented_codes(argv):
 
 
 # Catalogs of both kinds at widths 1-4, for the streamed reader to read back.
-READER_CATALOGS = [io.catalog_to_obj(catalog) for width in range(1, 5)
+READER_CATALOGS = [catalog_to_obj(catalog) for width in range(1, 5)
                    for catalog in (io.coxeter_catalog(width), io.y_catalog(width))]
 
 
@@ -296,7 +301,7 @@ def test_streamed_entries_equal_the_decoded_document(obj, indent, separators, ch
     text = json.dumps(obj, indent=indent, separators=separators)
     with mock.patch.object(read, "_CHUNK", chunk):
         entries = list(read._streamed(StringIO(text)))
-    assert [entry[:3] for entry in entries] == io.raw_patterns_from_obj(json.loads(text))
+    assert [entry[:3] for entry in entries] == raw_patterns_from_obj(json.loads(text))
     assert [entry[3] for entry in entries] == obj["patterns"]
 
 
