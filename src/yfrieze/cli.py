@@ -9,7 +9,8 @@ FRIEZE_MAX_CANDIDATES environment variable.
 Each command imports the modules only it runs when it runs: `verify` and
 `render` the streamed reader (read), `verify` its checks (verify), a
 search, a Coxeter catalog or `map` search, coxeter or ymap.  So no command
-compiles code that only another one calls.
+compiles code that only another one calls.  `enumerate` writes a built
+catalog's `patterns` through io; `orbits` and `map` read their orbit table.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def cmd_map(args) -> int:
         raise _Failure(EXIT_LIMIT, f"no enumerations available for width {args.width}")
     friezes = _catalog(PatternKind.COXETER, args.width, output=args.output)
     ypatterns = _catalog(PatternKind.Y, args.width)
-    report = ymap.fiber_analysis(args.width, friezes.entries.patterns, ypatterns.entries.patterns)
+    report = ymap.fiber_analysis(args.width, friezes.patterns, ypatterns.patterns)
     records = ymap.correspondence_table(friezes, ypatterns, report)
     verdict = _verdict(report)
     if args.format == "json":
@@ -228,7 +229,7 @@ def cmd_map(args) -> int:
 
 def cmd_orbits(args) -> int:
     catalog = _catalog(args.kind, args.width, args.bounds, output=args.output)
-    orbits = catalog.entries.patterns.orbits
+    orbits = catalog.patterns.orbits
     if args.format == "json":
         import json
         text = json.dumps({

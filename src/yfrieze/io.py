@@ -15,9 +15,11 @@ with generation parameters and per-pattern orbit metadata:
 
 A catalog is built, never loaded: it holds its patterns as
 core.OrbitPatterns, one root per rotation orbit, found once, when the
-patterns are generated; its entries are built when they are read.  CSV and
-table output (through entry_keys) and the JSON writer read each entry's key
-and rows off its orbit's root instead, so they build no entry.
+patterns are generated.  CSV and table output (through entry_keys) and the
+JSON writer read each entry's key and rows off its orbit's root at its
+shift, so they build no pattern.  The JSON writer writes an orbit's `heads`
+row as each member's orbit_root and orbit_size, the size again as its
+intrinsic_period, and the glide_shift it finds once, at the orbit's root.
 write_catalog_json streams a catalog's text one entry at a time, and holds
 each orbit root's cells as JSON text.
 
@@ -32,13 +34,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import chain
-from operator import eq
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, TextIO
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .core import OrbitPatterns, PatternKind, PeriodicPattern, glide_shift, key_of_rows
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
@@ -46,71 +44,21 @@ KEY_NAMES = {PatternKind.Y: "tuple", PatternKind.COXETER: "quiddity"}
 ORBIT_FIELDS = ("orbit_root", "orbit_size", "intrinsic_period", "glide_shift")
 
 
-def _value_to_json(v: "int | Fraction"):
-    return int(v) if v.denominator == 1 else str(v)
-
-
-class CatalogEntry(NamedTuple):
-    id: int
-    key_tuple: tuple[int, ...]
-    pattern: PeriodicPattern
-    orbit_root: int
-    orbit_size: int
-    intrinsic_period: int
-    glide_shift: int
-
-
 class Catalog(NamedTuple):
+    """A built catalog: its generation parameters and its patterns, held as
+    one root per rotation orbit, found once, when they were generated."""
+
     kind: PatternKind
     width: int
     parameters: dict
-    entries: _OrbitEntries
-
-
-class _OrbitEntries(Sequence):
-    """The entries of a built catalog, held as the core.OrbitPatterns of its
-    patterns: entry i is built when it is read, from its orbit's root at its
-    shift and the orbit's fields, which source(i) reads without building it.
-    It compares equal to the tuple of the same entries, and a slice of it is
-    that tuple's slice.
-
-    An orbit's root and size are its `heads` row, its size is its intrinsic
-    period, and glide_shift is shift-invariant, so it is found once, at the
-    orbit's root pattern.
-    """
-
-    def __init__(self, patterns: OrbitPatterns):
-        self.patterns = patterns
-        self._glides = list(map(glide_shift, patterns.roots))
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-    def source(self, i: int) -> tuple:
-        """(i, key, rows, shift, orbit, orbit fields) of entry i, whose rows
-        are `rows`, those of root `orbit`, rotated left by `shift`."""
-        k, s = self.patterns.locate(i)
-        root, (head, size) = self.patterns.roots[k], self.patterns.heads[k]
-        return (i, key_of_rows(root.kind, root.width, root.rows, s), root.rows, s, k,
-                (head, size, size, self._glides[k]))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        i, key, *_, fields = self.source(range(len(self))[i])
-        return CatalogEntry(i, key, self.patterns[i], *fields)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, _OrbitEntries)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+    patterns: OrbitPatterns
 
 
 def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
               parallelism: int = 1) -> Catalog:
     """Catalog of all arithmetic Y patterns of a width, sorted by diagonal:
     the re-verified search hits, held as one root per rotation orbit keyed
-    by its first row, and each entry built when it is read."""
+    by its first row."""
     from . import search
     patterns = search.y_solutions(width, bounds=bounds, parallelism=parallelism).patterns
     if width in (3, 4) and bounds is None:
@@ -120,17 +68,16 @@ def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
         used = bounds if bounds is not None else search.DEFAULT_GENERIC_BOUNDS[width]
         parameters = {"mode": "generic", "bounds": list(used)}
     held = OrbitPatterns([p.rows[1] for p in patterns], patterns.__getitem__)
-    return Catalog(PatternKind.Y, width, parameters, _OrbitEntries(held))
+    return Catalog(PatternKind.Y, width, parameters, held)
 
 
 def coxeter_catalog(width: int) -> Catalog:
     """Catalog of all arithmetic Coxeter friezes of a width, one per
-    triangulation, keyed by quiddity.  Its entries hold one root pattern
-    per rotation orbit and build each entry when it is read."""
+    triangulation, keyed by quiddity, held as one root per rotation orbit."""
     from . import coxeter
     parameters = {"mode": "triangulations", "polygon": width + 3}
     return Catalog(PatternKind.COXETER, width, parameters,
-                   _OrbitEntries(coxeter.enumerate_frieze(width)))
+                   coxeter.enumerate_frieze(width))
 
 
 _KEY_SEP = ",\n" + " " * 8
@@ -144,18 +91,12 @@ def _key_json(cells: Iterable[str]) -> str:
 
 
 class _CellJson(dict):
-    """Cell value -> its JSON text, each value rendered once; an int and a
-    Fraction that are equal render the same."""
+    """Cell value -> its JSON text, each value rendered once.  A built
+    catalog holds only ints, whose JSON text is their str."""
 
-    def __missing__(self, value) -> str:
-        import json
-        self[value] = text = json.dumps(_value_to_json(value))
+    def __missing__(self, value: int) -> str:
+        self[value] = text = str(value)
         return text
-
-
-def _entry_sources(catalog: Catalog) -> Iterator[tuple]:
-    """_OrbitEntries.source of each entry in catalog order, building no entry."""
-    return map(catalog.entries.source, range(len(catalog.entries)))
 
 
 def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
@@ -164,9 +105,10 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     entry is written from a fixed template, its key and counts as the ints
     the catalog holds (with an indent, json.dumps runs its pure-Python
     encoder, several times slower).
-    The boundary rows are joined once, and each orbit root's interior cells
-    rendered once, into a flat tuple whose slices, rotated to a member's
-    shift, are joined into its rows."""
+    The boundary rows are joined once.  The first time an orbit is met, its
+    root's glide_shift is found and its interior cells rendered into a flat
+    tuple, whose slices, rotated to a member's shift, are joined into its
+    rows."""
     import json
     head = json.dumps({"schema": CATALOG_SCHEMA, "kind": catalog.kind.value,
                        "width": catalog.width, "parameters": catalog.parameters},
@@ -178,26 +120,29 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     cols = catalog.width + 3
     zeros, ones = (_CELL_SEP.join(map(cell, [v] * cols)) for v in (0, 1))
     top, bottom = ([zeros], [zeros]) if is_y else ([zeros, ones], [ones, zeros])
-    interiors: dict = {}  # orbit -> its root's interior cells, row by row in one tuple
-    n = 0
-    for n, (i, key, rows, s, k, (root, size, period, glide)) in enumerate(
-            _entry_sources(catalog), 1):
+    held = catalog.patterns
+    orbits: dict = {}  # orbit -> its root's interior cells, row by row in one tuple, and glide
+    for i in range(len(held)):
+        k, s = held.locate(i)
+        root = held.roots[k]
+        key = key_of_rows(catalog.kind, catalog.width, root.rows, s)
         diagonal = (f'      "diagonal": {_key_json(map(str, key[:catalog.width]))},\n'
                     if is_y else "")
-        flat = interiors.get(k)
-        if flat is None:
-            flat = interiors[k] = tuple(map(cell, chain.from_iterable(rows[len(top):-len(top)])))
+        if k not in orbits:
+            orbits[k] = (tuple(map(cell, chain.from_iterable(root.rows[len(top):-len(top)]))),
+                         glide_shift(root))
+        (flat, glide), (head, size) = orbits[k], held.heads[k]
         cells = _ROW_SEP.join(top + [_CELL_SEP.join(flat[j + s:j + cols] + flat[j:j + s])
                                      for j in range(0, len(flat), cols)] + bottom)
         yield (
-            f'{"," if n > 1 else ""}\n    {{\n      "id": {i},\n'
+            f'{"," if i else ""}\n    {{\n      "id": {i},\n'
             f'      "{key_name}": {_key_json(map(str, key))},\n{diagonal}'
-            f'      "orbit_root": {root},\n'
+            f'      "orbit_root": {head},\n'
             f'      "orbit_size": {size},\n'
-            f'      "intrinsic_period": {period},\n'
-            f'      "glide_shift": {"null" if glide is None else glide},\n'
+            f'      "intrinsic_period": {size},\n'
+            f'      "glide_shift": {glide},\n'
             f'      "rows": [\n        [\n          {cells}\n        ]\n      ]\n    }}')
-    yield "\n  ]\n}\n" if n else "]\n}\n"
+    yield "\n  ]\n}\n" if held else "]\n}\n"
 
 
 def write_catalog_json(catalog: Catalog, fh: TextIO) -> None:
@@ -228,9 +173,11 @@ def tuple_header(kind: PatternKind, width: int) -> tuple[str, ...]:
 
 
 def entry_keys(catalog: Catalog) -> Iterator[tuple]:
-    """The key of each entry in catalog order, read off its orbit's root,
-    building no entry."""
-    return (source[1] for source in _entry_sources(catalog))
+    """The key of each entry in catalog order, read off its orbit's root at
+    its shift, building no pattern."""
+    held = catalog.patterns
+    return (key_of_rows(catalog.kind, catalog.width, held.roots[k].rows, s)
+            for k, s in map(held.locate, range(len(held))))
 
 
 def catalog_to_csv(catalog: Catalog) -> str:

@@ -32,7 +32,9 @@ def _entry_violation(i: int, kind: PatternKind, width: int, rows,
                      entry: dict) -> Optional[Violation]:
     """The id, key or orbit field of catalog entry i that disagrees with its
     place or its valid rows: the id must be i, the key the one
-    core.key_of_rows reads off, and each orbit field an int."""
+    core.key_of_rows reads off, and each orbit field an int, with
+    intrinsic_period equal to orbit_size, which divides the period, an
+    orbit_root in 0..i and a glide_shift in 0..period-1."""
     if type(entry.get("id")) is not int or entry["id"] != i:
         return Violation("id", -1, -1, f"id {entry.get('id')!r} is not the entry's index {i}")
     key = list(map(int, key_of_rows(kind, width, rows)))
@@ -47,7 +49,18 @@ def _entry_violation(i: int, kind: PatternKind, width: int, rows,
     for name in ORBIT_FIELDS:
         if type(entry.get(name)) is not int:  # JSON true and false load as bool, an int subclass
             return Violation("orbit", -1, -1, f"{name} {entry.get(name)!r} is not an int")
-    return None
+    root, size, period, glide = map(entry.get, ORBIT_FIELDS)
+    if period != size:
+        detail = f"intrinsic_period {period} is not orbit_size {size}"
+    elif size < 1 or (width + 3) % size:
+        detail = f"orbit_size {size} does not divide the period {width + 3}"
+    elif not 0 <= root <= i:
+        detail = f"orbit_root {root} is not in 0..{i}"
+    elif not 0 <= glide < width + 3:
+        detail = f"glide_shift {glide} is not in 0..{width + 2}"
+    else:
+        return None
+    return Violation("orbit", -1, -1, detail)
 
 
 def _is_rotation(columns: tuple, root: tuple) -> bool:

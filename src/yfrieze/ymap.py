@@ -108,14 +108,14 @@ def correspondence_table(friezes: Catalog, ypatterns: Catalog,
     """One record per frieze orbit: its size s and its image orbit's size t.
 
     Takes the built Coxeter and Y catalogs of one width and the
-    fiber_analysis of their patterns.  Both sides' orbits are the `heads`
+    fiber_analysis of their `patterns`.  Both sides' orbits are the `heads`
     that generation found, and each frieze root's image is read off
     report.image_of.  Equivariance with cyclic shifts makes the image orbit
     well defined by any representative.
     """
-    held = ypatterns.entries.patterns
+    held = ypatterns.patterns
     records = []
-    for root, size in friezes.entries.patterns.heads:
+    for root, size in friezes.patterns.heads:
         target, target_size = held.heads[held.locate(report.image_of[root])[0]]
         records.append(CorrespondenceRecord(frieze_id=root, yfrieze_id=target,
                                             frieze_orbit_size=size, y_orbit_size=target_size))

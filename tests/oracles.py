@@ -11,6 +11,9 @@ No command runs these; each is a second, independent statement of what a
   * w3_domain, w4_domain    a closed-form domain, its entry tuple read back;
   * one_cell_scan           the Y search's DFS solving one cell at a time;
   * entry_parts             the closed form of every domain entry, at any width;
+  * CatalogEntry, entries_of, loaded
+                            a built catalog's entries, each field computed
+                            from its own pattern;
   * pattern_to_obj, catalog_to_obj
                             the JSON documents the writer's text must equal
                             under json.dumps, and catalog_from_json, which
@@ -28,9 +31,9 @@ from math import gcd, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from yfrieze.closedform import W3Entries, W4Entries, _check_diagonal, w3_entries, w4_entries
-from yfrieze.core import PatternKind, PeriodicPattern, _div, _frac, _frac_rows, key_of_rows
-from yfrieze.io import (CATALOG_SCHEMA, KEY_NAMES, ORBIT_FIELDS, PATTERN_SCHEMA, Catalog,
-                        CatalogEntry, _value_to_json)
+from yfrieze.core import (PatternKind, PeriodicPattern, _div, _frac, _frac_rows, glide_shift,
+                          intrinsic_period, key_of_rows)
+from yfrieze.io import CATALOG_SCHEMA, KEY_NAMES, ORBIT_FIELDS, PATTERN_SCHEMA, Catalog
 from yfrieze.read import raw_patterns_from_obj
 from yfrieze.search import SearchBox
 
@@ -249,6 +252,45 @@ def entry_parts(diag: Sequence[int]) -> tuple[tuple[int, int], ...]:
                  for j in range(1, n + 1) for m in range(1, n + 2 - j))
 
 
+class CatalogEntry(NamedTuple):
+    id: int
+    key_tuple: tuple[int, ...]
+    pattern: PeriodicPattern
+    orbit_root: int
+    orbit_size: int
+    intrinsic_period: int
+    glide_shift: int
+
+
+class LoadedCatalog(NamedTuple):
+    kind: PatternKind
+    width: int
+    parameters: dict
+    entries: tuple[CatalogEntry, ...]
+
+
+def entries_of(catalog: Catalog) -> tuple[CatalogEntry, ...]:
+    """The entries of a built catalog: each key read off its pattern, its
+    orbit root and size the `heads` row of its orbit, and its intrinsic
+    period and glide shift computed from the pattern itself."""
+    held = catalog.patterns
+    entries = []
+    for i, p in enumerate(held):
+        root, size = held.heads[held.locate(i)[0]]
+        entries.append(CatalogEntry(i, key_of_rows(p.kind, p.width, p.rows), p, root, size,
+                                    intrinsic_period(p), glide_shift(p)))
+    return tuple(entries)
+
+
+def loaded(catalog: Catalog) -> LoadedCatalog:
+    """What catalog_from_json must load back from the built catalog's text."""
+    return LoadedCatalog(catalog.kind, catalog.width, catalog.parameters, entries_of(catalog))
+
+
+def _value_to_json(v: "int | Fraction"):
+    return int(v) if v.denominator == 1 else str(v)
+
+
 def pattern_to_obj(p: PeriodicPattern) -> dict:
     return {
         "schema": PATTERN_SCHEMA,
@@ -262,7 +304,7 @@ def catalog_to_obj(catalog: Catalog) -> dict:
     """The document whose json.dumps(..., indent=2) + "\\n" io.catalog_to_json must write."""
     key_name = KEY_NAMES[catalog.kind]
     patterns = []
-    for entry in catalog.entries:
+    for entry in entries_of(catalog):
         obj = {"id": entry.id, key_name: list(entry.key_tuple)}
         if catalog.kind is PatternKind.Y:
             obj["diagonal"] = list(entry.key_tuple[:catalog.width])
@@ -278,9 +320,9 @@ def catalog_to_obj(catalog: Catalog) -> dict:
     }
 
 
-def catalog_from_json(text: str) -> Catalog:
-    """A catalog's text loaded back, its entries a tuple, which compares
-    equal to a built catalog's entries: the rows decoded by
+def catalog_from_json(text: str) -> LoadedCatalog:
+    """A catalog's text loaded back, which compares equal to the `loaded`
+    record of the catalog it was written from: the rows decoded by
     read.raw_patterns_from_obj, every other field taken as it stands."""
     obj = json.loads(text)
     kind, width = PatternKind(obj["kind"]), obj["width"]
@@ -288,4 +330,4 @@ def catalog_from_json(text: str) -> Catalog:
         CatalogEntry(entry["id"], tuple(entry[KEY_NAMES[kind]]), PeriodicPattern(*raw),
                      *(entry[name] for name in ORBIT_FIELDS))
         for raw, entry in zip(raw_patterns_from_obj(obj), obj["patterns"]))
-    return Catalog(kind, width, obj["parameters"], entries)
+    return LoadedCatalog(kind, width, obj["parameters"], entries)

@@ -19,8 +19,8 @@ from yfrieze import io
 from yfrieze.cli import main as cli_main
 from yfrieze.core import check_rows
 from conftest import W3_GOLDEN
-from oracles import (catalog_from_json, expand_domain, w3_domain, w3_system_holds, w4_domain,
-                     w4_system_holds)
+from oracles import (catalog_from_json, entries_of, expand_domain, loaded, w3_domain,
+                     w3_system_holds, w4_domain, w4_system_holds)
 
 GOLDEN_W4_CSV = Path(__file__).parent / "data" / "w4_golden.csv"
 
@@ -85,8 +85,7 @@ def test_criterion_06_orbit_structure(frieze3, y3_patterns):
     assert frieze_sizes == [6, 3, 3, 2]
     assert y_sizes == [3, 3, 3, 1]
     friezes, ypatterns = io.coxeter_catalog(3), io.y_catalog(3)
-    rep = yf.fiber_analysis(3, [e.pattern for e in friezes.entries],
-                            [e.pattern for e in ypatterns.entries])
+    rep = yf.fiber_analysis(3, list(friezes.patterns), list(ypatterns.patterns))
     records = yf.correspondence_table(friezes, ypatterns, rep)
     st_multiset = Counter((r.frieze_orbit_size, r.y_orbit_size) for r in records)
     assert st_multiset == Counter({(3, 3): 2, (6, 3): 1, (2, 1): 1})
@@ -177,14 +176,14 @@ def test_criterion_10_round_trips_and_parallel_determinism(tmp_path):
     entries = 0
     for catalog in (io.y_catalog(3), io.y_catalog(4),
                     io.coxeter_catalog(3), io.coxeter_catalog(4)):
-        assert catalog_from_json(io.catalog_to_json(catalog)) == catalog
+        assert catalog_from_json(io.catalog_to_json(catalog)) == loaded(catalog)
         csv_text = io.catalog_to_csv(catalog)
         header, rows = io.tuples_from_csv(csv_text)
-        assert rows == [e.key_tuple for e in catalog.entries]
+        assert rows == [e.key_tuple for e in entries_of(catalog)]
         rebuilt = ",".join(header) + "\n" \
             + "\n".join(",".join(map(str, r)) for r in rows) + "\n"
         assert rebuilt == csv_text
-        entries += len(catalog.entries)
+        entries += len(catalog.patterns)
 
     outputs = {}
     for parallelism in ("1", "8"):

@@ -556,7 +556,7 @@ def test_verify_names_an_entry_whose_id_or_key_disagrees(tmp_path, capsys, shape
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(obj, indent=2))
     code, out, err = run(capsys, "verify", str(path))
-    n = len(catalog.entries)
+    n = len(catalog.patterns)
     line = f"{check} violation at row -1, col -1: {detail}"
     assert (code, err) == (1, "")
     assert out.splitlines() == [f"pattern {j}: {line if j == i else 'ok'}" for j in range(n)] \
@@ -582,6 +582,41 @@ def test_verify_names_an_orbit_field_that_is_not_an_int(tmp_path, capsys, field,
     assert out.splitlines()[1:2] + out.splitlines()[-1:] == [
         f"pattern 1: orbit violation at row -1, col -1: {field} {shown!r} is not an int",
         "13/14 patterns ok"]
+
+
+# Orbit fields of a width-3 Coxeter catalog entry set to ints that no valid
+# catalog holds: (entry index, new field values, verify's detail for it).
+# Entry 0 heads an orbit of 6, entry 5 is in the orbit of 3 that entry 4 heads.
+OUT_OF_RANGE_ORBIT_FIELDS = {
+    "size 99 glide 5 period 1": (0, {"orbit_size": 99, "glide_shift": 5, "intrinsic_period": 1},
+                                 "intrinsic_period 1 is not orbit_size 99"),
+    "period 1": (0, {"intrinsic_period": 1}, "intrinsic_period 1 is not orbit_size 6"),
+    "root 3 after its entry": (0, {"orbit_root": 3}, "orbit_root 3 is not in 0..0"),
+    "root 13 after its entry": (5, {"orbit_root": 13}, "orbit_root 13 is not in 0..5"),
+    "root -1": (5, {"orbit_root": -1}, "orbit_root -1 is not in 0..5"),
+    "size 4": (0, {"orbit_size": 4, "intrinsic_period": 4},
+               "orbit_size 4 does not divide the period 6"),
+    "size 0": (0, {"orbit_size": 0, "intrinsic_period": 0},
+               "orbit_size 0 does not divide the period 6"),
+    "glide 6": (0, {"glide_shift": 6}, "glide_shift 6 is not in 0..5"),
+    "glide -1": (0, {"glide_shift": -1}, "glide_shift -1 is not in 0..5"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(OUT_OF_RANGE_ORBIT_FIELDS))
+def test_verify_names_an_orbit_field_no_valid_catalog_holds(tmp_path, capsys, shape):
+    # verify checked only that each orbit field is an int, so these passed
+    from yfrieze import io
+    i, fields, detail = OUT_OF_RANGE_ORBIT_FIELDS[shape]
+    obj = catalog_to_obj(io.coxeter_catalog(3))
+    obj["patterns"][i].update(fields)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    line = f"orbit violation at row -1, col -1: {detail}"
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [f"pattern {j}: {line if j == i else 'ok'}" for j in range(14)] \
+        + ["13/14 patterns ok"]
 
 
 def _json_error(text: str) -> str:
@@ -771,22 +806,58 @@ def test_map_decomposes_orbits_once(capsys, monkeypatch):
 
 
 def test_csv_table_and_map_build_no_entry_and_no_domain(capsys, monkeypatch):
-    # csv and table read each key off its orbit's root, and map reads the
-    # orbits both catalogs hold: no catalog entry or fundamental domain is built
-    from yfrieze import io
+    # csv and table read each key off its orbit's root, so they rotate no
+    # pattern, and map reads the orbits both catalogs hold: no fundamental
+    # domain is built (map still rotates friezes inside fiber_analysis)
+    from yfrieze import core
     built = []
-    for cls in (io.CatalogEntry, FundamentalDomain):
-        def counting(cls, *args, new=cls.__new__):
-            built.append(cls.__name__)
-            return new(cls, *args)
-        monkeypatch.setattr(cls, "__new__", counting)
+    new = FundamentalDomain.__new__
+    rotated = core._rotated
+
+    def counting_domain(cls, *args):
+        built.append(cls.__name__)
+        return new(cls, *args)
+
+    def counting_rotated(*args):
+        built.append("_rotated")
+        return rotated(*args)
+
+    monkeypatch.setattr(FundamentalDomain, "__new__", counting_domain)
+    monkeypatch.setattr(core, "_rotated", counting_rotated)
     for kind in ("coxeter", "y"):
         for fmt in ("csv", "table"):
             code, _, _ = run(capsys, "enumerate", "--kind", kind, "--width", "4", "--format", fmt)
             assert code == 0
+    assert built == []
+    monkeypatch.setattr(core, "_rotated", rotated)
     code, _, _ = run(capsys, "map", "--width", "4")
     assert code == 0
     assert built == []
+
+
+def test_only_the_json_writer_finds_glides(capsys, monkeypatch, tmp_path):
+    # an entry's glide_shift is written to JSON only; the writer finds it
+    # once per orbit root, 150 at width 7, and no other output finds any
+    from yfrieze import core
+    calls = []
+    glide_shift_of_rows = core.glide_shift_of_rows
+
+    def counting_glide_shift_of_rows(*args):
+        calls.append(args)
+        return glide_shift_of_rows(*args)
+
+    monkeypatch.setattr(core, "glide_shift_of_rows", counting_glide_shift_of_rows)
+    runs = [("enumerate", "--kind", kind, "--width", width, "--format", fmt)
+            for kind, width in (("coxeter", "7"), ("y", "4")) for fmt in ("csv", "table")]
+    runs += [("orbits", "--kind", "coxeter", "--width", "7"), ("map", "--width", "4")]
+    for argv in runs:
+        code, _, _ = run(capsys, *argv)
+        assert (argv, code, len(calls)) == (argv, 0, 0)
+    path = tmp_path / "catalog.json"
+    code, _, _ = run(capsys, "enumerate", "--kind", "coxeter", "--width", "7",
+                     "--format", "json", "--output", str(path))
+    assert code == 0
+    assert len(calls) == 150
 
 
 def test_map_applies_the_transfer_map_once_per_frieze_orbit(capsys, monkeypatch):

@@ -9,8 +9,8 @@ import pytest
 import yfrieze as yf
 from yfrieze import io
 from yfrieze.read import raw_patterns_from_obj
-from oracles import (catalog_from_json, catalog_to_obj, expand_domain, pattern_to_obj, w3_domain,
-                     w4_domain)
+from oracles import (CatalogEntry, catalog_from_json, catalog_to_obj, entries_of, expand_domain,
+                     loaded, pattern_to_obj, w3_domain, w4_domain)
 
 
 def all_enumerated_patterns(y3, y4, f3, f4):
@@ -103,8 +103,8 @@ def test_tuples_from_empty_csv():
 
 def test_y_catalog_round_trips(w3_solutions):
     catalog = io.y_catalog(3)
-    assert [e.key_tuple for e in catalog.entries] == list(w3_solutions.full_tuples)
-    assert catalog_from_json(io.catalog_to_json(catalog)) == catalog
+    assert [e.key_tuple for e in entries_of(catalog)] == list(w3_solutions.full_tuples)
+    assert catalog_from_json(io.catalog_to_json(catalog)) == loaded(catalog)
 
     header, rows = io.tuples_from_csv(io.catalog_to_csv(catalog))
     assert header == tuple("abcdefghi")
@@ -118,11 +118,11 @@ def test_y_catalog_round_trips(w3_solutions):
 
 def test_coxeter_catalog_round_trips():
     catalog = io.coxeter_catalog(3)
-    assert len(catalog.entries) == 14
-    assert catalog_from_json(io.catalog_to_json(catalog)) == catalog
+    assert len(catalog.patterns) == 14
+    assert catalog_from_json(io.catalog_to_json(catalog)) == loaded(catalog)
     header, rows = io.tuples_from_csv(io.catalog_to_csv(catalog))
     assert header == tuple(f"q{i}" for i in range(6))
-    assert rows == [e.key_tuple for e in catalog.entries]
+    assert rows == [e.key_tuple for e in entries_of(catalog)]
 
 
 @pytest.mark.parametrize("width", [True, "1"])
@@ -143,7 +143,7 @@ def test_coxeter_catalog_validates_each_orbit_once(monkeypatch):
         return check_rows(*args)
 
     monkeypatch.setattr(core, "check_rows", counting_check_rows)
-    assert len(io.coxeter_catalog(5).entries) == 132
+    assert len(io.coxeter_catalog(5).patterns) == 132
     # 132 friezes in 19 rotation orbits: one check per orbit
     assert len(calls) == 19
 
@@ -156,8 +156,9 @@ def test_coxeter_catalog_entries_pass_the_checks_generation_skips(width):
     # keys read off the roots are each entry's own row 2.
     from yfrieze import coxeter, verify
     catalog = io.coxeter_catalog(width)
-    patterns = [entry.pattern for entry in catalog.entries]
-    assert list(io.entry_keys(catalog)) == [entry.key_tuple for entry in catalog.entries] == [
+    entries = entries_of(catalog)
+    patterns = [entry.pattern for entry in entries]
+    assert list(io.entry_keys(catalog)) == [entry.key_tuple for entry in entries] == [
         p.rows[2] for p in patterns]
     for pattern in patterns:
         assert yf.check_rows(pattern.kind, width, pattern.rows) is None
@@ -166,7 +167,7 @@ def test_coxeter_catalog_entries_pass_the_checks_generation_skips(width):
     assert coxeter.enumerate_frieze(width).orbits == orbits
     for orbit in orbits:
         for i in orbit:
-            entry = catalog.entries[i]
+            entry = entries[i]
             assert (entry.orbit_root, entry.orbit_size) == (orbit[0], len(orbit))
 
 
@@ -181,7 +182,7 @@ def test_held_orbit_table_matches_rotation_orbits(kind, width, monkeypatch):
     else:
         monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
         catalog = io.y_catalog(width, bounds=(64,) * 5 if width == 5 else None)
-    held = catalog.entries.patterns
+    held = catalog.patterns
     orbits = rotation_orbits([tuple(zip(*p.rows)) for p in held])
     assert len(held.heads) == len(held.roots) == len(orbits)
     for k, orbit in enumerate(orbits):
@@ -204,7 +205,7 @@ def test_built_width_8_coxeter_catalog_holds_under_0_9_mb():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(catalog.entries) == 4862
+    assert len(catalog.patterns) == 4862
     assert held < 900_000
 
 
@@ -262,18 +263,12 @@ def test_json_writer_builds_no_entry_and_rotates_no_pattern(monkeypatch, tmp_pat
     catalogs = [io.coxeter_catalog(5), io.y_catalog(4)]
     expected = [json.dumps(catalog_to_obj(catalog), indent=2) + "\n" for catalog in catalogs]
     built = []
-    new = io.CatalogEntry.__new__
     rotated = core._rotated
-
-    def counting_entry(cls, *args):
-        built.append(args)
-        return new(cls, *args)
 
     def counting_rotated(*args):
         built.append(args)
         return rotated(*args)
 
-    monkeypatch.setattr(io.CatalogEntry, "__new__", counting_entry)
     monkeypatch.setattr(core, "_rotated", counting_rotated)
     for catalog, text in zip(catalogs, expected):
         assert _written(catalog, tmp_path / "catalog.json") == text
@@ -296,7 +291,7 @@ def test_writer_renders_each_orbit_roots_cells_once(monkeypatch):
     expected = json.dumps(catalog_to_obj(catalog), indent=2) + "\n"
     monkeypatch.setattr(io, "_CellJson", CountingCellJson)
     assert io.catalog_to_json(catalog) == expected
-    period, orbits = 10, len(catalog.entries.patterns.roots)
+    period, orbits = 10, len(catalog.patterns.roots)
     assert orbits == 150
     assert len(lookups) <= orbits * 7 * period + 4 * period == 10_540
 
@@ -377,16 +372,11 @@ SLICES = [(None, None), (0, 2), (2, -2), (-3, None), (None, -20), (5, 5), (3, 1)
 
 
 def test_held_patterns_and_entries_slice_as_a_list_and_a_tuple():
-    # enumerate_frieze slices as the list of its friezes, and a built
-    # catalog's entries as the tuple of its entries, which they equal
+    # enumerate_frieze slices as the list of its friezes
     friezes = yf.enumerate_frieze(3)
     for a, b in SLICES:
         assert friezes[a:b] == list(friezes)[a:b]
     assert friezes[::-2] == list(friezes)[::-2]
-    for entries in (io.coxeter_catalog(3).entries, io.y_catalog(3).entries):
-        for a, b in SLICES:
-            assert entries[a:b] == tuple(list(entries)[a:b])
-        assert entries[::-2] == tuple(list(entries)[::-2])
 
 
 def test_y_catalogs_equal_the_search_patterns_with_per_pattern_fields(monkeypatch):
@@ -398,35 +388,23 @@ def test_y_catalogs_equal_the_search_patterns_with_per_pattern_fields(monkeypatc
         sols = search.y_solutions(width, bounds=bounds)
         orbit_of = {i: orbit for orbit in yf.orbit_decomposition(sols.patterns) for i in orbit}
         expected = tuple(
-            io.CatalogEntry(i, key, p, orbit_of[i][0], len(orbit_of[i]), yf.intrinsic_period(p),
-                            yf.glide_shift(p))
+            CatalogEntry(i, key, p, orbit_of[i][0], len(orbit_of[i]), yf.intrinsic_period(p),
+                         yf.glide_shift(p))
             for i, (key, p) in enumerate(zip(sols.full_tuples, sols.patterns)))
         catalog = io.y_catalog(width, bounds=bounds)
-        assert catalog.entries == expected
+        assert entries_of(catalog) == expected
         assert list(io.entry_keys(catalog)) == [entry.key_tuple for entry in expected]
 
 
-def test_coxeter_catalog_entries_compare_as_the_tuple_of_their_entries():
-    entries = io.coxeter_catalog(4).entries
-    built = tuple(entries)
-    assert entries == built and built == entries and not entries != built
-    assert entries == io.coxeter_catalog(4).entries
-    assert entries != built[:-1] and entries != (*built[:-1], built[0])
-    assert entries != list(built)
-    assert entries[-1] == built[41] and entries[-1].id == 41
-    with pytest.raises(IndexError):
-        entries[42]
-
-
 def test_orbit_fields_equal_per_pattern_values(monkeypatch):
-    # catalogs compute intrinsic_period and glide_shift once per orbit,
-    # at its root; every entry must read what its own pattern gives.
+    # the JSON writer writes intrinsic_period and glide_shift once per
+    # orbit, off its root; every entry must read what its own pattern gives.
     monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
     catalogs = [*(io.coxeter_catalog(w) for w in range(1, 9)),
                 *(io.y_catalog(w) for w in range(1, 5)),
                 io.y_catalog(5, bounds=(64,) * 5)]
     for catalog in catalogs:
-        for entry in catalog.entries:
+        for entry in catalog_from_json(io.catalog_to_json(catalog)).entries:
             assert entry.intrinsic_period == yf.intrinsic_period(entry.pattern)
             assert entry.glide_shift == yf.glide_shift(entry.pattern)
 
@@ -440,13 +418,13 @@ def test_csv_and_json_catalogs_agree(w4_solutions):
 
 
 def test_catalog_orbit_metadata(w3_solutions):
-    catalog = io.y_catalog(3)
-    by_diag = {e.key_tuple[:3]: e for e in catalog.entries}
+    entries = catalog_from_json(io.catalog_to_json(io.y_catalog(3))).entries
+    by_diag = {e.key_tuple[:3]: e for e in entries}
     assert by_diag[(2, 3, 2)].orbit_size == 1
     assert by_diag[(1, 1, 2)].orbit_size == 3
     assert by_diag[(2, 3, 2)].intrinsic_period == 1
-    assert all(e.glide_shift is not None for e in catalog.entries)
-    assert sum(1 for e in catalog.entries if e.orbit_root == e.id) == 4
+    assert all(e.glide_shift is not None for e in entries)
+    assert sum(1 for e in entries if e.orbit_root == e.id) == 4
 
 
 def test_raw_patterns_from_catalog_obj():

@@ -143,7 +143,7 @@ def test_orbit_decomposition_matches_cyclic_shift_reference(monkeypatch):
                               ((0, 0, 0, 0), (2, F(1, 2), 2, F(1, 2)), (0, 0, 0, 0)))
     y_catalogs = [*(io.y_catalog(w) for w in range(1, 5)), io.y_catalog(5, bounds=(64,) * 5)]
     pattern_sets = [*(yf.enumerate_frieze(w) for w in range(1, 9)),
-                    *([entry.pattern for entry in c.entries] for c in y_catalogs),
+                    *(list(c.patterns) for c in y_catalogs),
                     [half, yf.cyclic_shift(half, 1)]]
     for patterns in pattern_sets:
         reference = reference_orbit_decomposition(patterns)
@@ -184,8 +184,7 @@ def test_apply_p_commutes_with_shifts(frieze3, frieze4):
 
 def _records(width):
     friezes, ypatterns = io.coxeter_catalog(width), io.y_catalog(width)
-    report = yf.fiber_analysis(width, [e.pattern for e in friezes.entries],
-                               [e.pattern for e in ypatterns.entries])
+    report = yf.fiber_analysis(width, list(friezes.patterns), list(ypatterns.patterns))
     return yf.correspondence_table(friezes, ypatterns, report)
 
 
