@@ -22,8 +22,8 @@ _EXPORTS = {
                "frieze_from_quiddity quiddity_of",
     "search": "BoxTooLarge SearchBox SolutionSet enumerate_generic enumerate_w3 enumerate_w4 "
               "oracle_box_check w3_boxes w4_boxes y_solutions",
-    "ymap": "CorrespondenceRecord FiberReport MapFailure apply_p correspondence_table "
-            "fiber_analysis orbit_decomposition",
+    "ymap": "CorrespondenceRecord FiberReport MapFailure apply_p fiber_analysis "
+            "orbit_decomposition",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -196,8 +196,7 @@ def cmd_map(args) -> int:
         raise _Failure(EXIT_LIMIT, f"no enumerations available for width {args.width}")
     friezes = _catalog(PatternKind.COXETER, args.width, output=args.output)
     ypatterns = _catalog(PatternKind.Y, args.width)
-    report = ymap.fiber_analysis(args.width, friezes.patterns, ypatterns.patterns)
-    records = ymap.correspondence_table(friezes, ypatterns, report)
+    report = ymap.fiber_analysis(friezes, ypatterns)
     verdict = _verdict(report)
     if args.format == "json":
         import json
@@ -205,7 +204,7 @@ def cmd_map(args) -> int:
             "width": args.width,
             "records": [{"frieze_id": r.frieze_id, "yfrieze_id": r.yfrieze_id,
                          "s": r.frieze_orbit_size, "t": r.y_orbit_size}
-                        for r in records],
+                        for r in report.records],
             "fiber_sizes": list(report.fiber_sizes),
             "image_size": report.image_size,
             "surjective": report.surjective,
@@ -215,12 +214,12 @@ def cmd_map(args) -> int:
     elif args.format == "csv":
         lines = ["frieze_id,yfrieze_id,s,t"]
         lines += [f"{r.frieze_id},{r.yfrieze_id},{r.frieze_orbit_size},{r.y_orbit_size}"
-                  for r in records]
+                  for r in report.records]
         lines.append(f"# verdict: {verdict}")
         text = "\n".join(lines) + "\n"
     else:
         rows = [(r.frieze_id, r.yfrieze_id,
-                 f"{r.frieze_orbit_size}:{r.y_orbit_size}") for r in records]
+                 f"{r.frieze_orbit_size}:{r.y_orbit_size}") for r in report.records]
         text = _table(("frieze", "yfrieze", "s:t"), rows)
         text += f"verdict: {verdict}\n"
     _emit(text, args.output)

@@ -35,14 +35,14 @@ class CorrespondenceRecord(NamedTuple):
 
 class FiberReport(NamedTuple):
     """Preimage sizes of every width-n Y pattern under the transfer map, and
-    the map itself: image_of[i] is the index in ypatterns of frieze i's image."""
+    one record per frieze orbit, in the order of the frieze catalog's heads."""
 
     width: int
     fiber_sizes: tuple[int, ...]
     image_size: int
     surjective: bool
     injective: bool
-    image_of: tuple[int, ...]
+    records: tuple[CorrespondenceRecord, ...]
 
 
 def apply_p(frieze: PeriodicPattern) -> PeriodicPattern:
@@ -72,51 +72,37 @@ def orbit_decomposition(patterns: Sequence[PeriodicPattern]) -> list[list[int]]:
     return [sorted(orbit) for orbit in rotation_orbits([tuple(zip(*p.rows)) for p in patterns])]
 
 
-def fiber_analysis(width: int, friezes: Sequence[PeriodicPattern],
-                   ypatterns: Sequence[PeriodicPattern]) -> FiberReport:
-    """Push every width-n frieze through the map and count hits per Y pattern.
+def fiber_analysis(friezes: Catalog, ypatterns: Catalog) -> FiberReport:
+    """Push a width's Coxeter friezes through the map, one orbit at a time.
 
-    A frieze's row 3 is its image's first row, which fixes a Y pattern, so
-    the image is looked up by that row.  The image depends only on row 3 and
-    rotates with it, so apply_p runs once per rotation orbit of row 3, to
-    check the image's diamonds and that it is arithmetic.  `ypatterns` must hold
-    every width-n Y pattern the friezes map to; MapFailure is raised otherwise.
-    """
-    index = {p.rows[1]: i for i, p in enumerate(ypatterns)}
-    mapped: set[tuple] = set()  # every rotation of each row 3 that apply_p took
-    image_of = []
-    for frieze in friezes:
-        row = frieze.rows[3] if frieze.kind is PatternKind.COXETER else None
-        if row not in mapped:
-            apply_p(frieze)  # raises ValueError if row is None
-            mapped.update(row[s:] + row[:s] for s in range(len(row)))
-        if row not in index:
-            raise MapFailure("frieze image is not among the enumerated Y patterns; "
-                             "the supplied Y enumeration is incomplete")
-        image_of.append(index[row])
-    sizes = [0] * len(ypatterns)
-    for j in image_of:
-        sizes[j] += 1
-    image_size = sum(1 for s in sizes if s)
-    return FiberReport(width=width, fiber_sizes=tuple(sizes), image_size=image_size,
-                       surjective=image_size == len(ypatterns),
-                       injective=all(s <= 1 for s in sizes), image_of=tuple(image_of))
-
-
-def correspondence_table(friezes: Catalog, ypatterns: Catalog,
-                         report: FiberReport) -> list[CorrespondenceRecord]:
-    """One record per frieze orbit: its size s and its image orbit's size t.
-
-    Takes the built Coxeter and Y catalogs of one width and the
-    fiber_analysis of their `patterns`.  Both sides' orbits are the `heads`
-    that generation found, and each frieze root's image is read off
-    report.image_of.  Equivariance with cyclic shifts makes the image orbit
-    well defined by any representative.
+    The map commutes with rotation, so apply_p runs once per frieze orbit
+    root, to check the image's diamonds and that it is arithmetic, and the
+    member at shift s maps to the image rotated by s.  An image is fixed by
+    its first row, looked up among the Y patterns' first rows, each read off
+    its orbit root at the pattern's shift, so no rotated pattern is built.
+    Each frieze orbit's record names the Y orbit of its root's image.
+    `ypatterns` must hold every Y pattern the friezes map to; MapFailure is
+    raised otherwise.
     """
     held = ypatterns.patterns
+    index = {}
+    for j in range(len(held)):
+        k, s = held.locate(j)
+        row = held.roots[k].rows[1]
+        index[row[s:] + row[:s]] = j
+    sizes = [0] * len(held)
     records = []
-    for root, size in friezes.patterns.heads:
-        target, target_size = held.heads[held.locate(report.image_of[root])[0]]
-        records.append(CorrespondenceRecord(frieze_id=root, yfrieze_id=target,
-                                            frieze_orbit_size=size, y_orbit_size=target_size))
-    return records
+    for root, (i, size) in zip(friezes.patterns.roots, friezes.patterns.heads):
+        row = apply_p(root).rows[1]
+        for s in range(size):
+            j = index.get(row[s:] + row[:s])
+            if j is None:
+                raise MapFailure("frieze image is not among the enumerated Y patterns; "
+                                 "the supplied Y enumeration is incomplete")
+            sizes[j] += 1
+        target, target_size = held.heads[held.locate(index[row])[0]]
+        records.append(CorrespondenceRecord(i, target, size, target_size))
+    image_size = sum(1 for s in sizes if s)
+    return FiberReport(width=friezes.width, fiber_sizes=tuple(sizes), image_size=image_size,
+                       surjective=image_size == len(held),
+                       injective=all(s <= 1 for s in sizes), records=tuple(records))

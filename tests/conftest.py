@@ -12,6 +12,18 @@ W3_GOLDEN = (
 )
 
 
+def assert_same_text(actual, expected):
+    """assert actual == expected for two whole texts, str or bytes.  On a
+    mismatch it names their lengths and first differing line, where
+    pytest's diff of two megabyte catalogs takes minutes."""
+    if actual == expected:
+        return
+    got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    n = next((n for n, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    raise AssertionError(f"texts of lengths {len(actual)} and {len(expected)} differ first "
+                         f"at line {n + 1}: {got[n:n + 1]!r} is not {want[n:n + 1]!r}")
+
+
 @pytest.fixture(autouse=True)
 def no_unreaped_children():
     """Fail a test that leaves a child process running or unreaped."""

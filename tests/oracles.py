@@ -17,7 +17,8 @@ No command runs these; each is a second, independent statement of what a
   * pattern_to_obj, catalog_to_obj
                             the JSON documents the writer's text must equal
                             under json.dumps, and catalog_from_json, which
-                            loads a catalog back for the round-trip tests.
+                            loads a catalog back for the round-trip tests;
+  * per_frieze_fibers       ymap.fiber_analysis as a pass over every frieze.
 
 Tests import them as `from oracles import ...` (pyproject puts tests/ on
 the path).
@@ -36,6 +37,7 @@ from yfrieze.core import (PatternKind, PeriodicPattern, _div, _frac, _frac_rows,
 from yfrieze.io import CATALOG_SCHEMA, KEY_NAMES, ORBIT_FIELDS, PATTERN_SCHEMA, Catalog
 from yfrieze.read import raw_patterns_from_obj
 from yfrieze.search import SearchBox
+from yfrieze.ymap import CorrespondenceRecord, FiberReport, MapFailure, apply_p
 
 
 def y_south(w, e, n_val) -> "int | Fraction":
@@ -331,3 +333,27 @@ def catalog_from_json(text: str) -> LoadedCatalog:
                      *(entry[name] for name in ORBIT_FIELDS))
         for raw, entry in zip(raw_patterns_from_obj(obj), obj["patterns"]))
     return LoadedCatalog(kind, width, obj["parameters"], entries)
+
+
+def per_frieze_fibers(friezes: Catalog, ypatterns: Catalog) -> FiberReport:
+    """The fiber report of the transfer map, from every frieze built and
+    mapped by apply_p, and its image found among every Y pattern built;
+    each frieze orbit's record names the Y orbit of its root's image."""
+    ys = list(ypatterns.patterns)
+    index = {p: j for j, p in enumerate(ys)}
+    image_of = []
+    for frieze in friezes.patterns:
+        image = apply_p(frieze)
+        if image not in index:
+            raise MapFailure("frieze image is not among the enumerated Y patterns")
+        image_of.append(index[image])
+    sizes = [0] * len(ys)
+    for j in image_of:
+        sizes[j] += 1
+    held, records = ypatterns.patterns, []
+    for root, size in friezes.patterns.heads:
+        target, target_size = held.heads[held.locate(image_of[root])[0]]
+        records.append(CorrespondenceRecord(root, target, size, target_size))
+    image_size = sum(1 for n in sizes if n)
+    return FiberReport(friezes.width, tuple(sizes), image_size, image_size == len(ys),
+                       all(n <= 1 for n in sizes), tuple(records))

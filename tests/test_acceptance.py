@@ -58,8 +58,8 @@ def test_criterion_03_coxeter_counts():
     report("criterion 3", f"frieze counts {counts} match Catalan numbers")
 
 
-def test_criterion_04_fiber_analysis_width_3(frieze3, y3_patterns):
-    rep = yf.fiber_analysis(3, friezes=frieze3, ypatterns=y3_patterns)
+def test_criterion_04_fiber_analysis_width_3():
+    rep = yf.fiber_analysis(io.coxeter_catalog(3), io.y_catalog(3))
     assert rep.image_size == 10
     assert rep.surjective
     assert sorted(rep.fiber_sizes, reverse=True) == [2, 2, 2, 2, 1, 1, 1, 1, 1, 1]
@@ -70,7 +70,7 @@ def test_criterion_04_fiber_analysis_width_3(frieze3, y3_patterns):
 
 
 def test_criterion_05_fiber_analysis_width_4(frieze4, y4_patterns):
-    rep = yf.fiber_analysis(4, friezes=frieze4, ypatterns=y4_patterns)
+    rep = yf.fiber_analysis(io.coxeter_catalog(4), io.y_catalog(4))
     assert rep.surjective and rep.injective
     assert rep.image_size == 42
     assert len(frieze4) == len(y4_patterns) == 42
@@ -85,8 +85,7 @@ def test_criterion_06_orbit_structure(frieze3, y3_patterns):
     assert frieze_sizes == [6, 3, 3, 2]
     assert y_sizes == [3, 3, 3, 1]
     friezes, ypatterns = io.coxeter_catalog(3), io.y_catalog(3)
-    rep = yf.fiber_analysis(3, list(friezes.patterns), list(ypatterns.patterns))
-    records = yf.correspondence_table(friezes, ypatterns, rep)
+    records = yf.fiber_analysis(friezes, ypatterns).records
     st_multiset = Counter((r.frieze_orbit_size, r.y_orbit_size) for r in records)
     assert st_multiset == Counter({(3, 3): 2, (6, 3): 1, (2, 1): 1})
     report("criterion 6",

@@ -12,6 +12,7 @@ import pytest
 
 import yfrieze as yf
 from yfrieze.cli import main
+from conftest import assert_same_text
 from oracles import (FundamentalDomain, catalog_from_json, catalog_to_obj, expand_domain,
                      pattern_to_obj, w3_domain)
 
@@ -160,11 +161,12 @@ def test_enumerate_json_streams_the_same_bytes_to_stdout_and_output(tmp_path, ca
     monkeypatch.setattr(io, "catalog_to_json", no_text)
     argv = ("enumerate", "--kind", kind, "--width", str(width), "--format", "json")
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (0, expected, "")
+    assert (code, err) == (0, "")
+    assert_same_text(out, expected)
     target = tmp_path / "cat.json"
     code, out, err = run(capsys, *argv, "--output", str(target))
     assert (code, out, err) == (0, "", "")
-    assert target.read_text(encoding="utf-8") == expected
+    assert_same_text(target.read_text(encoding="utf-8"), expected)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -196,8 +198,8 @@ def test_cli_output_deterministic_across_parallelism(tmp_path, capsys):
                              "--output", str(path))
             assert code == 0
             files.append(path)
-    assert files[0].read_bytes() == files[2].read_bytes()
-    assert files[1].read_bytes() == files[3].read_bytes()
+    assert_same_text(files[0].read_bytes(), files[2].read_bytes())
+    assert_same_text(files[1].read_bytes(), files[3].read_bytes())
 
 
 def test_bounded_width_5_csv_is_the_same_at_any_parallelism(monkeypatch, capsys):
@@ -208,7 +210,8 @@ def test_bounded_width_5_csv_is_the_same_at_any_parallelism(monkeypatch, capsys)
                              "64,64,64,64,64", "--format", "csv", "--parallelism", parallelism)
         assert code == 0 and err == ""
         outs.append(out)
-    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 121  # header + 120 patterns
+    assert_same_text(outs[0], outs[1])
+    assert len(outs[0].splitlines()) == 121  # header + 120 patterns
     assert hashlib.sha256(outs[0].encode()).hexdigest() == (
         "8bdcbcc8c60410573ac0e1f38acddc7ebfd89036b53677d68a33d2e959d5fbfa")
 
@@ -325,26 +328,30 @@ def test_verify_checks_a_rotation_of_a_root_read_as_another_kind_in_full(
     raw = read.read_patterns(str(coxeter3_catalog_file), list)
     kind, width, rows, entry = raw[0]
     assert entry["orbit_root"] == 0
-    member = (yf.PatternKind.Y, width, [row[1:] + row[:1] for row in rows], {**entry, "id": 1})
-    violations = verify._verify_all([raw[0], member])
-    assert violations == [None, verify._verify_one(*member[:3])]
-    assert violations[1].check == "shape"
+    member = (yf.PatternKind.Y, width, [row[1:] + row[:1] for row in rows],
+              {**entry, "id": len(raw)})
+    violations = verify._verify_all([*raw, member])
+    assert violations == [None] * len(raw) + [verify._verify_one(*member[:3])]
+    assert violations[-1].check == "shape"
 
 
 def test_verify_names_a_changed_member_of_a_passing_root_with_its_own_violation(
         coxeter3_catalog_file):
     # The member still names its root, which passed, so the hint is taken;
-    # its columns are no rotation of the root's, so it gets the full check.
+    # its columns are no rotation of the root's, so it gets the full check,
+    # and the root counts one rotation fewer than its orbit_size.
     from yfrieze import read, verify
     raw = read.read_patterns(str(coxeter3_catalog_file), list)
     i, (kind, width, rows, entry) = next((i, e) for i, e in enumerate(raw)
                                          if e[3]["orbit_root"] != i)
-    assert raw[entry["orbit_root"]][3]["orbit_root"] == entry["orbit_root"]
+    r, size = entry["orbit_root"], entry["orbit_size"]
+    assert raw[r][3]["orbit_root"] == r
     rows[3][1] += 1
     violations = verify._verify_all(raw)
     assert violations[i] == verify._verify_one(kind, width, rows)
     assert violations[i].check == "diamond"
-    assert violations[:i] + violations[i + 1:] == [None] * (len(raw) - 1)
+    assert violations[r] == yf.Violation("orbit", -1, -1, _count_detail(size, size - 1))
+    assert [v for j, v in enumerate(violations) if j not in (i, r)] == [None] * (len(raw) - 2)
 
 
 def test_verify_rejects_malformed_file(tmp_path, capsys):
@@ -603,20 +610,83 @@ OUT_OF_RANGE_ORBIT_FIELDS = {
 }
 
 
+def _orbit_line(detail):
+    return f"orbit violation at row -1, col -1: {detail}"
+
+
+def _count_detail(size, count):
+    return f"orbit_size {size} is not {count}, the number of its rotations naming it as orbit_root"
+
+
+def _verify_report(lines, n):
+    """verify's report on n entries with `lines` naming the failing ones."""
+    return [f"pattern {j}: {lines.get(j, 'ok')}" for j in range(n)] + [
+        f"{n - len(lines)}/{n} patterns ok"]
+
+
 @pytest.mark.parametrize("shape", sorted(OUT_OF_RANGE_ORBIT_FIELDS))
 def test_verify_names_an_orbit_field_no_valid_catalog_holds(tmp_path, capsys, shape):
-    # verify checked only that each orbit field is an int, so these passed
+    # verify checked only that each orbit field is an int, so these passed.
+    # A member that names no root leaves its own root one rotation short.
     from yfrieze import io
     i, fields, detail = OUT_OF_RANGE_ORBIT_FIELDS[shape]
     obj = catalog_to_obj(io.coxeter_catalog(3))
+    lines = {i: _orbit_line(detail)}
+    root, size = obj["patterns"][i]["orbit_root"], obj["patterns"][i]["orbit_size"]
+    if "orbit_root" in fields and root != i:
+        lines[root] = _orbit_line(_count_detail(size, size - 1))
     obj["patterns"][i].update(fields)
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", str(path))
-    line = f"orbit violation at row -1, col -1: {detail}"
     assert (code, err) == (1, "")
-    assert out.splitlines() == [f"pattern {j}: {line if j == i else 'ok'}" for j in range(14)] \
-        + ["13/14 patterns ok"]
+    assert out.splitlines() == _verify_report(lines, 14)
+
+
+def _glide_plus(step, i):
+    def tamper(patterns):
+        glide = patterns[i]["glide_shift"]
+        patterns[i]["glide_shift"] = (glide + step) % 6
+        return {i: f"glide_shift {(glide + step) % 6} is not {glide}, read off the rows"}
+    return tamper
+
+
+def _first_five(patterns):
+    del patterns[5:]  # roots 0, 1, 2 and 4 keep 2 of 6, 1 of 3, 1 of 2 and 1 of 3
+    return {0: _count_detail(6, 2), 1: _count_detail(3, 1), 2: _count_detail(2, 1),
+            4: _count_detail(3, 1)}
+
+
+def _entry_2_again(patterns):
+    patterns.append({**patterns[2], "id": len(patterns)})
+    return {2: _count_detail(2, 3)}
+
+
+# Width-3 Coxeter catalogs whose orbit fields each pass the per-entry checks
+# but disagree with the rows or with the entries present; each tamper gives
+# the details verify must name, by entry index.
+CATALOG_ORBIT_TAMPERS = {
+    "root 0 glide + 1": _glide_plus(1, 0),
+    "member 3 glide + 2": _glide_plus(2, 3),
+    "first 5 entries": _first_five,
+    "entry 2 appended as 14": _entry_2_again,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CATALOG_ORBIT_TAMPERS))
+def test_verify_checks_each_glide_and_each_roots_member_count(tmp_path, capsys, shape):
+    # each tampered field passes the per-entry range checks; only the glide
+    # read off the rows, or the count of each root's rotations, shows it
+    from yfrieze import io
+    obj = catalog_to_obj(io.coxeter_catalog(3))
+    assert obj["patterns"][3]["orbit_root"] == 0
+    details = CATALOG_ORBIT_TAMPERS[shape](obj["patterns"])
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == _verify_report(
+        {i: _orbit_line(detail) for i, detail in details.items()}, len(obj["patterns"]))
 
 
 def _json_error(text: str) -> str:
@@ -790,7 +860,7 @@ def test_map_enumerates_each_side_once(capsys, monkeypatch):
 
 def test_map_decomposes_orbits_once(capsys, monkeypatch):
     # not even once: both catalogs take their orbits from generation, and
-    # correspondence_table reads the orbits and fields the catalogs hold
+    # fiber_analysis reads the orbit tables the catalogs hold
     from yfrieze import ymap
     sizes = []
     orbit_decomposition = ymap.orbit_decomposition
@@ -806,9 +876,9 @@ def test_map_decomposes_orbits_once(capsys, monkeypatch):
 
 
 def test_csv_table_and_map_build_no_entry_and_no_domain(capsys, monkeypatch):
-    # csv and table read each key off its orbit's root, so they rotate no
-    # pattern, and map reads the orbits both catalogs hold: no fundamental
-    # domain is built (map still rotates friezes inside fiber_analysis)
+    # csv and table read each key off its orbit's root, and map each
+    # image's first row off its frieze orbit root's image, so they rotate no
+    # pattern, and no fundamental domain is built
     from yfrieze import core
     built = []
     new = FundamentalDomain.__new__
@@ -829,9 +899,9 @@ def test_csv_table_and_map_build_no_entry_and_no_domain(capsys, monkeypatch):
             code, _, _ = run(capsys, "enumerate", "--kind", kind, "--width", "4", "--format", fmt)
             assert code == 0
     assert built == []
-    monkeypatch.setattr(core, "_rotated", rotated)
-    code, _, _ = run(capsys, "map", "--width", "4")
-    assert code == 0
+    for width in ("3", "4"):
+        code, _, _ = run(capsys, "map", "--width", width)
+        assert code == 0
     assert built == []
 
 
@@ -862,8 +932,8 @@ def test_only_the_json_writer_finds_glides(capsys, monkeypatch, tmp_path):
 
 def test_map_applies_the_transfer_map_once_per_frieze_orbit(capsys, monkeypatch):
     # 42 width-4 friezes in 6 rotation orbits; the map commutes with
-    # rotation, so fiber_analysis builds 6 images, and correspondence_table
-    # reads the rest off its report without building any.
+    # rotation, so fiber_analysis builds 6 images, one per orbit root, and
+    # reads each member's image off its root's.
     from yfrieze import ymap
     calls = []
     apply_p = ymap.apply_p
@@ -1137,7 +1207,7 @@ def test_width_4_y_enumeration_loads_only_the_search_modules():
                                     "--format", "csv", "--parallelism", "2"])
     assert _in_packages(modules, "yfrieze", "concurrent", "multiprocessing") == [
         "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.io", "yfrieze.search"]
-    assert out == (Path(__file__).parent / "data" / "w4_golden.csv").read_bytes()
+    assert_same_text(out, (Path(__file__).parent / "data" / "w4_golden.csv").read_bytes())
 
 
 def test_coxeter_enumeration_loads_neither_the_transfer_map_nor_string():
@@ -1156,7 +1226,7 @@ def test_coxeter_json_enumeration_loads_only_the_catalog_modules():
                                     "--format", "json"])
     assert _in_packages(modules, "yfrieze") == [
         "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.coxeter", "yfrieze.io"]
-    assert out.decode() == io.catalog_to_json(io.coxeter_catalog(4))
+    assert_same_text(out.decode(), io.catalog_to_json(io.coxeter_catalog(4)))
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ import pytest
 import yfrieze as yf
 from yfrieze import io
 from yfrieze.read import raw_patterns_from_obj
+from conftest import assert_same_text
 from oracles import (CatalogEntry, catalog_from_json, catalog_to_obj, entries_of, expand_domain,
                      loaded, pattern_to_obj, w3_domain, w4_domain)
 
@@ -253,8 +254,8 @@ def test_catalog_json_writer_matches_json_dumps(monkeypatch, tmp_path):
     catalogs.append(io.y_catalog(5, bounds=(64,) * 5))
     for catalog in catalogs:
         expected = json.dumps(catalog_to_obj(catalog), indent=2) + "\n"
-        assert io.catalog_to_json(catalog) == expected
-        assert _written(catalog, tmp_path / "catalog.json") == expected
+        assert_same_text(io.catalog_to_json(catalog), expected)
+        assert_same_text(_written(catalog, tmp_path / "catalog.json"), expected)
 
 
 def test_json_writer_builds_no_entry_and_rotates_no_pattern(monkeypatch, tmp_path):
@@ -271,8 +272,8 @@ def test_json_writer_builds_no_entry_and_rotates_no_pattern(monkeypatch, tmp_pat
 
     monkeypatch.setattr(core, "_rotated", counting_rotated)
     for catalog, text in zip(catalogs, expected):
-        assert _written(catalog, tmp_path / "catalog.json") == text
-        assert io.catalog_to_json(catalog) == text
+        assert_same_text(_written(catalog, tmp_path / "catalog.json"), text)
+        assert_same_text(io.catalog_to_json(catalog), text)
     assert built == []
 
 
@@ -290,7 +291,7 @@ def test_writer_renders_each_orbit_roots_cells_once(monkeypatch):
     catalog = io.coxeter_catalog(7)
     expected = json.dumps(catalog_to_obj(catalog), indent=2) + "\n"
     monkeypatch.setattr(io, "_CellJson", CountingCellJson)
-    assert io.catalog_to_json(catalog) == expected
+    assert_same_text(io.catalog_to_json(catalog), expected)
     period, orbits = 10, len(catalog.patterns.roots)
     assert orbits == 150
     assert len(lookups) <= orbits * 7 * period + 4 * period == 10_540

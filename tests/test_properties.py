@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import yfrieze as yf
 from yfrieze import io, read
 from yfrieze.cli import main
+from yfrieze.core import glide_shift_of_rows
 from yfrieze.io import ORBIT_FIELDS
 from yfrieze.read import raw_patterns_from_obj
 from yfrieze.verify import _entry_violation, _verify_all, _verify_one
@@ -224,7 +225,32 @@ def hinted_entry_lists(draw):
 
 def _full_check(i, kind, width, rows, entry):
     violation = _verify_one(kind, width, rows)
-    return violation if violation is not None else _entry_violation(i, kind, width, rows, entry)
+    if violation is not None:
+        return violation
+    return _entry_violation(i, kind, width, rows, entry, glide_shift_of_rows(rows, width + 3))
+
+
+def _names(entry, r):
+    return type(entry.get("orbit_root")) is int and entry["orbit_root"] == r
+
+
+def _full_checks_and_member_counts(entries):
+    """The full check of every entry; then each root, an entry that passes
+    _verify_one and names itself, whose orbit_size is not the number of
+    entries from it on that name it and hold its rows rotated by one shift
+    gets an orbit violation, unless it has one already."""
+    verdicts = [_full_check(i, *entry) for i, entry in enumerate(entries)]
+    for r, (kind, width, rows, entry) in enumerate(entries):
+        if not _names(entry, r) or _verify_one(kind, width, rows) is not None:
+            continue
+        rotations = [[row[s:] + row[:s] for row in rows] for s in range(width + 3)]
+        count = sum(1 for other in entries[r:]
+                    if other[:2] == (kind, width) and other[2] in rotations and _names(other[3], r))
+        if verdicts[r] is None and count != entry["orbit_size"]:
+            verdicts[r] = yf.Violation(
+                "orbit", -1, -1, f"orbit_size {entry['orbit_size']} is not {count}, "
+                                 "the number of its rotations naming it as orbit_root")
+    return verdicts
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,8 +258,8 @@ def _full_check(i, kind, width, rows, entry):
 def test_verify_takes_orbit_root_as_a_hint_only(entries):
     # verify skips the checks on an entry whose orbit_root names a passing
     # root that it is a rotation of; whatever the hint, the verdicts must be
-    # the full checks'.
-    assert _verify_all(entries) == [_full_check(i, *entry) for i, entry in enumerate(entries)]
+    # the full checks', with each root's members counted.
+    assert _verify_all(entries) == _full_checks_and_member_counts(entries)
 
 
 # Small widths and bounds keep every draw under about a second and every

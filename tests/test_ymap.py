@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import yfrieze as yf
 from yfrieze import io, ymap
-from yfrieze.core import NotShiftClosed, rotation_orbits
-from oracles import expand_domain, first_diagonal_of, w3_domain
+from yfrieze.core import NotShiftClosed, OrbitPatterns, rotation_orbits
+from oracles import expand_domain, first_diagonal_of, per_frieze_fibers, w3_domain
 
 
 # ----------------------------------------------------------------- apply_p
@@ -54,8 +54,8 @@ def test_apply_p_images_are_enumerated_solutions(frieze3, y3_patterns):
 
 # ------------------------------------------------------------------ fibers
 
-def test_fiber_analysis_width_3(frieze3, y3_patterns):
-    report = yf.fiber_analysis(3, friezes=frieze3, ypatterns=y3_patterns)
+def test_fiber_analysis_width_3(frieze3):
+    report = yf.fiber_analysis(io.coxeter_catalog(3), io.y_catalog(3))
     assert report.image_size == 10
     assert report.surjective and not report.injective
     assert sorted(report.fiber_sizes, reverse=True) == [2, 2, 2, 2, 1, 1, 1, 1, 1, 1]
@@ -64,22 +64,23 @@ def test_fiber_analysis_width_3(frieze3, y3_patterns):
 
 
 def test_fiber_analysis_width_4(frieze4, y4_patterns):
-    report = yf.fiber_analysis(4, friezes=frieze4, ypatterns=y4_patterns)
+    report = yf.fiber_analysis(io.coxeter_catalog(4), io.y_catalog(4))
     assert report.surjective and report.injective
     assert report.image_size == 42 == len(frieze4) == len(y4_patterns)
     assert set(report.fiber_sizes) == {1}
 
 
 def test_fiber_analysis_width_2():
-    report = yf.fiber_analysis(2, yf.enumerate_frieze(2), yf.y_solutions(2).patterns)
+    report = yf.fiber_analysis(io.coxeter_catalog(2), io.y_catalog(2))
     assert report.surjective and report.injective
     assert report.image_size == 5
 
 
-def test_fiber_analysis_rotates_no_pattern(frieze4, y4_patterns, monkeypatch):
-    # images are looked up by each frieze's row 3, so no rotated pattern is built
+def test_fiber_analysis_rotates_no_pattern(monkeypatch):
+    # each member's image is looked up by its root image's first row rotated
+    # to the member's shift, so no rotated pattern is built
     from yfrieze import core
-    friezes = list(frieze4)
+    friezes, ypatterns = io.coxeter_catalog(4), io.y_catalog(4)
     calls = []
     rotated = core._rotated
 
@@ -89,21 +90,51 @@ def test_fiber_analysis_rotates_no_pattern(frieze4, y4_patterns, monkeypatch):
 
     monkeypatch.setattr(core, "_rotated", counting_rotated)
     monkeypatch.setattr(ymap, "_rotated", counting_rotated, raising=False)
-    report = yf.fiber_analysis(4, friezes, y4_patterns)
+    report = yf.fiber_analysis(friezes, ypatterns)
     assert report.injective and report.surjective
     assert calls == []
 
 
-def test_fiber_analysis_rejects_patterns_outside_its_domain(y3_patterns):
+def test_fiber_analysis_rejects_patterns_outside_its_domain():
     with pytest.raises(ValueError):
-        yf.fiber_analysis(3, [y3_patterns[0]], y3_patterns)
+        yf.fiber_analysis(io.y_catalog(3), io.y_catalog(3))
     with pytest.raises(ValueError):
-        yf.fiber_analysis(1, list(yf.enumerate_frieze(1)), [])
+        yf.fiber_analysis(io.coxeter_catalog(1), io.y_catalog(1))
 
 
-def test_fiber_analysis_detects_incomplete_y_enumeration(frieze3, y3_patterns):
+def test_fiber_analysis_detects_incomplete_y_enumeration():
+    # the width-3 Y catalog with its first rotation orbit left out
+    ypatterns = io.y_catalog(3)
+    held = ypatterns.patterns
+    kept = [p for i, p in enumerate(held) if held.locate(i)[0] != 0]
+    assert 0 < len(kept) < len(held)
+    partial = ypatterns._replace(patterns=OrbitPatterns([p.rows[1] for p in kept],
+                                                        kept.__getitem__))
     with pytest.raises(yf.MapFailure):
-        yf.fiber_analysis(3, friezes=frieze3, ypatterns=y3_patterns[:5])
+        yf.fiber_analysis(io.coxeter_catalog(3), partial)
+
+
+# Coordinatewise maxima of the images' first diagonals: results within a
+# box, since no proven box exists past width 4.
+IMAGE_BOXES = {
+    5: (11, 48, 64, 48, 11),
+    6: (15, 80, 168, 168, 80, 15),
+    7: (19, 125, 341, 441, 341, 125, 19),
+}
+
+
+@pytest.mark.parametrize("width, doubled", [(2, 0), (3, 4), (4, 0), (5, 12), (6, 0), (7, 60)])
+def test_orbit_pass_equals_the_per_frieze_pass(width, doubled, monkeypatch):
+    # one apply_p per frieze orbit root gives the fibers and records that
+    # mapping every frieze gives; widths 5-7 search their image boxes
+    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
+    friezes = io.coxeter_catalog(width)
+    ypatterns = io.y_catalog(width, bounds=IMAGE_BOXES.get(width))
+    report = yf.fiber_analysis(friezes, ypatterns)
+    assert report == per_frieze_fibers(friezes, ypatterns)
+    assert report.surjective and sum(report.fiber_sizes) == len(friezes.patterns)
+    sizes = Counter(report.fiber_sizes)
+    assert (sizes[2], set(sizes)) == (doubled, {1, 2} if doubled else {1})
 
 
 # ------------------------------------------------------------------ orbits
@@ -184,8 +215,7 @@ def test_apply_p_commutes_with_shifts(frieze3, frieze4):
 
 def _records(width):
     friezes, ypatterns = io.coxeter_catalog(width), io.y_catalog(width)
-    report = yf.fiber_analysis(width, list(friezes.patterns), list(ypatterns.patterns))
-    return yf.correspondence_table(friezes, ypatterns, report)
+    return yf.fiber_analysis(friezes, ypatterns).records
 
 
 def test_correspondence_width_3():
@@ -296,11 +326,7 @@ def test_friezes_per_row_3(width, distinct):
     assert set(shared) == ({1} if width % 2 == 0 else {1, 2})
 
 
-@pytest.mark.parametrize("width, box", [
-    (5, (11, 48, 64, 48, 11)),
-    (6, (15, 80, 168, 168, 80, 15)),
-    (7, (19, 125, 341, 441, 341, 125, 19)),
-])
+@pytest.mark.parametrize("width, box", sorted(IMAGE_BOXES.items()))
 def test_the_image_box_holds_exactly_the_image(width, box, monkeypatch):
     # results within a box: no proven box exists past width 4
     rows3 = {r for _, r in _rows_2_and_3(width)}
