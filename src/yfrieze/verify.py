@@ -12,6 +12,12 @@ from typing import Optional, Union
 from .core import PatternKind, Violation, check_rows, glide_shift_of_rows, key_of_rows
 from .io import KEY_NAMES, ORBIT_FIELDS
 
+# The (check, field) pairs of a catalog entry of each kind, in the order checked.
+_FIELDS = {kind: (("id", "id"), ("key", KEY_NAMES[kind]),
+                  *((("key", "diagonal"),) if kind is PatternKind.Y else ()),
+                  *(("orbit", name) for name in ORBIT_FIELDS))
+           for kind in PatternKind}
+
 
 def _glide_or_violation(kind: PatternKind, width: int, rows) -> Union[int, Violation]:
     """The rows' first violation, or, if they have none, their glide shift."""
@@ -36,40 +42,23 @@ def _verify_one(kind: PatternKind, width: int, rows) -> Optional[Violation]:
 
 
 def _entry_violation(i: int, kind: PatternKind, width: int, rows, entry: dict,
-                     glide: int) -> Optional[Violation]:
-    """The id, key or orbit field of catalog entry i that disagrees with its
-    place or its valid rows, whose glide shift is `glide`: the id must be
-    i, the key the one core.key_of_rows reads off, and each orbit field an
-    int, with intrinsic_period equal to orbit_size, which divides the
-    period, an orbit_root in 0..i and a glide_shift equal to `glide`."""
-    if type(entry.get("id")) is not int or entry["id"] != i:
-        return Violation("id", -1, -1, f"id {entry.get('id')!r} is not the entry's index {i}")
+                     orbit: Optional[tuple]) -> Optional[Violation]:
+    """The first field of catalog entry i, whose rows are valid, that is
+    missing, of another type or unequal to the value worked out for it: the
+    id i, the key core.key_of_rows reads off the rows, and the orbit tuple
+    (orbit_root, orbit_size, intrinsic_period, glide_shift), None when the
+    entry names no root that it is a rotation of.  A bool is no int, and a
+    key holds ints only."""
     key = list(map(int, key_of_rows(kind, width, rows)))
-    fields = [(KEY_NAMES[kind], key)]
-    if kind is PatternKind.Y:
-        fields.append(("diagonal", key[:width]))
-    for name, expected in fields:
+    values = (i, key, key[:width]) if kind is PatternKind.Y else (i, key)
+    for (check, name), expected in zip(_FIELDS[kind], values + (orbit or (None,))):
         value = entry.get(name)
-        if type(value) is not list or value != expected or not all(type(v) is int for v in value):
-            return Violation("key", -1, -1,
-                             f"{name} {value!r} is not {expected}, read off the rows")
-    for name in ORBIT_FIELDS:
-        if type(entry.get(name)) is not int:  # JSON true and false load as bool, an int subclass
-            return Violation("orbit", -1, -1, f"{name} {entry.get(name)!r} is not an int")
-    root, size, period, entry_glide = map(entry.get, ORBIT_FIELDS)
-    if period != size:
-        detail = f"intrinsic_period {period} is not orbit_size {size}"
-    elif size < 1 or (width + 3) % size:
-        detail = f"orbit_size {size} does not divide the period {width + 3}"
-    elif not 0 <= root <= i:
-        detail = f"orbit_root {root} is not in 0..{i}"
-    elif not 0 <= entry_glide < width + 3:
-        detail = f"glide_shift {entry_glide} is not in 0..{width + 2}"
-    elif entry_glide != glide:
-        detail = f"glide_shift {entry_glide} is not {glide}, read off the rows"
-    else:
-        return None
-    return Violation("orbit", -1, -1, detail)
+        if (expected is None or type(value) is not type(expected) or value != expected
+                or (type(value) is list and not all(type(v) is int for v in value))):
+            detail = (f"is not {expected}" if expected is not None
+                      else "names no root that the pattern is a rotation of")
+            return Violation(check, -1, -1, f"{name} {value!r} {detail}")
+    return None
 
 
 def _is_rotation(columns: tuple, root: tuple) -> bool:
@@ -85,43 +74,50 @@ def _is_rotation(columns: tuple, root: tuple) -> bool:
 
 def _verify_all(entries) -> list[Optional[Violation]]:
     """_verify_one of every (kind, width, rows, entry), then _entry_violation
-    of each passing catalog entry, holding one table row per rotation orbit.
+    of each passing catalog entry against its orbit tuple.
 
-    Every check of _verify_one is rotation-invariant, so an entry whose rows
-    are a rotation of an entry that passed passes too, with the same glide.
-    `roots` maps the index of each entry that passed and names itself as its
-    orbit_root to its columns, its glide, its orbit_size and the count of
-    entries that pass through it, itself included.  Another entry's
-    orbit_root is only a hint.  The entry passes through it if the hint is
-    an int naming such a root, the entry has its kind's number of rows, each
-    with one cell per column (zip truncates a longer row, so only then do
-    the columns fix the rows), and _is_rotation of its columns and the
-    root's holds.  Equal columns then imply an equal kind and width.  Every
-    other entry gets the full check, so each verdict is the one _verify_one
-    gives.  After the last entry, a root whose count is not its orbit_size,
-    and which has no violation, gets an orbit violation naming both.
+    Every check of _verify_one is rotation-invariant, so a rotation of a
+    passing entry passes too, with the same glide.  `roots` holds one row per
+    rotation orbit: for each entry that passed and names itself as its
+    orbit_root, its columns, its tuple (i, s, s, glide), s the smallest shift
+    that maps the columns onto themselves, and the count of entries that
+    pass through it, itself included.  Another entry's orbit_root is only a
+    hint: the entry passes through the root it names, with its tuple, if it
+    has its kind's number of rows, each with one cell per column (zip drops
+    the rest of a longer row, so only then do the columns fix the rows), and
+    _is_rotation of the columns holds.  Every other entry gets the full
+    check.  If it passes and names an earlier entry with a violation and no
+    table row, a root that cannot be checked, its tuple is (hint, s, s,
+    glide) from its own rows; else it has none.  After the last entry, a
+    root with no violation whose count is not its s gets an orbit violation.
     """
     roots: dict[int, list] = {}
     violations = []
     for i, (kind, width, rows, entry) in enumerate(entries):
         hint = entry.get("orbit_root") if entry is not None else None
         if type(hint) is not int:  # only an int, not a bool, names an entry
-            hint = None
+            hint = -1
         root = roots.get(hint)
         if (root is not None and len(rows) == width + (2 if kind is PatternKind.Y else 4)
                 and all(len(row) == width + 3 for row in rows)
                 and _is_rotation(tuple(zip(*rows)), root[0])):
-            violation, glide = None, root[1]
-            root[3] += 1
+            violation, orbit = None, root[1]
+            root[2] += 1
         else:
             glide = _glide_or_violation(kind, width, rows)
             violation = glide if isinstance(glide, Violation) else None
-            if violation is None and hint == i:
-                roots[i] = [tuple(zip(*rows)), glide, entry.get("orbit_size"), 1]
+            orbit = None
+            if violation is None and (hint == i or (root is None and 0 <= hint < i
+                                                    and violations[hint] is not None)):
+                columns = tuple(zip(*rows))
+                size = next(s for s in range(1, width + 4) if columns[s:] + columns[:s] == columns)
+                orbit = (hint, size, size, glide)
+                if hint == i:
+                    roots[i] = [columns, orbit, 1]
         if violation is None and entry is not None:
-            violation = _entry_violation(i, kind, width, rows, entry, glide)
+            violation = _entry_violation(i, kind, width, rows, entry, orbit)
         violations.append(violation)
-    for i, (_, _, size, count) in roots.items():
+    for i, (_, (_, size, _, _), count) in roots.items():
         if violations[i] is None and count != size:
             violations[i] = Violation("orbit", -1, -1, f"orbit_size {size} is not {count}, "
                                       "the number of its rotations naming it as orbit_root")

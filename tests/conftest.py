@@ -11,6 +11,14 @@ W3_GOLDEN = (
     (2, 9, 5), (3, 2, 1), (3, 8, 3), (5, 4, 1), (5, 9, 2),
 )
 
+# Coordinatewise maxima of the images' first diagonals: results within a
+# box, since no proven box exists past width 4.
+IMAGE_BOXES = {
+    5: (11, 48, 64, 48, 11),
+    6: (15, 80, 168, 168, 80, 15),
+    7: (19, 125, 341, 441, 341, 125, 19),
+}
+
 
 def assert_same_text(actual, expected):
     """assert actual == expected for two whole texts, str or bytes.  On a

@@ -12,7 +12,7 @@ import pytest
 
 import yfrieze as yf
 from yfrieze.cli import main
-from conftest import assert_same_text
+from conftest import IMAGE_BOXES, assert_same_text
 from oracles import (FundamentalDomain, catalog_from_json, catalog_to_obj, expand_domain,
                      pattern_to_obj, w3_domain)
 
@@ -277,6 +277,26 @@ def test_verify_accepts_own_catalog(coxeter3_catalog_file, capsys):
     assert "14/14 patterns ok" in out
 
 
+# Every catalog the package builds: Coxeter widths 1-8, Y widths 1-4, and
+# the width-5 and width-6 image boxes; orbit sizes 1-11 all occur.
+BUILT_CATALOGS = ([("coxeter", width, None) for width in range(1, 9)]
+                  + [("y", width, None) for width in range(1, 5)]
+                  + [("y", width, IMAGE_BOXES[width]) for width in (5, 6)])
+
+
+@pytest.mark.parametrize("kind, width, bounds", BUILT_CATALOGS)
+def test_verify_passes_every_entry_of_every_built_catalog(tmp_path, monkeypatch,
+                                                          kind, width, bounds):
+    from yfrieze import io, read, verify
+    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
+    catalog = (io.coxeter_catalog(width) if kind == "coxeter"
+               else io.y_catalog(width, bounds=bounds))
+    path = tmp_path / "catalog.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        io.write_catalog_json(catalog, fh)
+    assert read.read_patterns(str(path), verify._verify_all) == [None] * len(catalog.patterns)
+
+
 def test_verify_rejects_tampered_entry(coxeter3_catalog_file, tmp_path, capsys):
     obj = json.loads(coxeter3_catalog_file.read_text())
     assert obj["patterns"][0]["rows"][2][0] != 6
@@ -533,20 +553,18 @@ def test_verify_report_is_pinned(tmp_path, capsys, kind):
 
 # An entry field tampered with: (kind, entry index, field, new value or
 # DELETE, the check verify names for that entry and its detail).
-READ_OFF = "read off the rows"
 TAMPERED_FIELDS = {
-    "id 77": ("coxeter", 1, "id", 77, "id", "id 77 is not the entry's index 1"),
+    "id 77": ("coxeter", 1, "id", 77, "id", "id 77 is not 1"),
+    "id true": ("coxeter", 1, "id", True, "id", "id True is not 1"),
     "quiddity 9s": ("coxeter", 0, "quiddity", [9] * 6, "key",
-                    f"quiddity [9, 9, 9, 9, 9, 9] is not [4, 1, 2, 2, 2, 1], {READ_OFF}"),
-    "quiddity 5": ("coxeter", 3, "quiddity", 5, "key",
-                   f"quiddity 5 is not [2, 1, 4, 1, 2, 2], {READ_OFF}"),
+                    "quiddity [9, 9, 9, 9, 9, 9] is not [4, 1, 2, 2, 2, 1]"),
+    "quiddity 5": ("coxeter", 3, "quiddity", 5, "key", "quiddity 5 is not [2, 1, 4, 1, 2, 2]"),
     "quiddity true": ("coxeter", 0, "quiddity", [4, True, 2, 2, 2, True], "key",
-                      f"quiddity [4, True, 2, 2, 2, True] is not [4, 1, 2, 2, 2, 1], {READ_OFF}"),
-    "no id": ("y", 2, "id", DELETE, "id", "id None is not the entry's index 2"),
+                      "quiddity [4, True, 2, 2, 2, True] is not [4, 1, 2, 2, 2, 1]"),
+    "no id": ("y", 2, "id", DELETE, "id", "id None is not 2"),
     "tuple": ("y", 0, "tuple", [1] * 9, "key",
-              f"tuple [1, 1, 1, 1, 1, 1, 1, 1, 1] is not [1, 1, 2, 2, 9, 5, 5, 4, 1], {READ_OFF}"),
-    "diagonal": ("y", 0, "diagonal", [1, 2, 4], "key",
-                 f"diagonal [1, 2, 4] is not [1, 1, 2], {READ_OFF}"),
+              "tuple [1, 1, 1, 1, 1, 1, 1, 1, 1] is not [1, 1, 2, 2, 9, 5, 5, 4, 1]"),
+    "diagonal": ("y", 0, "diagonal", [1, 2, 4], "key", "diagonal [1, 2, 4] is not [1, 1, 2]"),
 }
 
 
@@ -570,6 +588,10 @@ def test_verify_names_an_entry_whose_id_or_key_disagrees(tmp_path, capsys, shape
         + [f"{n - 1}/{n} patterns ok"]
 
 
+# verify's detail for an orbit_root that names no root the entry is a rotation of
+NO_ROOT = "names no root that the pattern is a rotation of"
+
+
 @pytest.mark.parametrize("value", [DELETE, None, "x", True], ids=["missing", "null", "x", "true"])
 @pytest.mark.parametrize("field", ["orbit_root", "orbit_size", "intrinsic_period", "glide_shift"])
 def test_verify_names_an_orbit_field_that_is_not_an_int(tmp_path, capsys, field, value):
@@ -584,29 +606,33 @@ def test_verify_names_an_orbit_field_that_is_not_an_int(tmp_path, capsys, field,
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(obj))
     shown = None if value is DELETE else value
+    # entry 1 heads an orbit of 3 with glide 0; without an int orbit_root it
+    # names no root, and its members, which name it, are checked in full
+    expected = {"orbit_root": NO_ROOT,
+                "orbit_size": "is not 3", "intrinsic_period": "is not 3",
+                "glide_shift": "is not 0"}[field]
     code, out, err = run(capsys, "verify", str(path))
     assert (code, err) == (1, "")
     assert out.splitlines()[1:2] + out.splitlines()[-1:] == [
-        f"pattern 1: orbit violation at row -1, col -1: {field} {shown!r} is not an int",
+        f"pattern 1: orbit violation at row -1, col -1: {field} {shown!r} {expected}",
         "13/14 patterns ok"]
 
 
 # Orbit fields of a width-3 Coxeter catalog entry set to ints that no valid
 # catalog holds: (entry index, new field values, verify's detail for it).
-# Entry 0 heads an orbit of 6, entry 5 is in the orbit of 3 that entry 4 heads.
+# Entry 0 heads an orbit of 6, entry 5 is in the orbit of 3 that entry 4
+# heads, and each has glide 0.
 OUT_OF_RANGE_ORBIT_FIELDS = {
     "size 99 glide 5 period 1": (0, {"orbit_size": 99, "glide_shift": 5, "intrinsic_period": 1},
-                                 "intrinsic_period 1 is not orbit_size 99"),
-    "period 1": (0, {"intrinsic_period": 1}, "intrinsic_period 1 is not orbit_size 6"),
-    "root 3 after its entry": (0, {"orbit_root": 3}, "orbit_root 3 is not in 0..0"),
-    "root 13 after its entry": (5, {"orbit_root": 13}, "orbit_root 13 is not in 0..5"),
-    "root -1": (5, {"orbit_root": -1}, "orbit_root -1 is not in 0..5"),
-    "size 4": (0, {"orbit_size": 4, "intrinsic_period": 4},
-               "orbit_size 4 does not divide the period 6"),
-    "size 0": (0, {"orbit_size": 0, "intrinsic_period": 0},
-               "orbit_size 0 does not divide the period 6"),
-    "glide 6": (0, {"glide_shift": 6}, "glide_shift 6 is not in 0..5"),
-    "glide -1": (0, {"glide_shift": -1}, "glide_shift -1 is not in 0..5"),
+                                 "orbit_size 99 is not 6"),
+    "period 1": (0, {"intrinsic_period": 1}, "intrinsic_period 1 is not 6"),
+    "root 3 after its entry": (0, {"orbit_root": 3}, f"orbit_root 3 {NO_ROOT}"),
+    "root 13 after its entry": (5, {"orbit_root": 13}, f"orbit_root 13 {NO_ROOT}"),
+    "root -1": (5, {"orbit_root": -1}, f"orbit_root -1 {NO_ROOT}"),
+    "size 4": (0, {"orbit_size": 4, "intrinsic_period": 4}, "orbit_size 4 is not 6"),
+    "size 0": (0, {"orbit_size": 0, "intrinsic_period": 0}, "orbit_size 0 is not 6"),
+    "glide 6": (0, {"glide_shift": 6}, "glide_shift 6 is not 0"),
+    "glide -1": (0, {"glide_shift": -1}, "glide_shift -1 is not 0"),
 }
 
 
@@ -647,7 +673,7 @@ def _glide_plus(step, i):
     def tamper(patterns):
         glide = patterns[i]["glide_shift"]
         patterns[i]["glide_shift"] = (glide + step) % 6
-        return {i: f"glide_shift {(glide + step) % 6} is not {glide}, read off the rows"}
+        return {i: f"glide_shift {(glide + step) % 6} is not {glide}"}
     return tamper
 
 
@@ -673,20 +699,58 @@ CATALOG_ORBIT_TAMPERS = {
 }
 
 
-@pytest.mark.parametrize("shape", sorted(CATALOG_ORBIT_TAMPERS))
-def test_verify_checks_each_glide_and_each_roots_member_count(tmp_path, capsys, shape):
-    # each tampered field passes the per-entry range checks; only the glide
-    # read off the rows, or the count of each root's rotations, shows it
+def _assert_tampered_report(tmp_path, capsys, tamper):
+    """verify of the width-3 Coxeter catalog with `tamper` applied to its
+    entries exits 1 and names exactly the details tamper returns."""
     from yfrieze import io
     obj = catalog_to_obj(io.coxeter_catalog(3))
     assert obj["patterns"][3]["orbit_root"] == 0
-    details = CATALOG_ORBIT_TAMPERS[shape](obj["patterns"])
+    details = tamper(obj["patterns"])
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", str(path))
     assert (code, err) == (1, "")
     assert out.splitlines() == _verify_report(
         {i: _orbit_line(detail) for i, detail in details.items()}, len(obj["patterns"]))
+
+
+@pytest.mark.parametrize("shape", sorted(CATALOG_ORBIT_TAMPERS))
+def test_verify_checks_each_glide_and_each_roots_member_count(tmp_path, capsys, shape):
+    # each tampered field is an int in range; only the glide read off the
+    # rows, or the count of each root's rotations, shows it
+    _assert_tampered_report(tmp_path, capsys, CATALOG_ORBIT_TAMPERS[shape])
+
+
+def _root_set(i, root):
+    def tamper(patterns):
+        patterns[i]["orbit_root"] = root
+        return {i: f"orbit_root {root} {NO_ROOT}", 0: _count_detail(6, 5)}
+    return tamper
+
+
+def _orbit_of_6_as_3(patterns):
+    patterns[:] = [{**patterns[i], "id": j, "orbit_size": 3, "intrinsic_period": 3}
+                   for j, i in enumerate((0, 3, 6))]
+    return dict.fromkeys(range(3), "orbit_size 3 is not 6")
+
+
+# Width-3 Coxeter catalogs whose orbit fields are ints in range that
+# disagree with the entry's orbit: a member of root 0 that names another
+# root, or a member, is no rotation of the entry it names, and three
+# members of root 0's orbit of 6, relabelled as a whole orbit of 3, hold
+# the period 6 of their rows.
+ORBIT_ROOT_TAMPERS = {
+    "member 3 names root 1": _root_set(3, 1),
+    "member 6 names member 3": _root_set(6, 3),
+    "entries 0, 3 and 6 as an orbit of 3": _orbit_of_6_as_3,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ORBIT_ROOT_TAMPERS))
+def test_verify_checks_each_entry_against_the_orbit_it_rotates(tmp_path, capsys, shape):
+    # every orbit field is compared with the tuple worked out from the
+    # entry's orbit: the root it is a rotation of, and that root's period
+    _assert_tampered_report(tmp_path, capsys, ORBIT_ROOT_TAMPERS[shape])
 
 
 def _json_error(text: str) -> str:

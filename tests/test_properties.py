@@ -176,11 +176,16 @@ def test_verify_checks_once_per_orbit_with_the_per_entry_verdicts(raw):
     assert _verify_all([(*entry, None) for entry in raw]) == [_verify_one(*entry) for entry in raw]
 
 
+def _names(entry, r):
+    return type(entry.get("orbit_root")) is int and entry["orbit_root"] == r
+
+
 # The width-4 catalogs' entries, one list per kind, with their entry objects.
 W4_ENTRIES = [[(catalog.kind, catalog.width, entry["rows"], entry)
                for entry in catalog_to_obj(catalog)["patterns"]]
               for catalog in (io.coxeter_catalog(4), io.y_catalog(4))]
-HINTS = ["correct", "own index", "other root", "later", -1, 10 ** 30, True, "0", [0], "missing"]
+HINTS = ["correct", "own index", "other root", "earlier member", "later", -1, 10 ** 30, True,
+         "0", [0], "missing"]
 
 
 @st.composite
@@ -188,8 +193,9 @@ def hinted_entry_lists(draw):
     """A width-4 catalog's entries, some with a cell changed, rotated in
     place, or dropped, or a rotated copy appended, and each entry's
     orbit_root, as written about half the time, else drawn from HINTS: the
-    entry's own index, another orbit's root, a later index, or a value that
-    names no entry."""
+    entry's own index, another orbit's root, the index of an earlier passing
+    entry that does not name itself, a later index, or a value that names no
+    entry."""
     entries = copy.deepcopy(draw(st.sampled_from(W4_ENTRIES)))
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(entries) - 1))
@@ -214,6 +220,11 @@ def hinted_entry_lists(draw):
             entry["orbit_root"] = i
         elif hint == "other root":
             entry["orbit_root"] = draw(st.sampled_from(roots))
+        elif hint == "earlier member":
+            members = [j for j, (kind, width, rows, other) in enumerate(entries[:i])
+                       if _verify_one(kind, width, rows) is None and not _names(other, j)]
+            if members:
+                entry["orbit_root"] = draw(st.sampled_from(members))
         elif hint == "later":
             entry["orbit_root"] = draw(st.integers(i + 1, len(entries)))
         elif hint == "missing":
@@ -223,33 +234,52 @@ def hinted_entry_lists(draw):
     return entries
 
 
-def _full_check(i, kind, width, rows, entry):
-    violation = _verify_one(kind, width, rows)
-    if violation is not None:
-        return violation
-    return _entry_violation(i, kind, width, rows, entry, glide_shift_of_rows(rows, width + 3))
+def _is_root(entries, r):
+    kind, width, rows, entry = entries[r]
+    return _names(entry, r) and _verify_one(kind, width, rows) is None
 
 
-def _names(entry, r):
-    return type(entry.get("orbit_root")) is int and entry["orbit_root"] == r
+def _rotations(kind, width, rows):
+    return [(kind, width, [row[s:] + row[:s] for row in rows]) for s in range(width + 3)]
+
+
+def _orbit_tuple(kind, width, rows, r):
+    """(r, s, s, glide) of valid rows, s the smallest shift that maps every
+    row onto itself."""
+    size = next(s for s in range(1, width + 4) if all(row[s:] + row[:s] == row for row in rows))
+    return (r, size, size, glide_shift_of_rows(rows, width + 3))
 
 
 def _full_checks_and_member_counts(entries):
-    """The full check of every entry; then each root, an entry that passes
-    _verify_one and names itself, whose orbit_size is not the number of
-    entries from it on that name it and hold its rows rotated by one shift
-    gets an orbit violation, unless it has one already."""
-    verdicts = [_full_check(i, *entry) for i, entry in enumerate(entries)]
+    """Every entry's first violation, its orbit tuple worked out from the
+    rows of the entries up to it, with no table of roots: an entry names
+    itself, or an earlier root (an entry that passes _verify_one and names
+    itself) whose rows it rotates, and takes that root's tuple; or it names
+    an earlier entry that is no root and has a violation, and takes its own
+    tuple under that name; any other entry names no root.  Then each root
+    that has no violation, and whose orbit size is not the number of entries
+    from it on that name it and hold its rows rotated by one shift, gets an
+    orbit violation."""
+    verdicts = []
+    for i, (kind, width, rows, entry) in enumerate(entries):
+        verdict = _verify_one(kind, width, rows)
+        h = entry.get("orbit_root")
+        orbit = None
+        if verdict is None and type(h) is int and 0 <= h <= i:
+            if h == i or (not _is_root(entries, h) and verdicts[h] is not None):
+                orbit = _orbit_tuple(kind, width, rows, h)
+            elif _is_root(entries, h) and (kind, width, rows) in _rotations(*entries[h][:3]):
+                orbit = _orbit_tuple(*entries[h][:3], h)
+        verdicts.append(verdict or _entry_violation(i, kind, width, rows, entry, orbit))
     for r, (kind, width, rows, entry) in enumerate(entries):
-        if not _names(entry, r) or _verify_one(kind, width, rows) is not None:
+        if not _is_root(entries, r) or verdicts[r] is not None:
             continue
-        rotations = [[row[s:] + row[:s] for row in rows] for s in range(width + 3)]
-        count = sum(1 for other in entries[r:]
-                    if other[:2] == (kind, width) and other[2] in rotations and _names(other[3], r))
-        if verdicts[r] is None and count != entry["orbit_size"]:
-            verdicts[r] = yf.Violation(
-                "orbit", -1, -1, f"orbit_size {entry['orbit_size']} is not {count}, "
-                                 "the number of its rotations naming it as orbit_root")
+        rotations = _rotations(kind, width, rows)
+        count = sum(1 for other in entries[r:] if other[:3] in rotations and _names(other[3], r))
+        size = _orbit_tuple(kind, width, rows, r)[1]
+        if count != size:
+            verdicts[r] = yf.Violation("orbit", -1, -1, f"orbit_size {size} is not {count}, "
+                                       "the number of its rotations naming it as orbit_root")
     return verdicts
 
 
@@ -258,7 +288,8 @@ def _full_checks_and_member_counts(entries):
 def test_verify_takes_orbit_root_as_a_hint_only(entries):
     # verify skips the checks on an entry whose orbit_root names a passing
     # root that it is a rotation of; whatever the hint, the verdicts must be
-    # the full checks', with each root's members counted.
+    # the full checks' against each entry's orbit tuple, found by brute
+    # force, with each root's members counted.
     assert _verify_all(entries) == _full_checks_and_member_counts(entries)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import yfrieze as yf
 from yfrieze import io, ymap
 from yfrieze.core import NotShiftClosed, OrbitPatterns, rotation_orbits
+from conftest import IMAGE_BOXES
 from oracles import expand_domain, first_diagonal_of, per_frieze_fibers, w3_domain
 
 
@@ -112,15 +113,6 @@ def test_fiber_analysis_detects_incomplete_y_enumeration():
                                                         kept.__getitem__))
     with pytest.raises(yf.MapFailure):
         yf.fiber_analysis(io.coxeter_catalog(3), partial)
-
-
-# Coordinatewise maxima of the images' first diagonals: results within a
-# box, since no proven box exists past width 4.
-IMAGE_BOXES = {
-    5: (11, 48, 64, 48, 11),
-    6: (15, 80, 168, 168, 80, 15),
-    7: (19, 125, 341, 441, 341, 125, 19),
-}
 
 
 @pytest.mark.parametrize("width, doubled", [(2, 0), (3, 4), (4, 0), (5, 12), (6, 0), (7, 60)])
