@@ -19,10 +19,14 @@ turns up; every operation is exact and every value is immutable after
 construction, so everything here is safe to share across threads.  A pattern
 is validated once, when it is built: `check_rows` checks the shape, the
 boundary and closure rows and each diamond.  Positivity is checked by
-`coxeter.frieze_from_quiddity`, `is_arithmetic` and `verify`, the glide only
-by `verify`.  Each check reads all columns alike, mod the period, so a
-rotation of a valid pattern is valid, and a cyclic shift of a built pattern
-is made by rotating its rows without checking them again.
+`coxeter.frieze_from_quiddity`, `is_arithmetic` and `verify`.  Each check
+reads all columns alike, mod the period, so a rotation of a valid pattern is
+valid, and a cyclic shift of a built pattern is made by rotating its rows
+without checking them again.
+
+No output searches for a glide: `orbit_glide` gives it, by the theorem that
+README's "The glide" proves in this alignment.  glide_shift,
+glide_shift_of_rows and intrinsic_period stay here as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class NotShiftClosed(FriezeError, ValueError):
 class Violation(NamedTuple):
     """First failed structural check of a raw grid, with coordinates."""
 
-    check: str  # shape | boundary | diamond | positivity | glide | id | key | orbit
+    check: str  # shape | boundary | closure | diamond | positivity | id | key | orbit | distinct
     row: int
     col: int
     detail: str
@@ -379,6 +383,13 @@ class OrbitPatterns(Sequence):
         for i, k in enumerate(self._orbit):
             orbits[k].append(i)
         return orbits
+
+
+def orbit_glide(kind: PatternKind, size: int) -> int:
+    """glide_shift_of_rows(rows, width + 3) of every pattern of this kind
+    whose rows pass check_rows, with a positive interior, and whose orbit
+    size is `size`: 0 for a Coxeter frieze, 1 % size for a Y pattern."""
+    return 1 % size if kind is PatternKind.Y else 0
 
 
 def glide_shift_of_rows(rows: Sequence[Sequence[Fraction]], period: int) -> Optional[int]:

@@ -19,7 +19,8 @@ patterns are generated.  CSV and table output (through entry_keys) and the
 JSON writer read each entry's key and rows off its orbit's root at its
 shift, so they build no pattern.  The JSON writer writes an orbit's `heads`
 row as each member's orbit_root and orbit_size, the size again as its
-intrinsic_period, and the glide_shift it finds once, at the orbit's root.
+intrinsic_period, and core.orbit_glide of the size as its glide_shift, a
+theorem (see core), so it searches for no glide.
 write_catalog_json streams a catalog's text one entry at a time, and holds
 each orbit root's cells as JSON text.
 
@@ -36,7 +37,7 @@ from collections.abc import Sequence
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .core import OrbitPatterns, PatternKind, PeriodicPattern, glide_shift, key_of_rows
+from .core import OrbitPatterns, PatternKind, PeriodicPattern, key_of_rows, orbit_glide
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
@@ -106,9 +107,8 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     the catalog holds (with an indent, json.dumps runs its pure-Python
     encoder, several times slower).
     The boundary rows are joined once.  The first time an orbit is met, its
-    root's glide_shift is found and its interior cells rendered into a flat
-    tuple, whose slices, rotated to a member's shift, are joined into its
-    rows."""
+    root's interior cells are rendered into a flat tuple, whose slices,
+    rotated to a member's shift, are joined into its rows."""
     import json
     head = json.dumps({"schema": CATALOG_SCHEMA, "kind": catalog.kind.value,
                        "width": catalog.width, "parameters": catalog.parameters},
@@ -121,7 +121,7 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     zeros, ones = (_CELL_SEP.join(map(cell, [v] * cols)) for v in (0, 1))
     top, bottom = ([zeros], [zeros]) if is_y else ([zeros, ones], [ones, zeros])
     held = catalog.patterns
-    orbits: dict = {}  # orbit -> its root's interior cells, row by row in one tuple, and glide
+    orbits: dict = {}  # orbit -> its root's interior cells, row by row in one tuple
     for i in range(len(held)):
         k, s = held.locate(i)
         root = held.roots[k]
@@ -129,9 +129,8 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
         diagonal = (f'      "diagonal": {_key_json(map(str, key[:catalog.width]))},\n'
                     if is_y else "")
         if k not in orbits:
-            orbits[k] = (tuple(map(cell, chain.from_iterable(root.rows[len(top):-len(top)]))),
-                         glide_shift(root))
-        (flat, glide), (head, size) = orbits[k], held.heads[k]
+            orbits[k] = tuple(map(cell, chain.from_iterable(root.rows[len(top):-len(top)])))
+        flat, (head, size) = orbits[k], held.heads[k]
         cells = _ROW_SEP.join(top + [_CELL_SEP.join(flat[j + s:j + cols] + flat[j:j + s])
                                      for j in range(0, len(flat), cols)] + bottom)
         yield (
@@ -140,7 +139,7 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
             f'      "orbit_root": {head},\n'
             f'      "orbit_size": {size},\n'
             f'      "intrinsic_period": {size},\n'
-            f'      "glide_shift": {glide},\n'
+            f'      "glide_shift": {orbit_glide(catalog.kind, size)},\n'
             f'      "rows": [\n        [\n          {cells}\n        ]\n      ]\n    }}')
     yield "\n  ]\n}\n" if held else "]\n}\n"
 

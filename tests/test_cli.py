@@ -297,6 +297,24 @@ def test_verify_passes_every_entry_of_every_built_catalog(tmp_path, monkeypatch,
     assert read.read_patterns(str(path), verify._verify_all) == [None] * len(catalog.patterns)
 
 
+@pytest.mark.parametrize("kind, width, bounds", BUILT_CATALOGS)
+def test_every_built_pattern_has_the_glide_the_theorem_gives(monkeypatch, kind, width, bounds):
+    # README, "The glide": a pattern that passes check_rows with a positive
+    # interior has glide 0 if it is a frieze and 1 mod its orbit size s if it
+    # is a Y pattern; the search and the written glide_shift must both agree
+    from yfrieze import io
+    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
+    catalog = (io.coxeter_catalog(width) if kind == "coxeter"
+               else io.y_catalog(width, bounds=bounds))
+    entries = json.loads(io.catalog_to_json(catalog))["patterns"]
+    assert len(entries) == len(catalog.patterns)
+    for entry in entries:
+        rows = entry["rows"]
+        size = next(s for s in range(1, width + 4) if all(row[s:] + row[:s] == row for row in rows))
+        glide = 0 if kind == "coxeter" else 1 % size
+        assert (yf.glide_shift_of_rows(rows, width + 3), entry["glide_shift"]) == (glide, glide)
+
+
 def test_verify_rejects_tampered_entry(coxeter3_catalog_file, tmp_path, capsys):
     obj = json.loads(coxeter3_catalog_file.read_text())
     assert obj["patterns"][0]["rows"][2][0] != 6
@@ -636,8 +654,16 @@ OUT_OF_RANGE_ORBIT_FIELDS = {
 }
 
 
+def _line(check, detail):
+    return f"{check} violation at row -1, col -1: {detail}"
+
+
 def _orbit_line(detail):
-    return f"orbit violation at row -1, col -1: {detail}"
+    return _line("orbit", detail)
+
+
+def _distinct_detail(r):
+    return f"its rows repeat an earlier entry's, in the orbit of entry {r}"
 
 
 def _count_detail(size, count):
@@ -685,12 +711,13 @@ def _first_five(patterns):
 
 def _entry_2_again(patterns):
     patterns.append({**patterns[2], "id": len(patterns)})
-    return {2: _count_detail(2, 3)}
+    return {14: ("distinct", _distinct_detail(2))}
 
 
 # Width-3 Coxeter catalogs whose orbit fields each pass the per-entry checks
 # but disagree with the rows or with the entries present; each tamper gives
-# the details verify must name, by entry index.
+# the details verify must name, by entry index: an orbit violation's, or a
+# (check, detail) pair.
 CATALOG_ORBIT_TAMPERS = {
     "root 0 glide + 1": _glide_plus(1, 0),
     "member 3 glide + 2": _glide_plus(2, 3),
@@ -711,13 +738,14 @@ def _assert_tampered_report(tmp_path, capsys, tamper):
     code, out, err = run(capsys, "verify", str(path))
     assert (code, err) == (1, "")
     assert out.splitlines() == _verify_report(
-        {i: _orbit_line(detail) for i, detail in details.items()}, len(obj["patterns"]))
+        {i: _line(*detail) if type(detail) is tuple else _orbit_line(detail)
+         for i, detail in details.items()}, len(obj["patterns"]))
 
 
 @pytest.mark.parametrize("shape", sorted(CATALOG_ORBIT_TAMPERS))
 def test_verify_checks_each_glide_and_each_roots_member_count(tmp_path, capsys, shape):
-    # each tampered field is an int in range; only the glide read off the
-    # rows, or the count of each root's rotations, shows it
+    # each tampered field is an int in range; only the glide the orbit size
+    # gives, the count of each root's rotations, or a repeat, shows it
     _assert_tampered_report(tmp_path, capsys, CATALOG_ORBIT_TAMPERS[shape])
 
 
@@ -751,6 +779,51 @@ def test_verify_checks_each_entry_against_the_orbit_it_rotates(tmp_path, capsys,
     # every orbit field is compared with the tuple worked out from the
     # entry's orbit: the root it is a rotation of, and that root's period
     _assert_tampered_report(tmp_path, capsys, ORBIT_ROOT_TAMPERS[shape])
+
+
+def _root_0_renumbered_and_entry_3_again(patterns):
+    assert patterns[3]["orbit_root"] == 0
+    patterns[0]["id"] = 77  # root 0 fails, so its member count is not checked
+    patterns.append({**patterns[3], "id": 14})
+    return {0: ("id", "id 77 is not 0"), 14: ("distinct", _distinct_detail(0))}
+
+
+def _orbit_of_2_again_under_14(patterns):
+    assert [(p["orbit_root"], p["orbit_size"]) for p in (patterns[2], patterns[10])] == [(2, 2)] * 2
+    patterns += [{**patterns[i], "id": j, "orbit_root": 14} for i, j in ((2, 14), (10, 15))]
+    return dict.fromkeys((14, 15), ("distinct", _distinct_detail(2)))
+
+
+def _root_again_naming_itself(patterns):
+    assert len(patterns) == 1
+    patterns.append({**patterns[0], "id": 1, "orbit_root": 1})
+    return {1: ("distinct", _distinct_detail(0))}
+
+
+# Catalogs with an entry repeated where no member count shows it, each of
+# which verify passed before it held every entry to be distinct: (kind,
+# width, tamper returning the (check, detail) verify must name, by entry index).
+REPEATED_ENTRIES = {
+    "coxeter 3, root 0 renumbered, entry 3 appended as 14": (
+        "coxeter", 3, _root_0_renumbered_and_entry_3_again),
+    "coxeter 3, root 2's orbit appended as 14 and 15 naming 14": (
+        "coxeter", 3, _orbit_of_2_again_under_14),
+    "y 1, entry 0 appended as 1 naming itself": ("y", 1, _root_again_naming_itself),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REPEATED_ENTRIES))
+def test_verify_names_a_repeated_entry(tmp_path, capsys, shape):
+    from yfrieze import io
+    kind, width, tamper = REPEATED_ENTRIES[shape]
+    obj = catalog_to_obj(io.coxeter_catalog(width) if kind == "coxeter" else io.y_catalog(width))
+    details = tamper(obj["patterns"])
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == _verify_report(
+        {i: _line(*detail) for i, detail in details.items()}, len(obj["patterns"]))
 
 
 def _json_error(text: str) -> str:
@@ -969,9 +1042,9 @@ def test_csv_table_and_map_build_no_entry_and_no_domain(capsys, monkeypatch):
     assert built == []
 
 
-def test_only_the_json_writer_finds_glides(capsys, monkeypatch, tmp_path):
-    # an entry's glide_shift is written to JSON only; the writer finds it
-    # once per orbit root, 150 at width 7, and no other output finds any
+def test_no_output_searches_for_a_glide(capsys, monkeypatch, tmp_path):
+    # an entry's glide_shift is a theorem of its kind and orbit size, so
+    # neither the JSON writer nor verify, nor any other output, searches
     from yfrieze import core
     calls = []
     glide_shift_of_rows = core.glide_shift_of_rows
@@ -981,17 +1054,15 @@ def test_only_the_json_writer_finds_glides(capsys, monkeypatch, tmp_path):
         return glide_shift_of_rows(*args)
 
     monkeypatch.setattr(core, "glide_shift_of_rows", counting_glide_shift_of_rows)
+    path = tmp_path / "catalog.json"
     runs = [("enumerate", "--kind", kind, "--width", width, "--format", fmt)
             for kind, width in (("coxeter", "7"), ("y", "4")) for fmt in ("csv", "table")]
-    runs += [("orbits", "--kind", "coxeter", "--width", "7"), ("map", "--width", "4")]
+    runs += [("orbits", "--kind", "coxeter", "--width", "7"), ("map", "--width", "4"),
+             ("enumerate", "--kind", "coxeter", "--width", "7", "--format", "json",
+              "--output", str(path)), ("verify", str(path))]
     for argv in runs:
         code, _, _ = run(capsys, *argv)
         assert (argv, code, len(calls)) == (argv, 0, 0)
-    path = tmp_path / "catalog.json"
-    code, _, _ = run(capsys, "enumerate", "--kind", "coxeter", "--width", "7",
-                     "--format", "json", "--output", str(path))
-    assert code == 0
-    assert len(calls) == 150
 
 
 def test_map_applies_the_transfer_map_once_per_frieze_orbit(capsys, monkeypatch):

@@ -398,8 +398,8 @@ def test_y_catalogs_equal_the_search_patterns_with_per_pattern_fields(monkeypatc
 
 
 def test_orbit_fields_equal_per_pattern_values(monkeypatch):
-    # the JSON writer writes intrinsic_period and glide_shift once per
-    # orbit, off its root; every entry must read what its own pattern gives.
+    # the JSON writer writes intrinsic_period as the orbit size and
+    # glide_shift by formula; every entry must read what its own pattern gives.
     monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
     catalogs = [*(io.coxeter_catalog(w) for w in range(1, 9)),
                 *(io.y_catalog(w) for w in range(1, 5)),

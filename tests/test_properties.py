@@ -191,23 +191,23 @@ HINTS = ["correct", "own index", "other root", "earlier member", "later", -1, 10
 @st.composite
 def hinted_entry_lists(draw):
     """A width-4 catalog's entries, some with a cell changed, rotated in
-    place, or dropped, or a rotated copy appended, and each entry's
-    orbit_root, as written about half the time, else drawn from HINTS: the
-    entry's own index, another orbit's root, the index of an earlier passing
-    entry that does not name itself, a later index, or a value that names no
-    entry."""
+    place, or dropped, or a copy or a rotated copy appended, and each
+    entry's orbit_root, as written about half the time, else drawn from
+    HINTS: the entry's own index, another orbit's root, the index of an
+    earlier passing entry that does not name itself, a later index, or a
+    value that names no entry."""
     entries = copy.deepcopy(draw(st.sampled_from(W4_ENTRIES)))
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(entries) - 1))
         kind, width, rows, entry = entries[i]
-        action = draw(st.sampled_from(["cell", "rotate", "drop", "rotated copy"]))
+        action = draw(st.sampled_from(["cell", "rotate", "drop", "copy", "rotated copy"]))
         if action == "drop" and len(entries) > 1:
             entries.pop(i)
         elif action == "cell":
             m = draw(st.integers(0, len(rows) - 1))
             rows[m][draw(st.integers(0, width + 2))] += draw(st.sampled_from([-1, 1]))
-        elif action in ("rotate", "rotated copy"):
-            s = draw(st.integers(1, width + 2))
+        elif action in ("rotate", "copy", "rotated copy"):
+            s = draw(st.integers(1, width + 2)) if action != "copy" else 0
             rotated = [row[s:] + row[:s] for row in rows]
             if action == "rotate":
                 entries[i] = (kind, width, rotated, entry)
@@ -250,32 +250,46 @@ def _orbit_tuple(kind, width, rows, r):
     return (r, size, size, glide_shift_of_rows(rows, width + 3))
 
 
-def _full_checks_and_member_counts(entries):
-    """Every entry's first violation, its orbit tuple worked out from the
-    rows of the entries up to it, with no table of roots: an entry names
-    itself, or an earlier root (an entry that passes _verify_one and names
-    itself) whose rows it rotates, and takes that root's tuple; or it names
-    an earlier entry that is no root and has a violation, and takes its own
-    tuple under that name; any other entry names no root.  Then each root
-    that has no violation, and whose orbit size is not the number of entries
-    from it on that name it and hold its rows rotated by one shift, gets an
+def _full_checks_repeats_and_member_counts(entries):
+    """Every entry's first violation, worked out from the entries up to it,
+    with no table keyed by rows and no bit masks.  A row of an orbit is made
+    by the first passing entry that names itself, or names an earlier entry
+    that has a violation and no row, and it is owned by the first such maker
+    whose rows rotate into the maker's.  An entry passes through a row if it
+    makes it, or if it names an index that has a row and its rows rotate the
+    owner's.  It repeats an earlier entry that passed through the same row
+    with the same rows; else its orbit tuple is the row's, (r, s, s, glide),
+    r the index the owner named and the glide searched for in the owner's
+    rows, and an entry that passes through no row has none.  Then each
+    owner that names itself and has no violation, and whose orbit size is
+    not the number of distinct rows that passed through its row, gets an
     orbit violation."""
-    verdicts = []
+    verdicts, hints, through = [], [], []
+    owners = {}  # an index that a maker named -> the owner of the maker's row
     for i, (kind, width, rows, entry) in enumerate(entries):
         verdict = _verify_one(kind, width, rows)
         h = entry.get("orbit_root")
-        orbit = None
-        if verdict is None and type(h) is int and 0 <= h <= i:
-            if h == i or (not _is_root(entries, h) and verdicts[h] is not None):
-                orbit = _orbit_tuple(kind, width, rows, h)
-            elif _is_root(entries, h) and (kind, width, rows) in _rotations(*entries[h][:3]):
-                orbit = _orbit_tuple(*entries[h][:3], h)
+        h = h if type(h) is int else -1
+        owner = None
+        if h in owners:
+            if (kind, width, rows) in _rotations(*entries[owners[h]][:3]):
+                owner = owners[h]
+        elif verdict is None and (h == i or 0 <= h < i and verdicts[h] is not None):
+            owner = owners[h] = next(j for j in [*owners.values(), i]
+                                     if (kind, width, rows) in _rotations(*entries[j][:3]))
+        hints.append(h)
+        through.append(owner)
+        if verdict is None and owner is not None and any(
+                through[j] == owner and entries[j][2] == rows for j in range(i)):
+            verdict = yf.Violation("distinct", -1, -1, "its rows repeat an earlier entry's, "
+                                   f"in the orbit of entry {hints[owner]}")
+        orbit = None if owner is None else _orbit_tuple(*entries[owner][:3], hints[owner])
         verdicts.append(verdict or _entry_violation(i, kind, width, rows, entry, orbit))
     for r, (kind, width, rows, entry) in enumerate(entries):
-        if not _is_root(entries, r) or verdicts[r] is not None:
+        if owners.get(r) != r or verdicts[r] is not None:
             continue
-        rotations = _rotations(kind, width, rows)
-        count = sum(1 for other in entries[r:] if other[:3] in rotations and _names(other[3], r))
+        count = len({tuple(map(tuple, entries[j][2])) for j in range(len(entries))
+                     if through[j] == r})
         size = _orbit_tuple(kind, width, rows, r)[1]
         if count != size:
             verdicts[r] = yf.Violation("orbit", -1, -1, f"orbit_size {size} is not {count}, "
@@ -289,8 +303,8 @@ def test_verify_takes_orbit_root_as_a_hint_only(entries):
     # verify skips the checks on an entry whose orbit_root names a passing
     # root that it is a rotation of; whatever the hint, the verdicts must be
     # the full checks' against each entry's orbit tuple, found by brute
-    # force, with each root's members counted.
-    assert _verify_all(entries) == _full_checks_and_member_counts(entries)
+    # force, with each repeat named and each root's members counted.
+    assert _verify_all(entries) == _full_checks_repeats_and_member_counts(entries)
 
 
 # Small widths and bounds keep every draw under about a second and every
