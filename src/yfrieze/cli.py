@@ -93,10 +93,10 @@ def _table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] = None,
-             parallelism: int = 1, output: Optional[str] = None) -> io.Catalog:
-    """Check the arguments enumerate, orbits and map share, then that `output`
-    can be written, then build the catalog."""
+def _plan(kind: "PatternKind | str", width: int, bounds_text: Optional[str] = None,
+          parallelism: int = 1) -> Callable[[], io.Catalog]:
+    """Check the arguments enumerate, orbits and map share, plan a Y search
+    (search.y_plan), and return the function that builds the catalog."""
     if width < 1:
         raise _Failure(EXIT_USAGE, f"width must be >= 1, got {width}")
     if parallelism < 1:
@@ -124,16 +124,24 @@ def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] =
         if width > coxeter.MAX_ENUM_WIDTH:
             raise _Failure(EXIT_LIMIT,
                            f"coxeter enumeration supports widths up to {coxeter.MAX_ENUM_WIDTH}")
-    elif width not in (1, 2, 3, 4) and bounds is None:
-        raise _Failure(EXIT_USAGE, f"width {width} has no proven boxes; pass --bounds")
-    _check_output(output)
-    if kind is PatternKind.COXETER:
-        return io.coxeter_catalog(width)
+        return lambda: io.coxeter_catalog(width)
     from . import search
     try:
-        return io.y_catalog(width, bounds=bounds, parallelism=parallelism)
+        search.y_plan(width, bounds)
     except search.BoxTooLarge as exc:
         raise _Failure(EXIT_LIMIT, str(exc))
+    except ValueError as exc:
+        raise _Failure(EXIT_USAGE, str(exc))
+    return lambda: io.y_catalog(width, bounds, parallelism)
+
+
+def _catalog(kind: "PatternKind | str", width: int, bounds_text: Optional[str] = None,
+             parallelism: int = 1, output: Optional[str] = None) -> io.Catalog:
+    """_plan the catalog, check that `output` can be written, then build it."""
+    build = _plan(kind, width, bounds_text, parallelism)
+    _check_output(output)
+    try:
+        return build()
     except NotShiftClosed as exc:
         raise _Failure(EXIT_LIMIT, f"the box cuts a shift orbit in two ({exc}); widen --bounds")
 
@@ -194,9 +202,10 @@ def cmd_map(args) -> int:
                                    "transfer map is not computable there")
     if args.width > 4:
         raise _Failure(EXIT_LIMIT, f"no enumerations available for width {args.width}")
-    friezes = _catalog(PatternKind.COXETER, args.width, output=args.output)
-    ypatterns = _catalog(PatternKind.Y, args.width)
-    report = ymap.fiber_analysis(friezes, ypatterns)
+    build_friezes = _plan(PatternKind.COXETER, args.width)
+    build_ypatterns = _plan(PatternKind.Y, args.width)
+    _check_output(args.output)
+    report = ymap.fiber_analysis(build_friezes(), build_ypatterns())
     verdict = _verdict(report)
     if args.format == "json":
         import json

@@ -19,7 +19,8 @@ turns up; every operation is exact and every value is immutable after
 construction, so everything here is safe to share across threads.  A pattern
 is validated once, when it is built: `check_rows` checks the shape, the
 boundary and closure rows and each diamond.  Positivity is checked by
-`coxeter.frieze_from_quiddity`, `is_arithmetic` and `verify`.  Each check
+`coxeter.frieze_from_quiddity` as it builds a frieze, and otherwise by
+`positivity_violation`, which `is_arithmetic` and `verify` call.  Each check
 reads all columns alike, mod the period, so a rotation of a valid pattern is
 valid, and a cyclic shift of a built pattern is made by rotating its rows
 without checking them again.
@@ -228,12 +229,6 @@ class PeriodicPattern(NamedTuple("PeriodicPattern", [
     def period(self) -> int:
         return self.width + 3
 
-    def interior(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The width-many rows strictly between the boundary rows."""
-        if self.kind is PatternKind.Y:
-            return self.rows[1:self.width + 1]
-        return self.rows[2:self.width + 2]
-
 
 def propagate_y(first_row: Sequence, width: int) -> PeriodicPattern:
     """Build a closed Y pattern from its first row by the Y rule solved for S,
@@ -282,10 +277,19 @@ def key_of_rows(kind: PatternKind, width: int, rows: Sequence[Sequence], shift: 
                  for j in range(width + 1) for m in range(1, min(width, width + 1 - j) + 1))
 
 
+def positivity_violation(kind: PatternKind, width: int,
+                         rows: Sequence[Sequence[Fraction]]) -> Optional[Violation]:
+    """The first interior entry, row-major, of rows that pass check_rows
+    that is not a positive integer, as a positivity Violation, or None."""
+    first = 1 if kind is PatternKind.Y else 2
+    return next((Violation("positivity", m, k, f"interior entry {v} is not a positive integer")
+                 for m in range(first, first + width) for k, v in enumerate(rows[m])
+                 if v <= 0 or v.denominator != 1), None)
+
+
 def is_arithmetic(pattern: PeriodicPattern) -> bool:
     """True iff every interior entry is a positive integer."""
-    return all(v > 0 and v.denominator == 1
-               for row in pattern.interior() for v in row)
+    return positivity_violation(pattern.kind, pattern.width, pattern.rows) is None
 
 
 def _rotate_rows(rows: Sequence[tuple], s: int) -> tuple[tuple, ...]:

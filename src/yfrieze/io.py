@@ -57,17 +57,12 @@ class Catalog(NamedTuple):
 
 def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
               parallelism: int = 1) -> Catalog:
-    """Catalog of all arithmetic Y patterns of a width, sorted by diagonal:
-    the re-verified search hits, held as one root per rotation orbit keyed
-    by its first row."""
+    """Catalog of all arithmetic Y patterns of a width, sorted by diagonal,
+    with the parameters of its search.y_plan: the re-verified search hits,
+    held as one root per rotation orbit keyed by its first row."""
     from . import search
-    patterns = search.y_solutions(width, bounds=bounds, parallelism=parallelism).patterns
-    if width in (3, 4) and bounds is None:
-        boxes = search.w3_boxes() if width == 3 else search.w4_boxes()
-        parameters = {"mode": "proven-boxes", "boxes": [list(b.bounds) for b in boxes]}
-    else:
-        used = bounds if bounds is not None else search.DEFAULT_GENERIC_BOUNDS[width]
-        parameters = {"mode": "generic", "bounds": list(used)}
+    parameters, _ = search.y_plan(width, bounds)
+    patterns = search.y_solutions(width, bounds, parallelism).patterns
     held = OrbitPatterns([p.rows[1] for p in patterns], patterns.__getitem__)
     return Catalog(PatternKind.Y, width, parameters, held)
 

@@ -10,6 +10,9 @@ serves every width:
                                 reference showing that the boxes and the
                                 pruning lose nothing
 
+y_plan alone decides, checks and names (as catalog parameters) the boxes of
+a width's search; y_solutions runs it.
+
 One DFS walks the boxes' coordinatewise maximum and keeps a first row if its
 diagonal lies in a box, so overlapping boxes are searched once.  propagate_y
 rebuilds each hit's pattern, the one closure check, to read its entry tuple.
@@ -28,11 +31,10 @@ import os
 import sys
 from itertools import chain
 from math import gcd, prod
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .core import (DEFAULT_MAX_CANDIDATES, MAX_CANDIDATES_ENV,  # noqa: F401  (re-exported)
-                   FriezeError, PeriodicPattern, candidate_ceiling, is_arithmetic, key_of_rows,
-                   propagate_y)
+from .core import (FriezeError, PatternKind, PeriodicPattern, candidate_ceiling, is_arithmetic,
+                   key_of_rows, propagate_y)
 
 # Default diagonal boxes for the widths whose solution sets are small enough
 # to find without proven bounds.
@@ -78,41 +80,28 @@ def w4_boxes() -> tuple[SearchBox, SearchBox, SearchBox, SearchBox]:
     )
 
 
-class SolutionSet:
-    """All arithmetic solutions of one width, lexicographically sorted.
+class SolutionSet(NamedTuple):
+    """All arithmetic solutions of one width: their re-verified patterns,
+    sorted by entry tuple, which it counts and iterates.  `full_tuples[i]`
+    (the fundamental-domain entry tuple, diagonal-major) and `diagonals[i]`
+    (its first `width` values) are read off `patterns[i]`."""
 
-    `full_tuples[i]` is the complete fundamental-domain entry tuple
-    (diagonal-major order) of `diagonals[i]`, and `patterns[i]` the
-    re-verified pattern it was read off.  Equality leaves out `patterns`,
-    which the other fields determine.
-    """
-
-    __slots__ = ("width", "diagonals", "full_tuples", "patterns")
-
-    def __init__(self, width: int, diagonals: tuple[tuple[int, ...], ...],
-                 full_tuples: tuple[tuple[int, ...], ...],
-                 patterns: tuple[PeriodicPattern, ...]):
-        for name, value in zip(self.__slots__, (width, diagonals, full_tuples, patterns)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a SolutionSet")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SolutionSet:
-            return NotImplemented
-        return (self.width, self.diagonals, self.full_tuples) == (
-            other.width, other.diagonals, other.full_tuples)
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.diagonals, self.full_tuples))
-
-    def __repr__(self) -> str:
-        return (f"SolutionSet(width={self.width!r}, diagonals={self.diagonals!r}, "
-                f"full_tuples={self.full_tuples!r})")
+    width: int
+    patterns: tuple[PeriodicPattern, ...]
 
     def __len__(self) -> int:
-        return len(self.diagonals)
+        return len(self.patterns)
+
+    def __iter__(self) -> Iterator[PeriodicPattern]:
+        return iter(self.patterns)
+
+    @property
+    def full_tuples(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(key_of_rows(PatternKind.Y, self.width, p.rows) for p in self.patterns)
+
+    @property
+    def diagonals(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(full[:self.width] for full in self.full_tuples)
 
 
 def _scan(boxes: Sequence[SearchBox], firsts: Iterable[int]) -> list[tuple[int, ...]]:
@@ -219,15 +208,14 @@ def _fork_scan(boxes: Sequence[SearchBox],
 
 def _solution_set(width: int, first_rows: Iterable[tuple[int, ...]]) -> SolutionSet:
     """Re-verify every hit by propagate_y, the one closure check; sort by entry tuple."""
-    hits = []
+    patterns = []
     for row in first_rows:
         pattern = propagate_y(row, width)
         if not is_arithmetic(pattern):
             raise FriezeError(f"first row {row} fails re-verification")
-        hits.append((key_of_rows(pattern.kind, width, pattern.rows), pattern))
-    hits.sort(key=lambda hit: hit[0])
-    return SolutionSet(width, tuple(full[:width] for full, _ in hits),
-                       tuple(full for full, _ in hits), tuple(p for _, p in hits))
+        patterns.append(pattern)
+    patterns.sort(key=lambda p: key_of_rows(PatternKind.Y, width, p.rows))
+    return SolutionSet(width, tuple(patterns))
 
 
 def _deal(firsts: Sequence[int], workers: int) -> list[list[int]]:
@@ -244,14 +232,13 @@ def _deal(firsts: Sequence[int], workers: int) -> list[list[int]]:
     return shares
 
 
-def _search(width: int, boxes: Iterable[SearchBox], parallelism: int = 1) -> SolutionSet:
+def _search(width: int, boxes: Sequence[SearchBox], parallelism: int = 1) -> SolutionSet:
     """Run one DFS over the boxes.  The x_1 values are dealt into
     min(parallelism, CPU count, x_1 values) shares (see _deal): this process
     scans the first and a forked child each other one.  The hits are merged
     and sorted, so the output does not depend on the split."""
     if type(parallelism) is not int or parallelism < 1:
         raise ValueError(f"parallelism must be an int >= 1, got {parallelism!r}")
-    boxes = tuple(boxes)
     firsts = range(1, max(box.bounds[0] for box in boxes) + 1)
     workers = min(parallelism, os.cpu_count() or 1, len(firsts)) if hasattr(os, "fork") else 1
     shares = _deal(firsts, workers)
@@ -316,36 +303,47 @@ def oracle_box_check(width: int, bound: int) -> SolutionSet:
 
 
 def enumerate_generic(width: int, box: SearchBox, parallelism: int = 1) -> SolutionSet:
-    """Search every diagonal in `box` for closed arithmetic patterns.
+    """Search every diagonal in `box`, checked as y_plan checks it, for
+    closed arithmetic patterns.  Works at any width; no completeness claim
+    unless the box is proven to contain all solutions.  The x_1 values are
+    shared by min(parallelism, CPU count, x_1 bound) processes (see _search).
+    """
+    return _search(width, y_plan(width, box.bounds)[1], parallelism)
 
-    Works at any width; no completeness claim unless the box is proven to
-    contain all solutions.  Raises BoxTooLarge when the box volume exceeds
-    the ceiling (see candidate_ceiling).  The x_1 values are shared by
-    min(parallelism, CPU count, x_1 bound) processes (see _search).
+
+def y_plan(width: int,
+           bounds: Optional[Sequence[int]] = None) -> tuple[dict, tuple[SearchBox, ...]]:
+    """The Y search of a width: the catalog parameters that name it, and its boxes.
+
+    Widths 3 and 4 without bounds search their proven boxes, so the result
+    is complete; any other search covers one box, `bounds` or the width's
+    DEFAULT_GENERIC_BOUNDS, with no completeness claim.  Raises ValueError
+    on a width below 1 or with no box, or on bounds of another arity, and
+    BoxTooLarge when that box's volume exceeds candidate_ceiling().
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
+    if bounds is None and width in (3, 4):
+        boxes = w3_boxes() if width == 3 else w4_boxes()
+        return {"mode": "proven-boxes", "boxes": [list(b.bounds) for b in boxes]}, boxes
+    if bounds is None:
+        if width not in DEFAULT_GENERIC_BOUNDS:
+            raise ValueError(f"width {width} has no proven boxes; pass --bounds")
+        bounds = DEFAULT_GENERIC_BOUNDS[width]
+    box = SearchBox(bounds)
     if len(box.bounds) != width:
         raise ValueError(f"box must bound {width} diagonal values, got {len(box.bounds)}")
     ceiling = candidate_ceiling()
     if box.volume() > ceiling:
         raise BoxTooLarge(f"box volume {box.volume()} exceeds ceiling {ceiling}")
-    return _search(width, [box], parallelism)
+    return {"mode": "generic", "bounds": list(box.bounds)}, (box,)
 
 
 def y_solutions(width: int, bounds: Optional[Sequence[int]] = None,
                 parallelism: int = 1) -> SolutionSet:
-    """Solution set for a width: proven boxes for 3 and 4, generic otherwise.
-
-    Widths 1 and 2 fall back to built-in default boxes; other widths need
-    explicit bounds.
-    """
-    if width == 3 and bounds is None:
-        return enumerate_w3()
+    """The solution set over y_plan(width, bounds)'s boxes.  The proven
+    width-4 search runs through enumerate_w4, which bench/tracing.py times."""
+    _, boxes = y_plan(width, bounds)
     if width == 4 and bounds is None:
-        return enumerate_w4(parallelism=parallelism)
-    if bounds is None:
-        if width not in DEFAULT_GENERIC_BOUNDS:
-            raise ValueError(f"width {width} needs explicit diagonal bounds")
-        bounds = DEFAULT_GENERIC_BOUNDS[width]
-    return enumerate_generic(width, SearchBox(tuple(bounds)), parallelism=parallelism)
+        return enumerate_w4(parallelism)
+    return _search(width, boxes, parallelism)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import PatternKind, Violation, check_rows, key_of_rows, orbit_glide
+from .core import (PatternKind, Violation, check_rows, key_of_rows, orbit_glide,
+                   positivity_violation)
 from .io import KEY_NAMES, ORBIT_FIELDS
 
 # The (check, field) pairs of a catalog entry of each kind, in the order checked.
@@ -21,18 +22,9 @@ _FIELDS = {kind: (("id", "id"), ("key", KEY_NAMES[kind]),
 
 
 def _verify_one(kind: PatternKind, width: int, rows) -> Optional[Violation]:
-    """The rows' first violation: core.check_rows', else the first interior
-    entry that is not a positive integer, else None."""
-    violation = check_rows(kind, width, rows)
-    if violation is not None:
-        return violation
-    interior_start = 1 if kind is PatternKind.Y else 2
-    for m in range(interior_start, interior_start + width):
-        for k, v in enumerate(rows[m]):
-            if v <= 0 or v.denominator != 1:
-                return Violation("positivity", m, k,
-                                 f"interior entry {v} is not a positive integer")
-    return None
+    """The rows' first violation: core.check_rows', else
+    core.positivity_violation's, else None."""
+    return check_rows(kind, width, rows) or positivity_violation(kind, width, rows)
 
 
 def _entry_violation(i: int, kind: PatternKind, width: int, rows, entry: dict,

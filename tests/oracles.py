@@ -114,13 +114,13 @@ def expand_domain(dom: FundamentalDomain) -> PeriodicPattern:
 def domain_of(pattern: PeriodicPattern) -> FundamentalDomain:
     """Read one fundamental domain back off a pattern (inverse of expand)."""
     n = pattern.width
-    rows = tuple(row[:n + 2 - m] for m, row in enumerate(pattern.interior(), start=1))
+    rows = tuple(row[:n + 2 - m] for m, row in enumerate(pattern.rows[1:-1], start=1))
     return FundamentalDomain(n, rows)
 
 
 def first_diagonal_of(pattern: PeriodicPattern) -> tuple[Fraction, ...]:
     """Column 0 of the interior rows, read top-down."""
-    return tuple(row[0] for row in pattern.interior())
+    return tuple(row[0] for row in pattern.rows[1:-1])
 
 
 def w3_system_holds(diag: Sequence[int], ent: W3Entries) -> bool:

@@ -131,3 +131,32 @@ def test_the_oracle_check_sees_each_form():
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "core.py"])
 def test_no_module_but_core_names_a_glide_or_period_oracle(name):
     assert _identifiers(_tree(name)) & CORE_ORACLES == set()
+
+
+# search alone plans a Y search (search.y_plan): the boxes a width gets and
+# the catalog parameters that name them, so no other module holds the
+# default boxes or a mode that the parameters write.
+PLAN_NAMES = {"DEFAULT_GENERIC_BOUNDS"}
+PLAN_MODES = {"proven-boxes", "generic"}
+
+
+def _plan_terms(tree: ast.Module) -> set[str]:
+    """The plan names a module names, and the modes it holds as a whole string."""
+    return (_identifiers(tree) & PLAN_NAMES) | {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in PLAN_MODES}
+
+
+def test_the_plan_check_sees_each_form():
+    for source in ("from .search import DEFAULT_GENERIC_BOUNDS as bounds",
+                   "search.DEFAULT_GENERIC_BOUNDS[2]", "DEFAULT_GENERIC_BOUNDS = {}"):
+        assert _plan_terms(ast.parse(source)) == PLAN_NAMES
+    assert _plan_terms(ast.parse("{'mode': 'proven-boxes'} if x else {'mode': \"generic\"}")) \
+        == PLAN_MODES
+    assert _plan_terms(ast.parse('"""A generic search outside the proven-boxes."""')) == set()
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "search.py"])
+def test_no_module_but_search_plans_a_y_search(name):
+    assert _plan_terms(_tree(name)) == set()

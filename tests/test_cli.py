@@ -288,7 +288,7 @@ BUILT_CATALOGS = ([("coxeter", width, None) for width in range(1, 9)]
 def test_verify_passes_every_entry_of_every_built_catalog(tmp_path, monkeypatch,
                                                           kind, width, bounds):
     from yfrieze import io, read, verify
-    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
+    monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, str(10 ** 15))
     catalog = (io.coxeter_catalog(width) if kind == "coxeter"
                else io.y_catalog(width, bounds=bounds))
     path = tmp_path / "catalog.json"
@@ -303,7 +303,7 @@ def test_every_built_pattern_has_the_glide_the_theorem_gives(monkeypatch, kind, 
     # interior has glide 0 if it is a frieze and 1 mod its orbit size s if it
     # is a Y pattern; the search and the written glide_shift must both agree
     from yfrieze import io
-    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
+    monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, str(10 ** 15))
     catalog = (io.coxeter_catalog(width) if kind == "coxeter"
                else io.y_catalog(width, bounds=bounds))
     entries = json.loads(io.catalog_to_json(catalog))["patterns"]
@@ -478,6 +478,18 @@ def test_unwritable_output_fails_before_the_catalog_is_built(tmp_path, capsys, m
     assert code == 2 and out == ""
     assert err == (f"error: cannot write {target}: "
                    f"[Errno 2] No such file or directory: '{target}'\n")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "orbits"])
+def test_a_box_over_the_ceiling_fails_before_output_is_checked(tmp_path, capsys, monkeypatch,
+                                                                command):
+    # the Y search is planned, and its box held to the ceiling, before
+    # --output is probed, so the limit is named rather than the path
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", "10")
+    target = tmp_path / "no-such-dir" / "x.csv"
+    code, out, err = run(capsys, command, "--kind", "y", "--width", "5",
+                         "--bounds", "3,3,3,3,3", "--output", str(target))
+    assert (code, out, err) == (3, "", "error: box volume 243 exceeds ceiling 10\n")
 
 
 def test_output_check_keeps_an_existing_file_and_leaves_no_new_one(tmp_path, capsys):
@@ -974,6 +986,20 @@ def test_map_checks_the_candidate_ceiling(capsys, monkeypatch, value, expected):
     code, out, err = run(capsys, "map", "--width", "2")
     assert code == expected and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_map_plans_the_y_search_before_it_builds_either_side(capsys, monkeypatch):
+    # width 2's (30, 30) box is over a ceiling of 5: map exits 3 without
+    # generating the Coxeter friezes first
+    from yfrieze import coxeter
+
+    def no_generation(n):
+        raise AssertionError("the Coxeter side was built before the Y search was planned")
+
+    monkeypatch.setattr(coxeter, "enumerate_frieze", no_generation)
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", "5")
+    code, out, err = run(capsys, "map", "--width", "2")
+    assert (code, out, err) == (3, "", "error: box volume 900 exceeds ceiling 5\n")
 
 
 def test_map_enumerates_each_side_once(capsys, monkeypatch):

@@ -496,11 +496,13 @@ def test_validating_types_check_every_construction_and_stay_immutable(case, y3_p
     assert obj._replace() == obj
 
 
-def test_solution_set_equality_leaves_out_the_patterns(w4_solutions):
+def test_solution_sets_hold_only_their_width_and_patterns(w4_solutions):
+    # the entry tuples and diagonals are read off the patterns, and a set
+    # counts and iterates its patterns alike
     assert yf.enumerate_w4() == yf.enumerate_w4(parallelism=2) == w4_solutions
     assert hash(yf.enumerate_w4()) == hash(w4_solutions) and len(w4_solutions) == 42
-    same_but_patterns = yf.SolutionSet(4, w4_solutions.diagonals, w4_solutions.full_tuples, ())
-    assert same_but_patterns == w4_solutions
+    assert w4_solutions == yf.SolutionSet(4, w4_solutions.patterns)
+    assert list(w4_solutions) == list(w4_solutions.patterns)
     with pytest.raises(AttributeError):
         w4_solutions.width = 5
 

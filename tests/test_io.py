@@ -234,6 +234,33 @@ def test_width_9_coxeter_catalog_file_digest(tmp_path):
     assert digest.hexdigest() == "43ac6734ee57a7e48e7feac34be6e9b899c057e6fa9adcd096388d0358868e70"
 
 
+# Each Y catalog's parameters and the sha256 of its JSON text, recorded
+# while io still worked the parameters out itself.
+Y_CATALOG_PINS = [
+    (1, None, {"mode": "generic", "bounds": [10]},
+     "acf73370f2722c2f6b12432308fe89c74bb7106ea205ac40f76a84faa797d586"),
+    (2, None, {"mode": "generic", "bounds": [30, 30]},
+     "c57ff11a7d0d30e17ed626e80e00252735a1f489975dc48ddc808c6d802e88a5"),
+    (3, None, {"mode": "proven-boxes", "boxes": [[4, 18, 11], [11, 18, 4]]},
+     "74556671a0452a5bf7a20c743a32003f4a527978ebe90bf86e71962bc6f827a5"),
+    (4, None, {"mode": "proven-boxes", "boxes": [[5, 102, 168, 41], [5, 168, 102, 41],
+                                                 [41, 102, 168, 5], [41, 168, 102, 5]]},
+     "8f15e0e3d2b6ba8d80201fc3c1d1d231d37cb360896af441d461c86eb38ae135"),
+    (5, (64,) * 5, {"mode": "generic", "bounds": [64] * 5},
+     "983e2efbb382e38aaaa883ae83e86846c38d481dddf3895a492964a16c4caedf"),
+]
+
+
+@pytest.mark.parametrize("width,bounds,parameters,digest", Y_CATALOG_PINS,
+                         ids=[str(pin[0]) for pin in Y_CATALOG_PINS])
+def test_y_catalog_parameters_and_json_are_pinned(monkeypatch, width, bounds, parameters,
+                                                  digest):
+    monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
+    catalog = io.y_catalog(width, bounds=bounds)
+    assert catalog.parameters == parameters
+    assert hashlib.sha256(io.catalog_to_json(catalog).encode()).hexdigest() == digest
+
+
 def _writer_catalogs():
     yield from (io.coxeter_catalog(w) for w in range(1, 9))
     yield from (io.y_catalog(w) for w in range(1, 5))

@@ -294,20 +294,20 @@ def test_search_box_holds_its_bounds_as_a_tuple():
 
 
 def test_box_too_large(monkeypatch):
-    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 6))
+    monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, str(10 ** 6))
     with pytest.raises(yf.BoxTooLarge):
         yf.enumerate_generic(3, yf.SearchBox((1000, 1000, 1000)))
 
 
 def test_candidate_ceiling_env_override(monkeypatch):
-    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, "10")
+    monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, "10")
     with pytest.raises(yf.BoxTooLarge):
         yf.enumerate_generic(2, yf.SearchBox((30, 30)))
-    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, "1000")
+    monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, "1000")
     assert len(yf.enumerate_generic(2, yf.SearchBox((30, 30)))) == 5
     for malformed in ("abc", "0", "-1"):
-        monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, malformed)
-        with pytest.raises(ValueError, match=yf.search.MAX_CANDIDATES_ENV):
+        monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, malformed)
+        with pytest.raises(ValueError, match=yf.core.MAX_CANDIDATES_ENV):
             yf.enumerate_generic(2, yf.SearchBox((30, 30)))
 
 
@@ -351,6 +351,28 @@ def test_y_solutions_dispatch(w3_solutions):
     with pytest.raises(ValueError):
         yf.y_solutions(5)
     assert len(yf.y_solutions(5, bounds=(3, 3, 3, 3, 3))) >= 0
+
+
+def test_y_plan_decides_each_width_s_boxes_and_parameters(monkeypatch):
+    proven = {3: yf.w3_boxes(), 4: yf.w4_boxes()}
+    for width, boxes in proven.items():
+        assert yf.y_plan(width) == (
+            {"mode": "proven-boxes", "boxes": [list(box.bounds) for box in boxes]}, boxes)
+    for width, bounds in [(1, None), (2, None), (3, [4, 18, 11]), (5, (3,) * 5)]:
+        box = yf.SearchBox(bounds or yf.search.DEFAULT_GENERIC_BOUNDS[width])
+        assert yf.y_plan(width, bounds) == ({"mode": "generic", "bounds": list(box.bounds)},
+                                            (box,))
+    for width, bounds, message in [(0, None, "width must be >= 1, got 0"),
+                                   (5, None, "width 5 has no proven boxes"),
+                                   (3, (4, 18), "box must bound 3 diagonal values, got 2"),
+                                   (2, (3, 0), "bounds must be a nonempty tuple")]:
+        with pytest.raises(ValueError, match=message):
+            yf.y_plan(width, bounds)
+    # the ceiling holds a searched box, not the proven ones
+    monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, "10")
+    with pytest.raises(yf.BoxTooLarge, match="box volume 900 exceeds ceiling 10"):
+        yf.y_plan(2)
+    assert yf.y_plan(4)[1] == proven[4]
 
 
 # -------------------------------------------------------- closure checked once

@@ -119,7 +119,7 @@ def test_fiber_analysis_detects_incomplete_y_enumeration():
 def test_orbit_pass_equals_the_per_frieze_pass(width, doubled, monkeypatch):
     # one apply_p per frieze orbit root gives the fibers and records that
     # mapping every frieze gives; widths 5-7 search their image boxes
-    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
+    monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, str(10 ** 15))
     friezes = io.coxeter_catalog(width)
     ypatterns = io.y_catalog(width, bounds=IMAGE_BOXES.get(width))
     report = yf.fiber_analysis(friezes, ypatterns)
@@ -270,7 +270,7 @@ def test_row_3_is_the_quiddity_products_less_one(width):
     for frieze in yf.enumerate_frieze(width):
         image = push_forward(frieze)
         assert yf.apply_p(frieze) == image
-        assert image.interior() == diamond_form(frieze)
+        assert image.rows[1:-1] == diamond_form(frieze)
         assert all(row[k] * row[(k + 1) % period] - 1 == image.rows[m][k]
                    for m, row in enumerate(frieze.rows[1:-1]) for k in range(period))
 
@@ -299,7 +299,7 @@ def rational_friezes(draw):
 @settings(max_examples=150, deadline=None)
 @given(frieze=rational_friezes())
 def test_apply_p_agrees_with_the_push_forward_on_rational_friezes(frieze):
-    assert yf.propagate_y(frieze.rows[3], frieze.width).interior() == diamond_form(frieze)
+    assert yf.propagate_y(frieze.rows[3], frieze.width).rows[1:-1] == diamond_form(frieze)
     try:
         image = yf.apply_p(frieze)
     except yf.MapFailure:
@@ -324,7 +324,7 @@ def test_the_image_box_holds_exactly_the_image(width, box, monkeypatch):
     rows3 = {r for _, r in _rows_2_and_3(width)}
     diagonals = [first_diagonal_of(yf.apply_p(f)) for f in yf.enumerate_frieze(width)]
     assert tuple(map(max, zip(*diagonals))) == box
-    monkeypatch.setenv(yf.search.MAX_CANDIDATES_ENV, str(10 ** 15))
+    monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, str(10 ** 15))
     sols = yf.enumerate_generic(width, yf.SearchBox(box))
     assert {p.rows[1] for p in sols.patterns} == rows3
     assert len(sols) == len(rows3)
