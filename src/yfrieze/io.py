@@ -62,7 +62,7 @@ def y_catalog(width: int, bounds: Optional[Sequence[int]] = None,
     held as one root per rotation orbit keyed by its first row."""
     from . import search
     parameters, _ = search.y_plan(width, bounds)
-    patterns = search.y_solutions(width, bounds, parallelism).patterns
+    patterns = search.y_solutions(width, bounds, parallelism)
     held = OrbitPatterns([p.rows[1] for p in patterns], patterns.__getitem__)
     return Catalog(PatternKind.Y, width, parameters, held)
 

@@ -11,7 +11,8 @@ serves every width:
                                 pruning lose nothing
 
 y_plan alone decides, checks and names (as catalog parameters) the boxes of
-a width's search; y_solutions runs it.
+a width's search; y_solutions runs it.  Each search returns a SolutionSet,
+the tuple of its re-verified patterns sorted by entry tuple.
 
 One DFS walks the boxes' coordinatewise maximum and keeps a first row if its
 diagonal lies in a box, so overlapping boxes are searched once.  propagate_y
@@ -31,7 +32,7 @@ import os
 import sys
 from itertools import chain
 from math import gcd, prod
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (FriezeError, PatternKind, PeriodicPattern, candidate_ceiling, is_arithmetic,
                    key_of_rows, propagate_y)
@@ -80,28 +81,21 @@ def w4_boxes() -> tuple[SearchBox, SearchBox, SearchBox, SearchBox]:
     )
 
 
-class SolutionSet(NamedTuple):
-    """All arithmetic solutions of one width: their re-verified patterns,
-    sorted by entry tuple, which it counts and iterates.  `full_tuples[i]`
-    (the fundamental-domain entry tuple, diagonal-major) and `diagonals[i]`
-    (its first `width` values) are read off `patterns[i]`."""
+class SolutionSet(tuple[PeriodicPattern, ...]):
+    """All arithmetic solutions of one width: the tuple of their re-verified
+    patterns, sorted by entry tuple.  `full_tuples[i]` (the
+    fundamental-domain entry tuple, diagonal-major) and `diagonals[i]` (its
+    first `width` values) are read off pattern i."""
 
-    width: int
-    patterns: tuple[PeriodicPattern, ...]
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-    def __iter__(self) -> Iterator[PeriodicPattern]:
-        return iter(self.patterns)
+    __slots__ = ()
 
     @property
     def full_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(key_of_rows(PatternKind.Y, self.width, p.rows) for p in self.patterns)
+        return tuple(key_of_rows(PatternKind.Y, p.width, p.rows) for p in self)
 
     @property
     def diagonals(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(full[:self.width] for full in self.full_tuples)
+        return tuple(full[:p.width] for p, full in zip(self, self.full_tuples))
 
 
 def _scan(boxes: Sequence[SearchBox], firsts: Iterable[int]) -> list[tuple[int, ...]]:
@@ -122,7 +116,8 @@ def _scan(boxes: Sequence[SearchBox], firsts: Iterable[int]) -> list[tuple[int, 
     cells of anti-diagonal k - 1, x = -1 mod step = W / g, g = gcd(W, 1 + N),
     and x = step u - 1 makes the first cell d u, d = (1 + N) / g.  The
     second, (1 + N')(1 + d u) / W', is integral iff m = W' / gcd(W', 1 + N')
-    divides 1 + d u: one class of u mod m if gcd(d, m) = 1, else none.
+    divides 1 + d u.  W' is N, so d divides 1 + W' and m divides W': they
+    are coprime, and exactly one class of u mod m works.
     """
     bounds = [max(column) for column in zip(*(box.bounds for box in boxes))]
     n = len(bounds)
@@ -145,8 +140,6 @@ def _scan(boxes: Sequence[SearchBox], firsts: Iterable[int]) -> list[tuple[int, 
             g = gcd(west, 1 + north)
             step, d = west // g, (1 + north) // g
             m = prev[1] // gcd(prev[1], 1 + (prev[2] if k > 2 else 0)) if k > 1 else 1
-            if gcd(d, m) > 1:
-                return
             stride = step * m
             x0 = step * (-pow(d, -1, m) % m) - 1
             choices = range((x0 - 1) % stride + 1, bounds[k] + 1, stride)
@@ -215,7 +208,7 @@ def _solution_set(width: int, first_rows: Iterable[tuple[int, ...]]) -> Solution
             raise FriezeError(f"first row {row} fails re-verification")
         patterns.append(pattern)
     patterns.sort(key=lambda p: key_of_rows(PatternKind.Y, width, p.rows))
-    return SolutionSet(width, tuple(patterns))
+    return SolutionSet(patterns)
 
 
 def _deal(firsts: Sequence[int], workers: int) -> list[list[int]]:

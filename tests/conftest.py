@@ -57,12 +57,12 @@ def w4_solutions():
 
 @pytest.fixture(scope="session")
 def y3_patterns(w3_solutions):
-    return list(w3_solutions.patterns)
+    return list(w3_solutions)
 
 
 @pytest.fixture(scope="session")
 def y4_patterns(w4_solutions):
-    return list(w4_solutions.patterns)
+    return list(w4_solutions)
 
 
 @pytest.fixture(scope="session")

@@ -120,7 +120,7 @@ def test_criterion_08b_propagation_agrees_with_expansion(w3_solutions, w4_soluti
     for sols, builder in ((w3_solutions, w3_domain), (w4_solutions, w4_domain)):
         for diag in sols.diagonals:
             expanded = expand_domain(builder(diag))
-            assert yf.propagate_y(expanded.rows[1], sols.width) == expanded
+            assert yf.propagate_y(expanded.rows[1], len(diag)) == expanded
             cases += 1
     assert cases == 52
     report("criterion 8b", "propagation reproduces expansion on all 10+42 solutions")

@@ -1136,6 +1136,17 @@ def test_map_output_digest(capsys, width, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MAP_DIGESTS[width, fmt]
 
 
+def test_a_wide_y_catalog_numbers_its_columns(capsys):
+    # Width 6 has 27 entry columns, more than there are letters, so they are
+    # named v00 ... v26.  No pattern has an all-ones diagonal: the header is
+    # the whole output.
+    header = ("v00,v01,v02,v03,v04,v05,v06,v07,v08,v09,v10,v11,v12,v13,"
+              "v14,v15,v16,v17,v18,v19,v20,v21,v22,v23,v24,v25,v26\n")
+    for fmt, text in (("csv", header), ("table", header.replace(",", "  "))):
+        assert run(capsys, "enumerate", "--kind", "y", "--width", "6",
+                   "--bounds", "1,1,1,1,1,1", "--format", fmt) == (0, text, "")
+
+
 # ------------------------------------------------------------------ orbits
 
 def test_orbits_coxeter_3(capsys):
@@ -1153,6 +1164,21 @@ def test_orbits_usage_errors(capsys):
     assert code == 2
 
 
+# orbits' csv output, byte for byte
+ORBITS_CSV = {
+    ("coxeter", 4): "root,size,members\n0,7,0;9;17;22;27;28;41\n1,7,1;3;21;23;26;37;40\n"
+                    "2,7,2;6;7;24;29;31;38\n4,7,4;12;15;19;25;35;39\n"
+                    "5,7,5;8;10;16;30;32;34\n11,7,11;13;14;18;20;33;36\n",
+    ("y", 3): "root,size,members\n0,3,0;5;8\n1,3,1;6;7\n2,3,2;3;9\n4,1,4\n",
+}
+
+
+@pytest.mark.parametrize("kind,width", sorted(ORBITS_CSV))
+def test_orbits_csv(capsys, kind, width):
+    assert run(capsys, "orbits", "--kind", kind, "--width", str(width),
+               "--format", "csv") == (0, ORBITS_CSV[kind, width], "")
+
+
 @pytest.mark.parametrize("kind,width",
                          [("y", 3), ("y", 4), *(("coxeter", w) for w in range(1, 6))])
 def test_orbits_json_matches_orbit_decomposition(capsys, kind, width):
@@ -1160,7 +1186,7 @@ def test_orbits_json_matches_orbit_decomposition(capsys, kind, width):
                        "--format", "json")
     assert code == 0
     if kind == "y":
-        patterns = yf.y_solutions(width).patterns
+        patterns = yf.y_solutions(width)
     else:
         patterns = yf.enumerate_frieze(width)
     orbits = yf.orbit_decomposition(patterns)

@@ -1,5 +1,7 @@
 """Diamond rules, propagation, glide expansion and shift semantics."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 from operator import add, mul
 
@@ -111,6 +113,19 @@ def test_propagate_rejects_wrong_length():
         yf.propagate_y((1, 2, 3), 3)
 
 
+def test_propagate_rejects_a_width_below_1():
+    with pytest.raises(ValueError, match="width must be >= 1, got 0"):
+        yf.propagate_y((1, 1, 1), 0)
+
+
+def test_propagate_reports_a_zero_denominator_at_its_cell():
+    # Row 3's cell k divides by 1 + N, N = row 1's cell k + 1: here -1 at k = 0.
+    with pytest.raises(yf.ClosureFailure) as exc:
+        yf.propagate_y((1, -1, 1, 1, 1), 2)
+    assert (exc.value.row, exc.value.col, exc.value.value) == (3, 0, None)
+    assert exc.value.reason == "division by zero (1 + N = 0)"
+
+
 # ----------------------------------------------------------- expand_domain
 
 def test_expand_domain_rows_match_known_friezes():
@@ -130,7 +145,7 @@ def test_expand_agrees_with_propagation(w3_solutions, w4_solutions):
     for sols, builder in ((w3_solutions, w3_domain), (w4_solutions, w4_domain)):
         for diag in sols.diagonals:
             expanded = expand_domain(builder(diag))
-            assert yf.propagate_y(expanded.rows[1], sols.width) == expanded
+            assert yf.propagate_y(expanded.rows[1], len(diag)) == expanded
 
 
 def test_domain_round_trip():
@@ -304,7 +319,7 @@ def test_row_kernels_match_cell_oracles(y4_patterns):
 
 def test_glide_shift_matches_the_cell_oracle_on_every_frieze_and_y_pattern():
     patterns = [p for width in range(1, 9) for p in yf.enumerate_frieze(width)]
-    patterns += [p for width in range(1, 5) for p in yf.y_solutions(width).patterns]
+    patterns += [p for width in range(1, 5) for p in yf.y_solutions(width)]
     for p in patterns:
         s = yf.glide_shift_of_rows(p.rows, p.period)
         assert s is not None and s == oracle_glide_shift(p.rows, p.period)
@@ -387,7 +402,7 @@ def oracle_check_rows(kind, width, rows):
     return None
 
 
-TAMPER_BASES = [*(p for w in (1, 2, 3, 4) for p in yf.y_solutions(w).patterns),
+TAMPER_BASES = [*(p for w in (1, 2, 3, 4) for p in yf.y_solutions(w)),
                 *(p for w in (1, 2, 3, 4, 5) for p in yf.enumerate_frieze(w))]
 CELL_VALUES = st.one_of(st.integers(-2, 12), st.booleans(),
                         st.fractions(-3, 12, max_denominator=4))
@@ -496,15 +511,27 @@ def test_validating_types_check_every_construction_and_stay_immutable(case, y3_p
     assert obj._replace() == obj
 
 
-def test_solution_sets_hold_only_their_width_and_patterns(w4_solutions):
-    # the entry tuples and diagonals are read off the patterns, and a set
-    # counts and iterates its patterns alike
+def test_solution_sets_are_tuples_of_their_patterns(w4_solutions):
+    # a set is the tuple of its patterns, and the entry tuples and diagonals
+    # are read off them
     assert yf.enumerate_w4() == yf.enumerate_w4(parallelism=2) == w4_solutions
     assert hash(yf.enumerate_w4()) == hash(w4_solutions) and len(w4_solutions) == 42
-    assert w4_solutions == yf.SolutionSet(4, w4_solutions.patterns)
-    assert list(w4_solutions) == list(w4_solutions.patterns)
+    assert w4_solutions == yf.SolutionSet(list(w4_solutions)) == tuple(w4_solutions)
+    assert list(w4_solutions) == [w4_solutions[i] for i in range(42)]
     with pytest.raises(AttributeError):
         w4_solutions.width = 5
+    # an empty set records no width
+    empty = [yf.enumerate_generic(w, yf.SearchBox((1,) * w)) for w in (5, 6)]
+    assert empty[0] == empty[1] == () and empty[0].diagonals == ()
+
+
+def test_solution_sets_copy_and_pickle_as_tuples():
+    sols = yf.enumerate_w4()
+    pickled = [pickle.loads(pickle.dumps(sols, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in (copy.copy(sols), copy.deepcopy(sols), *pickled):
+        assert type(other) is yf.SolutionSet and other == sols
+        assert other.diagonals == sols.diagonals
 
 
 def test_violation_prints_as_before():

@@ -100,6 +100,11 @@ def test_tuples_from_empty_csv():
         io.tuples_from_csv("")
 
 
+def test_tuples_from_ragged_csv():
+    with pytest.raises(ValueError, match=re.escape("row (1, 2) does not match header width 3")):
+        io.tuples_from_csv("a,b,c\n1,2,3\n1,2\n")
+
+
 # ---------------------------------------------------------------- catalogs
 
 def test_y_catalog_round_trips(w3_solutions):
@@ -414,11 +419,11 @@ def test_y_catalogs_equal_the_search_patterns_with_per_pattern_fields(monkeypatc
     monkeypatch.setenv("FRIEZE_MAX_CANDIDATES", str(64 ** 5))
     for width, bounds in [(1, None), (2, None), (3, None), (4, None), (5, (64,) * 5)]:
         sols = search.y_solutions(width, bounds=bounds)
-        orbit_of = {i: orbit for orbit in yf.orbit_decomposition(sols.patterns) for i in orbit}
+        orbit_of = {i: orbit for orbit in yf.orbit_decomposition(sols) for i in orbit}
         expected = tuple(
             CatalogEntry(i, key, p, orbit_of[i][0], len(orbit_of[i]), yf.intrinsic_period(p),
                          yf.glide_shift(p))
-            for i, (key, p) in enumerate(zip(sols.full_tuples, sols.patterns)))
+            for i, (key, p) in enumerate(zip(sols.full_tuples, sols)))
         catalog = io.y_catalog(width, bounds=bounds)
         assert entries_of(catalog) == expected
         assert list(io.entry_keys(catalog)) == [entry.key_tuple for entry in expected]
@@ -479,7 +484,7 @@ def test_render_constant_width_3_pattern():
 
 def test_render_width_1_pattern():
     sols = yf.y_solutions(1)
-    pattern = sols.patterns[0]
+    pattern = sols[0]
     lines = io.render_ascii(pattern).splitlines()
     assert len(lines) == 3
     assert lines[1].split() == ["1"] * 8

@@ -1,6 +1,7 @@
 """Box enumeration, generic diagonal search and the brute-force oracle."""
 
 import os
+import re
 from itertools import product
 from math import gcd, prod
 
@@ -190,7 +191,7 @@ def test_patterns_of_matches_domain_rebuild(width):
     sols = yf.y_solutions(width)
     rebuilt = [expand_domain(FundamentalDomain.from_entry_tuple(width, t))
                for t in sols.full_tuples]
-    patterns = list(sols.patterns)
+    patterns = list(sols)
     assert patterns == rebuilt
     assert all(type(v) is int for p in patterns for row in p.rows for v in row)
 
@@ -399,14 +400,33 @@ def test_every_scanned_first_row_closes(width_and_boxes):
     rows = yf.search._scan(boxes, range(1, max(box.bounds[0] for box in boxes) + 1))
     sols = yf.search._solution_set(width, rows)
     assert len(sols) == len(rows)
-    assert sorted(rows) == sorted(p.rows[1] for p in sols.patterns)
+    assert sorted(rows) == sorted(p.rows[1] for p in sols)
+
+
+def test_hits_that_fail_reverification_are_errors(monkeypatch):
+    # _solution_set re-verifies every first row _scan returns by propagate_y
+    monkeypatch.setattr(yf.search, "_scan", lambda boxes, firsts: [(2, 2, 2, 2)])
+    with pytest.raises(yf.ClosureFailure, match="pattern does not close"):
+        yf.y_solutions(1)
+    bad = (-1, -1, -1, -1)  # closes at width 1, but is not arithmetic
+    message = re.escape(f"first row {bad} fails re-verification")
+    monkeypatch.setattr(yf.search, "_scan", lambda boxes, firsts: [bad])
+    with pytest.raises(yf.FriezeError, match=message):
+        yf.y_solutions(1)
+    if hasattr(os, "fork"):  # now the row comes from the forked child alone
+        parent = os.getpid()
+        monkeypatch.setattr(yf.search, "_scan",
+                            lambda boxes, firsts: [bad] if os.getpid() != parent else [])
+        monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 2)
+        with pytest.raises(yf.FriezeError, match=message):
+            yf.y_solutions(1, parallelism=2)
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_boxes())
 def test_scan_finds_what_the_one_cell_scan_finds(width_and_boxes):
-    # _scan tries only the x that make two cells integral, and prunes a node
-    # none can; the DFS that solves one cell at a time is the reference
+    # _scan tries only the x that make two cells integral; the DFS that
+    # solves one cell at a time is the reference
     _, boxes = width_and_boxes
     firsts = range(1, max(box.bounds[0] for box in boxes) + 1)
     assert yf.search._scan(boxes, firsts) == one_cell_scan(boxes, firsts)

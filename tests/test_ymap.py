@@ -326,5 +326,5 @@ def test_the_image_box_holds_exactly_the_image(width, box, monkeypatch):
     assert tuple(map(max, zip(*diagonals))) == box
     monkeypatch.setenv(yf.core.MAX_CANDIDATES_ENV, str(10 ** 15))
     sols = yf.enumerate_generic(width, yf.SearchBox(box))
-    assert {p.rows[1] for p in sols.patterns} == rows3
+    assert {p.rows[1] for p in sols} == rows3
     assert len(sols) == len(rows3)
