@@ -428,10 +428,6 @@ def glide_shift(pattern: PeriodicPattern) -> Optional[int]:
 
 def intrinsic_period(pattern: PeriodicPattern) -> int:
     """Smallest divisor q of the storage period with all rows q-periodic."""
-    period = pattern.period
-    for q in range(1, period + 1):
-        if period % q:
-            continue
-        if all(row[q:] + row[:q] == row for row in pattern.rows):
-            return q
-    return period
+    period = pattern.period  # q = period always qualifies, so next finds one
+    return next(q for q in range(1, period + 1)
+                if period % q == 0 and all(row[q:] + row[:q] == row for row in pattern.rows))

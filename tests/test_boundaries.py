@@ -160,3 +160,26 @@ def test_the_plan_check_sees_each_form():
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "search.py"])
 def test_no_module_but_search_plans_a_y_search(name):
     assert _plan_terms(_tree(name)) == set()
+
+
+# _entry_violation alone reads a catalog entry's fields, so verify's orbit
+# table is keyed by what the rows show, never by what an entry claims.
+def _entry_reads(tree: ast.AST) -> set[str]:
+    """Each read of a field of a name `entry`: entry.NAME or entry[...]."""
+    return {ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Subscript))
+            and isinstance(node.value, ast.Name) and node.value.id == "entry"}
+
+
+def test_the_entry_check_sees_each_form():
+    tree = ast.parse("def f(entry):\n    hint = entry.get('orbit_root')\n"
+                     "    g(entry['id'], entry, entry is None)\n")
+    assert _entry_reads(tree) == {"entry.get", "entry['id']"}
+
+
+def test_verify_all_reads_no_field_of_an_entry():
+    tree = _tree("verify.py")
+    verify_all = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_verify_all")
+    assert _entry_reads(verify_all) == set()
+    assert "entry.get" in _entry_reads(tree)

@@ -344,9 +344,8 @@ def test_verify_checks_each_orbit_once(coxeter3_catalog_file, capsys, monkeypatc
 
 
 def test_verify_reports_a_ragged_rotation_of_a_passing_entry_as_shape(coxeter3_catalog_file):
-    # An entry that names a passing root is compared with it by columns, and
-    # zip drops the extra cell of a longer row: such an entry must still get
-    # every check.
+    # An entry is looked up in verify's table by its columns, and zip drops
+    # the extra cell of a longer row: such an entry must still get every check.
     from yfrieze import read, verify
     raw = read.read_patterns(str(coxeter3_catalog_file), list)
     kind, width, rows, entry = raw[0]
@@ -357,6 +356,20 @@ def test_verify_reports_a_ragged_rotation_of_a_passing_entry_as_shape(coxeter3_c
     assert violations[:-1] == [None] * len(raw)
     assert violations[-1].check == "shape"
     assert violations[-1] == verify._verify_one(kind, width, ragged)
+
+
+@pytest.mark.parametrize("width, rows", [(-3, [[]]), (-2, [])])
+def test_verify_names_the_width_of_a_catalog_entry_with_no_columns(tmp_path, capsys,
+                                                                   width, rows):
+    # rows of the right shape for such a width have no column to key
+    # verify's orbit table by, so the entry gets the full check
+    from yfrieze.io import CATALOG_SCHEMA
+    path = tmp_path / "no_columns.json"
+    path.write_text(json.dumps({"schema": CATALOG_SCHEMA, "kind": "coxeter" if rows else "y",
+                                "width": width, "patterns": [{"rows": rows}]}))
+    assert run(capsys, "verify", str(path)) == (1, "pattern 0: shape violation at row -1, col -1: "
+                                                f"width must be >= 1, got {width}\n"
+                                                "0/1 patterns ok\n", "")
 
 
 def test_verify_checks_a_rotation_of_a_root_read_as_another_kind_in_full(
@@ -375,9 +388,8 @@ def test_verify_checks_a_rotation_of_a_root_read_as_another_kind_in_full(
 
 def test_verify_names_a_changed_member_of_a_passing_root_with_its_own_violation(
         coxeter3_catalog_file):
-    # The member still names its root, which passed, so the hint is taken;
-    # its columns are no rotation of the root's, so it gets the full check,
-    # and the root counts one rotation fewer than its orbit_size.
+    # The member's columns are no rotation of any passing entry's, so it gets
+    # the full check, and its root counts one rotation fewer than its orbit_size.
     from yfrieze import read, verify
     raw = read.read_patterns(str(coxeter3_catalog_file), list)
     i, (kind, width, rows, entry) = next((i, e) for i, e in enumerate(raw)
@@ -564,11 +576,12 @@ def tampered_width4_catalog(kind):
     return obj
 
 
-# sha256 and exit code of verify's report on tampered_width4_catalog,
-# recorded while verify still printed the report line by line.
+# sha256 and exit code of verify's report on tampered_width4_catalog.  Its
+# entries 0-5 each head an orbit, so every member of those orbits names a
+# root other than its first rotation that passes: 7/42 entries are ok.
 VERIFY_DIGESTS = {
-    "coxeter": ("206772e27275963ce1e4e88edded556fb86dc8565d06f01a42065b034980af30", 1),
-    "y": ("3411175f910837ef5dd14cc70a563d3ddcac13a809a5bbc6e4983df31d761121", 1),
+    "coxeter": ("1c98bdc14c04a3e1c803ce81c770ecbe65a37d5f6a19b7de1a009ca21db194ab", 1),
+    "y": ("fc163b9c6c90b554b1a72a5433a230f68cf5ccdb21170e0a61d980efe14e35c0", 1),
 }
 
 
@@ -618,10 +631,6 @@ def test_verify_names_an_entry_whose_id_or_key_disagrees(tmp_path, capsys, shape
         + [f"{n - 1}/{n} patterns ok"]
 
 
-# verify's detail for an orbit_root that names no root the entry is a rotation of
-NO_ROOT = "names no root that the pattern is a rotation of"
-
-
 @pytest.mark.parametrize("value", [DELETE, None, "x", True], ids=["missing", "null", "x", "true"])
 @pytest.mark.parametrize("field", ["orbit_root", "orbit_size", "intrinsic_period", "glide_shift"])
 def test_verify_names_an_orbit_field_that_is_not_an_int(tmp_path, capsys, field, value):
@@ -636,9 +645,8 @@ def test_verify_names_an_orbit_field_that_is_not_an_int(tmp_path, capsys, field,
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(obj))
     shown = None if value is DELETE else value
-    # entry 1 heads an orbit of 3 with glide 0; without an int orbit_root it
-    # names no root, and its members, which name it, are checked in full
-    expected = {"orbit_root": NO_ROOT,
+    # entry 1 heads an orbit of 3 with glide 0: its orbit tuple is (1, 3, 3, 0)
+    expected = {"orbit_root": "is not 1",
                 "orbit_size": "is not 3", "intrinsic_period": "is not 3",
                 "glide_shift": "is not 0"}[field]
     code, out, err = run(capsys, "verify", str(path))
@@ -656,9 +664,9 @@ OUT_OF_RANGE_ORBIT_FIELDS = {
     "size 99 glide 5 period 1": (0, {"orbit_size": 99, "glide_shift": 5, "intrinsic_period": 1},
                                  "orbit_size 99 is not 6"),
     "period 1": (0, {"intrinsic_period": 1}, "intrinsic_period 1 is not 6"),
-    "root 3 after its entry": (0, {"orbit_root": 3}, f"orbit_root 3 {NO_ROOT}"),
-    "root 13 after its entry": (5, {"orbit_root": 13}, f"orbit_root 13 {NO_ROOT}"),
-    "root -1": (5, {"orbit_root": -1}, f"orbit_root -1 {NO_ROOT}"),
+    "root 3 after its entry": (0, {"orbit_root": 3}, "orbit_root 3 is not 0"),
+    "root 13 after its entry": (5, {"orbit_root": 13}, "orbit_root 13 is not 4"),
+    "root -1": (5, {"orbit_root": -1}, "orbit_root -1 is not 4"),
     "size 4": (0, {"orbit_size": 4, "intrinsic_period": 4}, "orbit_size 4 is not 6"),
     "size 0": (0, {"orbit_size": 0, "intrinsic_period": 0}, "orbit_size 0 is not 6"),
     "glide 6": (0, {"glide_shift": 6}, "glide_shift 6 is not 0"),
@@ -679,7 +687,7 @@ def _distinct_detail(r):
 
 
 def _count_detail(size, count):
-    return f"orbit_size {size} is not {count}, the number of its rotations naming it as orbit_root"
+    return f"orbit_size {size} is not {count}, the number of its rotations in the file"
 
 
 def _verify_report(lines, n):
@@ -691,20 +699,16 @@ def _verify_report(lines, n):
 @pytest.mark.parametrize("shape", sorted(OUT_OF_RANGE_ORBIT_FIELDS))
 def test_verify_names_an_orbit_field_no_valid_catalog_holds(tmp_path, capsys, shape):
     # verify checked only that each orbit field is an int, so these passed.
-    # A member that names no root leaves its own root one rotation short.
+    # The rows alone fix each entry's orbit, so only the tampered entry is named.
     from yfrieze import io
     i, fields, detail = OUT_OF_RANGE_ORBIT_FIELDS[shape]
     obj = catalog_to_obj(io.coxeter_catalog(3))
-    lines = {i: _orbit_line(detail)}
-    root, size = obj["patterns"][i]["orbit_root"], obj["patterns"][i]["orbit_size"]
-    if "orbit_root" in fields and root != i:
-        lines[root] = _orbit_line(_count_detail(size, size - 1))
     obj["patterns"][i].update(fields)
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", str(path))
     assert (code, err) == (1, "")
-    assert out.splitlines() == _verify_report(lines, 14)
+    assert out.splitlines() == _verify_report({i: _orbit_line(detail)}, 14)
 
 
 def _glide_plus(step, i):
@@ -764,7 +768,7 @@ def test_verify_checks_each_glide_and_each_roots_member_count(tmp_path, capsys, 
 def _root_set(i, root):
     def tamper(patterns):
         patterns[i]["orbit_root"] = root
-        return {i: f"orbit_root {root} {NO_ROOT}", 0: _count_detail(6, 5)}
+        return {i: f"orbit_root {root} is not 0"}
     return tamper
 
 
@@ -776,7 +780,7 @@ def _orbit_of_6_as_3(patterns):
 
 # Width-3 Coxeter catalogs whose orbit fields are ints in range that
 # disagree with the entry's orbit: a member of root 0 that names another
-# root, or a member, is no rotation of the entry it names, and three
+# root, or a member, names an entry other than root 0, and three
 # members of root 0's orbit of 6, relabelled as a whole orbit of 3, hold
 # the period 6 of their rows.
 ORBIT_ROOT_TAMPERS = {
@@ -789,7 +793,8 @@ ORBIT_ROOT_TAMPERS = {
 @pytest.mark.parametrize("shape", sorted(ORBIT_ROOT_TAMPERS))
 def test_verify_checks_each_entry_against_the_orbit_it_rotates(tmp_path, capsys, shape):
     # every orbit field is compared with the tuple worked out from the
-    # entry's orbit: the root it is a rotation of, and that root's period
+    # entry's orbit: the first entry in the file whose rows pass and are a
+    # rotation of its rows, and that root's period
     _assert_tampered_report(tmp_path, capsys, ORBIT_ROOT_TAMPERS[shape])
 
 
@@ -955,6 +960,17 @@ def test_map_width_2_computed(capsys):
     assert code == 0
     assert "verdict: bijective" in out
     assert "5:5" in out
+
+
+@pytest.mark.parametrize("surjective, injective, verdict", [
+    (True, True, "bijective"), (True, False, "surjective, not injective"),
+    (False, True, "injective, not surjective"), (False, False, "neither surjective nor injective")])
+def test_map_verdict_names_each_pair_of_flags(surjective, injective, verdict):
+    # map is surjective at every width it accepts, so only a report built
+    # by hand reaches the last two verdicts
+    from yfrieze import cli, ymap
+    report = ymap.FiberReport(3, (), 0, surjective, injective, ())
+    assert cli._verdict(report) == verdict
 
 
 def test_map_json_format(capsys):
@@ -1241,8 +1257,13 @@ def test_render_of_a_product_too_long_for_str_fails_in_one_line(huge_cells_file,
 def test_verify_of_a_product_too_long_for_str_names_the_entry(huge_cells_file, capsys):
     code, out, err = run(capsys, "verify", str(huge_cells_file))
     assert code == 1 and err == ""
-    assert out.startswith("pattern 0: diamond violation at row 2, col 0: W*E - N*S = <int of ")
-    assert out.endswith("13/14 patterns ok\n")
+    lines = out.splitlines()
+    assert lines[0].startswith("pattern 0: diamond violation at row 2, col 0: W*E - N*S = <int of ")
+    # entry 3 is the first rotation of root 0 that passes, so it heads the
+    # orbit, and each of root 0's five members names another root
+    assert [line for line in lines[1:-1] if not line.endswith(": ok")] == [
+        f"pattern {i}: {_orbit_line('orbit_root 0 is not 3')}" for i in (3, 6, 8, 9, 13)]
+    assert lines[-1] == "8/14 patterns ok"
 
 
 def test_render_index_builds_the_drawn_entry_only(coxeter3_catalog_file, tmp_path,

@@ -41,6 +41,15 @@ def test_triangulation_validation():
         yf.Triangulation(6, frozenset({(0, 2), (1, 3), (3, 5)}))  # crossing
 
 
+@pytest.mark.parametrize("v", [0, 1, 2])
+def test_a_polygon_of_fewer_than_3_vertices_is_rejected(v):
+    message = f"polygon needs at least 3 vertices, got {v}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        yf.all_triangulations(v)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        yf.Triangulation(v, frozenset())
+
+
 def test_triangle_faces():
     fan = yf.Triangulation(6, frozenset({(0, 2), (0, 3), (0, 4)}))
     assert fan.triangles() == [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)]

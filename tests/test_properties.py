@@ -171,8 +171,8 @@ def edited_entry_lists(draw):
 @given(raw=edited_entry_lists())
 def test_verify_checks_once_per_orbit_with_the_per_entry_verdicts(raw):
     # verify's report must be the one the full check of every entry gives.
-    # (an entry object of None names no orbit root, so every entry gets the
-    # full check, and it leaves out the id and key checks)
+    # (an entry object of None is no catalog entry, so no entry passes
+    # through the orbit table, and it leaves out the id and key checks)
     assert _verify_all([(*entry, None) for entry in raw]) == [_verify_one(*entry) for entry in raw]
 
 
@@ -234,11 +234,6 @@ def hinted_entry_lists(draw):
     return entries
 
 
-def _is_root(entries, r):
-    kind, width, rows, entry = entries[r]
-    return _names(entry, r) and _verify_one(kind, width, rows) is None
-
-
 def _rotations(kind, width, rows):
     return [(kind, width, [row[s:] + row[:s] for row in rows]) for s in range(width + 3)]
 
@@ -252,58 +247,50 @@ def _orbit_tuple(kind, width, rows, r):
 
 def _full_checks_repeats_and_member_counts(entries):
     """Every entry's first violation, worked out from the entries up to it,
-    with no table keyed by rows and no bit masks.  A row of an orbit is made
-    by the first passing entry that names itself, or names an earlier entry
-    that has a violation and no row, and it is owned by the first such maker
-    whose rows rotate into the maker's.  An entry passes through a row if it
-    makes it, or if it names an index that has a row and its rows rotate the
-    owner's.  It repeats an earlier entry that passed through the same row
-    with the same rows; else its orbit tuple is the row's, (r, s, s, glide),
-    r the index the owner named and the glide searched for in the owner's
-    rows, and an entry that passes through no row has none.  Then each
-    owner that names itself and has no violation, and whose orbit size is
-    not the number of distinct rows that passed through its row, gets an
-    orbit violation."""
-    verdicts, hints, through = [], [], []
-    owners = {}  # an index that a maker named -> the owner of the maker's row
+    with no table keyed by rows and no bit masks.  The root of an entry that
+    passes the full check is the first entry in the file that passes it and
+    whose rows rotate into the entry's, itself included.  An entry that
+    passes repeats an earlier entry with its root and its rows, and gets a
+    `distinct` violation naming the root; else it is held to its fields, the
+    orbit ones being (r, s, s, glide), r its root and the glide searched for
+    in r's rows.  Then each entry that is its own root and has no violation,
+    and whose orbit size is not the number of distinct rows of the entries
+    with that root, gets an orbit violation."""
+    passing = [_verify_one(kind, width, rows) is None for kind, width, rows, _ in entries]
+    roots = [next(r for r in range(i + 1) if passing[r]
+                  and (kind, width, rows) in _rotations(*entries[r][:3])) if passing[i] else None
+             for i, (kind, width, rows, _) in enumerate(entries)]
+    verdicts = []
     for i, (kind, width, rows, entry) in enumerate(entries):
-        verdict = _verify_one(kind, width, rows)
-        h = entry.get("orbit_root")
-        h = h if type(h) is int else -1
-        owner = None
-        if h in owners:
-            if (kind, width, rows) in _rotations(*entries[owners[h]][:3]):
-                owner = owners[h]
-        elif verdict is None and (h == i or 0 <= h < i and verdicts[h] is not None):
-            owner = owners[h] = next(j for j in [*owners.values(), i]
-                                     if (kind, width, rows) in _rotations(*entries[j][:3]))
-        hints.append(h)
-        through.append(owner)
-        if verdict is None and owner is not None and any(
-                through[j] == owner and entries[j][2] == rows for j in range(i)):
+        r = roots[i]
+        if r is None:
+            verdict = _verify_one(kind, width, rows)
+        elif any(roots[j] == r and entries[j][2] == rows for j in range(i)):
             verdict = yf.Violation("distinct", -1, -1, "its rows repeat an earlier entry's, "
-                                   f"in the orbit of entry {hints[owner]}")
-        orbit = None if owner is None else _orbit_tuple(*entries[owner][:3], hints[owner])
-        verdicts.append(verdict or _entry_violation(i, kind, width, rows, entry, orbit))
+                                   f"in the orbit of entry {r}")
+        else:
+            verdict = _entry_violation(i, kind, width, rows, entry,
+                                       _orbit_tuple(*entries[r][:3], r))
+        verdicts.append(verdict)
     for r, (kind, width, rows, entry) in enumerate(entries):
-        if owners.get(r) != r or verdicts[r] is not None:
+        if roots[r] != r or verdicts[r] is not None:
             continue
         count = len({tuple(map(tuple, entries[j][2])) for j in range(len(entries))
-                     if through[j] == r})
+                     if roots[j] == r})
         size = _orbit_tuple(kind, width, rows, r)[1]
         if count != size:
             verdicts[r] = yf.Violation("orbit", -1, -1, f"orbit_size {size} is not {count}, "
-                                       "the number of its rotations naming it as orbit_root")
+                                       "the number of its rotations in the file")
     return verdicts
 
 
 @settings(max_examples=150, deadline=None)
 @given(entries=hinted_entry_lists())
-def test_verify_takes_orbit_root_as_a_hint_only(entries):
-    # verify skips the checks on an entry whose orbit_root names a passing
-    # root that it is a rotation of; whatever the hint, the verdicts must be
+def test_verify_holds_each_orbit_root_to_its_first_passing_rotation(entries):
+    # verify skips the checks on an entry whose rows rotate those of an
+    # entry that passed; whatever each orbit_root says, the verdicts must be
     # the full checks' against each entry's orbit tuple, found by brute
-    # force, with each repeat named and each root's members counted.
+    # force, with each repeat named and each root's rotations counted.
     assert _verify_all(entries) == _full_checks_repeats_and_member_counts(entries)
 
 
