@@ -20,7 +20,7 @@ _EXPORTS = {
             "is_arithmetic propagate_y",
     "coxeter": "NonPositive NotClosed Triangulation all_triangulations enumerate_frieze "
                "frieze_from_quiddity quiddity_of",
-    "search": "BoxTooLarge SearchBox SolutionSet enumerate_generic enumerate_w3 enumerate_w4 "
+    "search": "BoxTooLarge SearchBox SolutionSet enumerate_generic enumerate_w4 "
               "oracle_box_check w3_boxes w4_boxes y_plan y_solutions",
     "ymap": "CorrespondenceRecord FiberReport MapFailure apply_p fiber_analysis "
             "orbit_decomposition",

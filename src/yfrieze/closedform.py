@@ -13,10 +13,12 @@ dg = 1+e, eh = (1+g)(1+f), gi = 1+h, solved below in closed form.  Width 4
 with diagonal (a, b, c, d) is analogous with entries e..n.
 
 Each solved entry is written once, as an int (numerator, denominator) pair
-in `_w3_parts`/`_w4_parts`.  The entries are those pairs as Fractions, and
-only building them imports `fractions`; each integrality inequality says
-that one entry is >= 1 (numerator >= denominator, compared as ints, never
-as floats).  The finite search boxes the inequalities imply (SearchBox,
+in `_w3_parts`/`_w4_parts`, from a diagonal of ints >= 1 (a bool, float or
+Fraction is rejected, even one equal to an int).  The entries, W3Entries
+and W4Entries, are plain named tuples of those pairs as Fractions, and only
+building them imports `fractions`; each integrality inequality says that
+one entry is >= 1 (numerator >= denominator, compared as ints, never as
+floats).  The finite search boxes the inequalities imply (SearchBox,
 w3_boxes, w4_boxes) live in `search`, which does not load this module, and
 are re-exported here.
 """
@@ -33,29 +35,17 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class W3Entries(NamedTuple("W3Entries", [(name, "Fraction") for name in "defghi"])):
-    __slots__ = ()
-
-    def as_tuple(self) -> tuple[Fraction, ...]:
-        return tuple(self)
-
-
-class W4Entries(NamedTuple("W4Entries", [(name, "Fraction") for name in "efghijklmn"])):
-    __slots__ = ()
-
-    def as_tuple(self) -> tuple[Fraction, ...]:
-        return tuple(self)
+W3Entries = NamedTuple("W3Entries", [(name, "Fraction") for name in "defghi"])
+W4Entries = NamedTuple("W4Entries", [(name, "Fraction") for name in "efghijklmn"])
 
 
 def _check_diagonal(diag: Sequence[int], width: int) -> tuple[int, ...]:
     vals = tuple(diag)
     if len(vals) != width:
         raise ValueError(f"expected a diagonal of {width} values, got {len(vals)}")
-    if set(map(type, vals)) <= {int} and min(vals) >= 1:  # the usual case, checked in C
-        return vals
-    if any(v < 1 or int(v) != v for v in vals):
+    if not (set(map(type, vals)) <= {int} and min(vals) >= 1):  # in C; a bool is no int
         raise ValueError(f"diagonal values must be positive integers, got {vals}")
-    return tuple(int(v) for v in vals)
+    return vals
 
 
 def _w3_parts(diag: Sequence[int]) -> tuple[tuple[int, int], ...]:

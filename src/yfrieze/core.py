@@ -17,13 +17,13 @@ Entries are plain ints where a pattern is arithmetic and `fractions.Fraction`
 otherwise, and `fractions` is imported only when a value that is not an int
 turns up; every operation is exact and every value is immutable after
 construction, so everything here is safe to share across threads.  A pattern
-is validated once, when it is built: `check_rows` checks the shape, the
-boundary and closure rows and each diamond.  Positivity is checked by
-`coxeter.frieze_from_quiddity` as it builds a frieze, and otherwise by
-`positivity_violation`, which `is_arithmetic` and `verify` call.  Each check
-reads all columns alike, mod the period, so a rotation of a valid pattern is
-valid, and a cyclic shift of a built pattern is made by rotating its rows
-without checking them again.
+is validated once, when it is built: `check_rows` checks the shape (by
+`shape_violation`, which `verify` reads too), the boundary and closure rows
+and each diamond.  Positivity is checked by `coxeter.frieze_from_quiddity`
+as it builds a frieze, and otherwise by `positivity_violation`, which
+`is_arithmetic` and `verify` call.  Each check reads all columns alike, mod
+the period, so a rotation of a valid pattern is valid, and a cyclic shift
+of a built pattern is made by rotating its rows without checking them again.
 
 No output searches for a glide: `orbit_glide` gives it, by the theorem that
 README's "The glide" proves in this alignment.  glide_shift,
@@ -146,15 +146,10 @@ def _shown(value) -> str:
         return f"<int of {n} bits>" if d == 1 else f"<fraction of {n}/{d} bits>"
 
 
-def check_rows(kind: PatternKind, width: int,
-               rows: Sequence[Sequence[Fraction]]) -> Optional[Violation]:
-    """Validate shape, boundary rows, closure and every diamond of a raw grid.
-
-    Returns the first violation in that order, row-major within a check, or
-    None.  Boundary and closure rows are tested by counting their constant,
-    and all diamonds are compared in one pass over the row-major flattened
-    grid; the first failing cell is looked up only when a check fails.
-    """
+def shape_violation(kind: PatternKind, width: int,
+                    rows: Sequence[Sequence]) -> Optional[Violation]:
+    """The first shape violation of a raw grid, or None: a width of at least
+    1, width + 2 rows (Y) or width + 4 (Coxeter), and width + 3 cells in each."""
     period = width + 3
     nrows = width + 2 if kind is PatternKind.Y else width + 4
     if width < 1:
@@ -166,7 +161,22 @@ def check_rows(kind: PatternKind, width: int,
         if len(row) != period:
             return Violation("shape", m, len(row),
                              f"row {m} has {len(row)} entries, expected {period}")
+    return None
 
+
+def check_rows(kind: PatternKind, width: int,
+               rows: Sequence[Sequence[Fraction]]) -> Optional[Violation]:
+    """Validate shape, boundary rows, closure and every diamond of a raw grid.
+
+    Returns the first violation in that order, row-major within a check, or
+    None.  Boundary and closure rows are tested by counting their constant,
+    and all diamonds are compared in one pass over the row-major flattened
+    grid; the first failing cell is looked up only when a check fails.
+    """
+    if (violation := shape_violation(kind, width, rows)) is not None:
+        return violation
+    period = width + 3
+    nrows = len(rows)
     constant_rows = [(0, 0), (nrows - 1, 0)]
     if kind is PatternKind.COXETER:
         constant_rows += [(1, 1), (nrows - 2, 1)]
@@ -292,19 +302,14 @@ def is_arithmetic(pattern: PeriodicPattern) -> bool:
     return positivity_violation(pattern.kind, pattern.width, pattern.rows) is None
 
 
-def _rotate_rows(rows: Sequence[tuple], s: int) -> tuple[tuple, ...]:
-    """Every row rotated left by s columns, 0 <= s < its length."""
-    return tuple(row[s:] + row[:s] for row in rows)
-
-
 def _rotated(pattern: PeriodicPattern, s: int) -> PeriodicPattern:
     """The pattern with every row rotated left by s columns, not checked again.
 
     It takes a built pattern, which its constructor validated, and every
     invariant is rotation-invariant (see the module docstring).
     """
-    return tuple.__new__(PeriodicPattern,
-                         (pattern.kind, pattern.width, _rotate_rows(pattern.rows, s)))
+    return tuple.__new__(PeriodicPattern, (pattern.kind, pattern.width,
+                                           tuple(row[s:] + row[:s] for row in pattern.rows)))
 
 
 def cyclic_shift(pattern: PeriodicPattern, s: int) -> PeriodicPattern:

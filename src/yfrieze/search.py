@@ -3,12 +3,12 @@
 One engine, a depth-first search over the first diagonal (see _scan),
 serves every width:
 
-  * enumerate_w3, enumerate_w4  search the proven boxes, so they are complete
-  * enumerate_generic           searches a caller-supplied box, with no
-                                completeness claim
-  * oracle_box_check            unpruned brute force over a width-3 cube, the
-                                reference showing that the boxes and the
-                                pruning lose nothing
+  * y_solutions          searches a width's boxes: at widths 3 and 4 the
+                         proven ones, so the result is complete
+  * enumerate_generic    searches a caller-supplied box, with no
+                         completeness claim
+  * oracle_box_check     unpruned brute force over a width-3 cube, showing
+                         that the boxes and the pruning lose nothing
 
 y_plan alone decides, checks and names (as catalog parameters) the boxes of
 a width's search; y_solutions runs it.  Each search returns a SolutionSet,
@@ -247,13 +247,9 @@ def _search(width: int, boxes: Sequence[SearchBox], parallelism: int = 1) -> Sol
     return _solution_set(width, chain(rows, *found))
 
 
-def enumerate_w3() -> SolutionSet:
-    """All width-3 diagonals whose six solved entries are positive integers."""
-    return _search(3, w3_boxes())
-
-
 def enumerate_w4(parallelism: int = 1) -> SolutionSet:
-    """All width-4 diagonals whose ten solved entries are positive integers.
+    """All width-4 diagonals whose ten solved entries are positive integers:
+    y_solutions(4), under the name that bench/tracing.py times.
 
     Searches the four proven boxes in one DFS, whose 41 values of x_1 are
     shared by min(parallelism, CPU count, 41) processes (see _search).
@@ -264,9 +260,10 @@ def enumerate_w4(parallelism: int = 1) -> SolutionSet:
 def oracle_box_check(width: int, bound: int) -> SolutionSet:
     """Unpruned brute force over the full cube [1, bound]^3.
 
-    Independent of the proven boxes: visits every triple and tests the six
-    integrality conditions directly.  Meaningful as a box-completeness
-    check only for bound >= 18; smaller bounds just truncate the cube.
+    Independent of the proven boxes: visits every triple and tests directly
+    the integrality of d, i, f and g, which makes all six entries integers.
+    Meaningful as a box-completeness check only for bound >= 18; smaller
+    bounds just truncate the cube.
     """
     if width != 3:
         raise ValueError(f"oracle check is defined for width 3, got {width}")
@@ -276,16 +273,14 @@ def oracle_box_check(width: int, bound: int) -> SolutionSet:
     for a in range(1, bound + 1):
         for b in range(1, bound + 1):
             for c in range(1, bound + 1):
+                # e = c f - 1 and h = a f - 1 are integers if f is, since
+                # (c + 1)(a + b + 1) = p3 - ab and (a + 1)(b + c + 1) = p3 - bc.
                 if (b + 1) % a:
-                    continue
-                if ((c + 1) * (a + b + 1)) % (a * b):
                     continue
                 p3 = a * b + a * c + b * c + a + b + c + 1
                 if p3 % (a * b * c):
                     continue
                 if p3 % (b * (b + 1)):
-                    continue
-                if ((a + 1) * (b + c + 1)) % (b * c):
                     continue
                 if (b + 1) % c:
                     continue

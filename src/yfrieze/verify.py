@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (PatternKind, Violation, check_rows, key_of_rows, orbit_glide,
-                   positivity_violation)
+                   positivity_violation, shape_violation)
 from .io import KEY_NAMES, ORBIT_FIELDS
 
 # The (check, field) pairs of a catalog entry of each kind, in the order checked.
@@ -56,21 +56,18 @@ def _verify_all(entries) -> list[Optional[Violation]]:
     core.orbit_glide(kind, s)), r the first catalog entry whose rows pass and
     s the smallest shift that maps its columns onto themselves, and a bit
     mask of the shifts of the entries that passed through the row.  A catalog
-    entry whose key is held passes through its row unchecked, if it has its
-    kind's number of rows, each with one cell per column (zip drops the rest
-    of a longer row, so only then do the columns fix the rows).  Every other
-    entry gets the full check.  An entry whose shift is already set repeats
-    an earlier one and gets a `distinct` violation.  After the last entry, a
-    root with no violation whose mask does not count s shifts gets an orbit
-    violation.
+    entry whose key is held passes through its row unchecked, if
+    core.shape_violation passes its rows (zip drops the rest of a longer
+    row, so only then do the columns fix the rows).  Every other entry gets
+    the full check.  An entry whose shift is already set repeats an earlier
+    one and gets a `distinct` violation.  After the last entry, a root with
+    no violation whose mask does not count s shifts gets an orbit violation.
     """
     held: dict[tuple, list] = {}  # least rotation of an orbit's columns -> its row
     violations = []
     for i, (kind, width, rows, entry) in enumerate(entries):
         row = None
-        if (entry is not None and width > 0
-                and len(rows) == width + (2 if kind is PatternKind.Y else 4)
-                and all(len(cells) == width + 3 for cells in rows)):
+        if entry is not None and shape_violation(kind, width, rows) is None:
             columns = tuple(zip(*rows))
             shift = columns.index(min(columns))
             least = columns[shift:] + columns[:shift]
@@ -78,7 +75,7 @@ def _verify_all(entries) -> list[Optional[Violation]]:
         violation = _verify_one(kind, width, rows) if row is None else None
         if violation is None and entry is not None:
             if row is None:
-                size = next(s for s in range(1, width + 4) if least[s:] + least[:s] == least)
+                size = next(s for s in range(1, len(least) + 1) if least[s:] + least[:s] == least)
                 row = held[least] = [(i, size, size, orbit_glide(kind, size)), 0]
             if row[1] >> shift & 1:
                 violation = Violation("distinct", -1, -1, "its rows repeat an earlier "

@@ -47,7 +47,7 @@ def no_unreaped_children():
 
 @pytest.fixture(scope="session")
 def w3_solutions():
-    return yf.enumerate_w3()
+    return yf.y_solutions(3)
 
 
 @pytest.fixture(scope="session")

@@ -126,7 +126,7 @@ def first_diagonal_of(pattern: PeriodicPattern) -> tuple[Fraction, ...]:
 def w3_system_holds(diag: Sequence[int], ent: W3Entries) -> bool:
     """Exact check of the six defining relations for width 3."""
     a, b, c = (Fraction(v) for v in diag)
-    d, e, f, g, h, i = ent.as_tuple()
+    d, e, f, g, h, i = ent
     return (a * d == 1 + b
             and b * e == (1 + d) * (1 + c)
             and c * f == 1 + e
@@ -138,7 +138,7 @@ def w3_system_holds(diag: Sequence[int], ent: W3Entries) -> bool:
 def w4_system_holds(diag: Sequence[int], ent: W4Entries) -> bool:
     """Exact check of the ten defining relations for width 4."""
     a, b, c, d = (Fraction(v) for v in diag)
-    e, f, g, h, i, j, k, l, m, n = ent.as_tuple()
+    e, f, g, h, i, j, k, l, m, n = ent
     return (a * e == 1 + b
             and b * f == (1 + e) * (1 + c)
             and c * g == (1 + f) * (1 + d)

@@ -31,7 +31,7 @@ def report(name, detail):
 
 def test_criterion_01_w3_enumeration_exact_and_fast():
     t0 = time.perf_counter()
-    sols = yf.enumerate_w3()
+    sols = yf.y_solutions(3)
     elapsed = time.perf_counter() - t0
     assert sols.diagonals == W3_GOLDEN
     assert list(sols.diagonals) == sorted(sols.diagonals)
@@ -97,8 +97,8 @@ def test_criterion_07_oracle_equivalence():
     t0 = time.perf_counter()
     oracle = yf.oracle_box_check(3, 60)
     elapsed = time.perf_counter() - t0
-    assert oracle.diagonals == yf.enumerate_w3().diagonals
-    assert oracle.full_tuples == yf.enumerate_w3().full_tuples
+    assert oracle.diagonals == yf.y_solutions(3).diagonals
+    assert oracle.full_tuples == yf.y_solutions(3).full_tuples
     assert elapsed < 5.0
     report("criterion 7",
            f"216000-candidate unpruned oracle equals box search in {elapsed:.3f}s (< 5s)")

@@ -1570,6 +1570,10 @@ def test_a_resolved_public_name_is_stored_in_the_package(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_submodule_name_resolves_to_the_submodule():
+    assert yf.__getattr__("ymap") is sys.modules["yfrieze.ymap"]
+
+
 def test_package_import_loads_no_submodule():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(yf.__file__)))
     code = "import sys, yfrieze\nprint(sorted(m for m in sys.modules if 'yfrieze' in m))"

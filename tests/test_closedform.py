@@ -26,9 +26,9 @@ CLOSED_FORMS = {3: (yf.w3_entries, yf.w3_inequalities, w3_domain),
 # ----------------------------------------------------------------- entries
 
 def test_w3_entries_known_diagonals():
-    assert yf.w3_entries((1, 1, 2)).as_tuple() == (2, 9, 5, 5, 4, 1)
-    assert yf.w3_entries((2, 3, 2)).as_tuple() == (2, 3, 2, 2, 3, 2)
-    assert yf.w3_entries((1, 1, 1)).as_tuple() == (2, 6, 7, F(7, 2), 6, 2)
+    assert yf.w3_entries((1, 1, 2)) == (2, 9, 5, 5, 4, 1)
+    assert yf.w3_entries((2, 3, 2)) == (2, 3, 2, 2, 3, 2)
+    assert yf.w3_entries((1, 1, 1)) == (2, 6, 7, F(7, 2), 6, 2)
 
 
 def test_w3_entries_cross_checked_by_propagation():
@@ -38,14 +38,14 @@ def test_w3_entries_cross_checked_by_propagation():
 
 
 def test_w4_entries_known_diagonals():
-    assert yf.w4_entries((1, 1, 2, 3)).as_tuple() == (2, 9, 20, 7, 5, 14, 6, 3, 2, 1)
-    assert yf.w4_entries((2, 3, 2, 3)).as_tuple() == (2, 3, 8, 3, 2, 9, 5, 5, 4, 1)
+    assert yf.w4_entries((1, 1, 2, 3)) == (2, 9, 20, 7, 5, 14, 6, 3, 2, 1)
+    assert yf.w4_entries((2, 3, 2, 3)) == (2, 3, 8, 3, 2, 9, 5, 5, 4, 1)
 
 
 def test_w4_entries_all_ones_diagonal():
     ent = yf.w4_entries((1, 1, 1, 1))
     assert ent.e == 2 and ent.n == 2
-    assert any(v.denominator != 1 for v in ent.as_tuple())
+    assert any(v.denominator != 1 for v in ent)
     pattern = expand_domain(w4_domain((1, 1, 1, 1)))
     assert yf.propagate_y(pattern.rows[1], 4) == pattern
 
@@ -59,11 +59,20 @@ def test_entries_reject_bad_diagonals():
         yf.w4_entries((1, 1, 1))
 
 
+@pytest.mark.parametrize("solve, diag", [
+    (yf.w3_entries, (True, 1, 2)), (yf.w3_entries, (1.0, 1, 2)),
+    (yf.w4_inequalities, (1, 1, 2, 3.0)), (yf.w3_inequalities, (F(2), 1, 2))])
+def test_a_diagonal_value_that_is_not_an_int_is_rejected(solve, diag):
+    # a bool, a float or a Fraction is no int, even when it equals one
+    with pytest.raises(ValueError, match=r"^diagonal values must be positive integers, got "):
+        solve(diag)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(diag3)
 def test_w3_system_holds_for_random_diagonals(diag):
     ent = yf.w3_entries(diag)
-    assert all(v > 0 for v in ent.as_tuple())
+    assert all(v > 0 for v in ent)
     assert w3_system_holds(diag, ent)
 
 
@@ -71,7 +80,7 @@ def test_w3_system_holds_for_random_diagonals(diag):
 @given(diag4)
 def test_w4_system_holds_for_random_diagonals(diag):
     ent = yf.w4_entries(diag)
-    assert all(v > 0 for v in ent.as_tuple())
+    assert all(v > 0 for v in ent)
     assert w4_system_holds(diag, ent)
 
 

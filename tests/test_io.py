@@ -32,6 +32,12 @@ def test_nonintegral_entries_serialize_as_strings():
     assert yf.PeriodicPattern(*raw_patterns_from_obj(obj)[0]) == p
 
 
+def test_io_reads_a_document_as_read_does(frieze3):
+    # io.raw_patterns_from_obj is the name the benchmark traces
+    for obj in (pattern_to_obj(frieze3[0]), catalog_to_obj(io.coxeter_catalog(3))):
+        assert io.raw_patterns_from_obj(obj) == raw_patterns_from_obj(obj)
+
+
 def test_pattern_obj_rejects_garbage():
     with pytest.raises(ValueError):
         raw_patterns_from_obj({"schema": "nope"})

@@ -23,7 +23,7 @@ from oracles import catalog_to_obj, expand_domain, pattern_to_obj, w3_domain
 # Real patterns to mutate, so that valid and nearly valid files are drawn too.
 BASES = [(p.kind.value, p.width, pattern_to_obj(p)["rows"])
          for p in (*yf.enumerate_frieze(1), *yf.enumerate_frieze(3),
-                   *yf.enumerate_w3(),
+                   *yf.y_solutions(3),
                    expand_domain(w3_domain((1, 1, 1))))]
 
 VALUES = st.one_of(st.integers(-2, 12), st.booleans(), st.none(),

@@ -37,7 +37,7 @@ def test_full_tuples_match_closed_forms(w3_solutions, w4_solutions):
     # an independent route to the same entries.
     for sols, entries in ((w3_solutions, yf.w3_entries), (w4_solutions, yf.w4_entries)):
         for diag, full in zip(sols.diagonals, sols.full_tuples):
-            assert full == diag + entries(diag).as_tuple()
+            assert full == diag + entries(diag)
 
 
 def test_solution_sets_closed_under_reversal(w3_solutions, w4_solutions):
@@ -242,7 +242,7 @@ def test_generic_width_4_matches_unpruned_closed_form_scan():
     bound = 12
     unpruned = tuple(diag for diag in product(range(1, bound + 1), repeat=4)
                      if all(v > 0 and v.denominator == 1
-                            for v in yf.w4_entries(diag).as_tuple()))
+                            for v in yf.w4_entries(diag)))
     assert yf.enumerate_generic(4, yf.SearchBox((bound,) * 4)).diagonals == unpruned
 
 

@@ -9,7 +9,9 @@ tests in this process through pytest.main (all of tests/ unless arguments
 are given), and prints, per module, the line and text of each statement
 that never ran.  A statement counts as run when any line of it, or of a
 compound statement's header, produced a line event.  Function docstrings
-and nonlocal/global declarations compile to no code and are skipped.
+and nonlocal/global declarations compile to no code and are skipped, and
+so are the bodies of `if TYPE_CHECKING:` and `if __name__ == "__main__":`,
+which no test run executes by design.
 Children forked by the parallel search are traced too, but their lines
 die with them, so code that only a child runs is listed.  The whole suite
 takes a few minutes under the tracer; `coverage` is not needed.
@@ -50,17 +52,24 @@ import ast  # noqa: E402  (after the tracer starts, so yfrieze's imports are see
 import pytest  # noqa: E402
 
 
+# The tests of the `if` statements whose bodies never run under pytest.
+NEVER_RUN = {"TYPE_CHECKING", "__name__ == '__main__'"}
+
+
 def statement_spans(tree: ast.Module) -> list[tuple[int, int]]:
-    """(first, last) line of each statement that compiles to code; for a
-    compound statement, of its header (decorators included)."""
-    spans, docstrings = [], set()
-    for node in ast.walk(tree):  # breadth-first: a function before its body
+    """(first, last) line of each statement that compiles to code and may
+    run under pytest; for a compound statement, of its header (decorators
+    included)."""
+    spans, skipped = [], set()
+    for node in ast.walk(tree):  # breadth-first: a statement before its body
         body = getattr(node, "body", None)
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and ast.get_docstring(node, clean=False) is not None):
-            docstrings.add(body[0])  # a function docstring runs no code
+            skipped.add(body[0])  # a function docstring runs no code
+        if isinstance(node, ast.If) and ast.unparse(node.test) in NEVER_RUN:
+            skipped.update(child for statement in body for child in ast.walk(statement))
         if (not isinstance(node, ast.stmt) or isinstance(node, (ast.Nonlocal, ast.Global))
-                or node in docstrings):
+                or node in skipped):
             continue
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
         last = max(node.lineno, body[0].lineno - 1) if isinstance(body, list) else node.end_lineno
