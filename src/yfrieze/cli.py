@@ -34,6 +34,10 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
+# The buffer of an --output file: the 44 MB width-9 catalog takes 700 writes, not 5,600.
+_OUTPUT_BUFFER = 1 << 16
+
+
 class _Failure(Exception):
     """_Failure(exit code, message) ends a command; main prints the message as one line."""
 
@@ -64,7 +68,7 @@ def _write(output: Optional[str], write: Callable[[TextIO], object]) -> None:
     an error, so it is written through a buffered file on its descriptor."""
     try:
         if output:
-            with open(output, "w", encoding="utf-8") as fh:
+            with open(output, "w", encoding="utf-8", buffering=_OUTPUT_BUFFER) as fh:
                 write(fh)
         elif isinstance(getattr(sys.stdout, "buffer", None), FileIO):
             with open(sys.stdout.fileno(), "w", encoding="utf-8", closefd=False) as fh:

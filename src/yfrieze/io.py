@@ -22,10 +22,12 @@ row as each member's orbit_root and orbit_size, the size again as its
 intrinsic_period, and core.orbit_glide of the size as its glide_shift, a
 theorem (see core), so it searches for no glide.
 write_catalog_json streams a catalog's text one entry at a time, and holds
-each orbit root's cells as JSON text.
+each orbit root's cells as JSON text, which getters built from the kind
+and width alone rotate to each member's shift.
 
 This module writes the formats; `read` reads them and holds their checks.
-Only the JSON writer imports json, so CSV and table output load none.
+No writer imports json: the JSON writer writes its head itself
+(_json_text).  Only the readers and `map`/`orbits --format json` do.
 
 CSV catalogs carry only the identifying tuples (full entry tuple for Y,
 quiddity for Coxeter), one column per letter, in the same order as JSON.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .core import OrbitPatterns, PatternKind, PeriodicPattern, key_of_rows, orbit_glide
@@ -81,8 +84,31 @@ _CELL_SEP = ",\n" + " " * 10
 _ROW_SEP = "\n        ],\n        [\n          "
 
 
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2) of a catalog's head: dicts with str
+    keys, lists, ints and names that JSON writes as they are (printable
+    ASCII, no quote or backslash).  Anything else, a bool, a float or None
+    included, raises ValueError, so no text it writes differs from json's."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is str and value.isascii() and value.isprintable() \
+            and '"' not in value and "\\" not in value:
+        return f'"{value}"'
+    inner = indent + "  "
+    if type(value) is list:
+        items, brackets = [_json_text(v, inner) for v in value], "[]"
+    elif type(value) is dict and all(type(key) is str for key in value):
+        items = [f"{_json_text(key)}: {_json_text(v, inner)}" for key, v in value.items()]
+        brackets = "{}"
+    else:
+        raise ValueError(f"cannot write {value!r} as JSON verbatim")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _key_json(cells: Iterable[str]) -> str:
-    """A key tuple, given as the strings of its ints, as it reads in its catalog entry."""
+    """A key tuple, given as the JSON text of its cells, as it reads in its catalog entry."""
     return "[\n        " + _KEY_SEP.join(cells) + "\n      ]"
 
 
@@ -98,44 +124,50 @@ class _CellJson(dict):
 def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     """The catalog's JSON text, as json.dumps of its document with indent=2
     and a newline would write it: the head, each entry, then the tail.  An
-    entry is written from a fixed template, its key and counts as the ints
-    the catalog holds (with an indent, json.dumps runs its pure-Python
-    encoder, several times slower).
+    entry is written from a fixed template, its counts as the ints the
+    catalog holds (with an indent, json.dumps runs its pure-Python encoder,
+    several times slower).
     The boundary rows are joined once.  The first time an orbit is met, its
-    root's interior cells are rendered into a flat tuple, whose slices,
-    rotated to a member's shift, are joined into its rows."""
-    import json
-    head = json.dumps({"schema": CATALOG_SCHEMA, "kind": catalog.kind.value,
-                       "width": catalog.width, "parameters": catalog.parameters},
-                      indent=2)
-    yield head[:-2] + ',\n  "patterns": ['
-    is_y = catalog.kind is PatternKind.Y
-    key_name = KEY_NAMES[catalog.kind]
+    root's interior cells are rendered into a flat tuple, the only state
+    held per orbit.  Getters built from the kind and width alone, never
+    from a root, read a member at shift s off that tuple: turns[s] holds one
+    getter per interior row, which returns its cells rotated left by s, and
+    keys[s] the one that picks the member's key, as key_of_rows reads it
+    off the rows of the tuple's indices.  Each picks two cells or more (a
+    row holds width + 3), so each returns a tuple."""
+    kind, width = catalog.kind, catalog.width
+    text = _json_text({"schema": CATALOG_SCHEMA, "kind": kind.value, "width": width,
+                       "parameters": catalog.parameters})
+    yield text[:-2] + ',\n  "patterns": ['
+    is_y = kind is PatternKind.Y
+    key_name = KEY_NAMES[kind]
     cell = _CellJson().__getitem__
-    cols = catalog.width + 3
+    cols = width + 3
     zeros, ones = (_CELL_SEP.join(map(cell, [v] * cols)) for v in (0, 1))
     top, bottom = ([zeros], [zeros]) if is_y else ([zeros, ones], [ones, zeros])
+    grid = [tuple(range(j, j + cols)) for j in range(0, width * cols, cols)]  # the tuple's indices
+    turns = [[itemgetter(*(row[s:] + row[:s])) for row in grid] for s in range(cols)]
+    keys = [itemgetter(*key_of_rows(kind, width, [()] * len(top) + grid, s)) for s in range(cols)]
     held = catalog.patterns
     orbits: dict = {}  # orbit -> its root's interior cells, row by row in one tuple
     for i in range(len(held)):
         k, s = held.locate(i)
-        root = held.roots[k]
-        key = key_of_rows(catalog.kind, catalog.width, root.rows, s)
-        diagonal = (f'      "diagonal": {_key_json(map(str, key[:catalog.width]))},\n'
-                    if is_y else "")
-        if k not in orbits:
-            orbits[k] = tuple(map(cell, chain.from_iterable(root.rows[len(top):-len(top)])))
-        flat, (head, size) = orbits[k], held.heads[k]
-        cells = _ROW_SEP.join(top + [_CELL_SEP.join(flat[j + s:j + cols] + flat[j:j + s])
-                                     for j in range(0, len(flat), cols)] + bottom)
+        flat = orbits.get(k)
+        if flat is None:
+            flat = orbits[k] = tuple(map(cell, chain.from_iterable(
+                held.roots[k].rows[len(top):-len(top)])))
+        key = keys[s](flat)
+        diagonal = f'      "diagonal": {_key_json(key[:width])},\n' if is_y else ""
+        rows = _ROW_SEP.join(top + [_CELL_SEP.join(g(flat)) for g in turns[s]] + bottom)
+        head, size = held.heads[k]
         yield (
             f'{"," if i else ""}\n    {{\n      "id": {i},\n'
-            f'      "{key_name}": {_key_json(map(str, key))},\n{diagonal}'
+            f'      "{key_name}": {_key_json(key)},\n{diagonal}'
             f'      "orbit_root": {head},\n'
             f'      "orbit_size": {size},\n'
             f'      "intrinsic_period": {size},\n'
-            f'      "glide_shift": {orbit_glide(catalog.kind, size)},\n'
-            f'      "rows": [\n        [\n          {cells}\n        ]\n      ]\n    }}')
+            f'      "glide_shift": {orbit_glide(kind, size)},\n'
+            f'      "rows": [\n        [\n          {rows}\n        ]\n      ]\n    }}')
     yield "\n  ]\n}\n" if held else "]\n}\n"
 
 

@@ -183,3 +183,27 @@ def test_verify_all_reads_no_field_of_an_entry():
                       if isinstance(node, ast.FunctionDef) and node.name == "_verify_all")
     assert _entry_reads(verify_all) == set()
     assert "entry.get" in _entry_reads(tree)
+
+
+# io writes each format itself, a JSON catalog's head included
+# (io._json_text), so no `enumerate` run loads json: only the readers and
+# `map`/`orbits --format json` import it.
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Every absolute module a module imports, at its top or in a function."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_the_import_check_sees_each_form():
+    tree = ast.parse("import json\ndef f():\n    from json import dumps\n"
+                     "    import json.decoder as d\nfrom . import json\nfrom .json import x\n")
+    assert _imported_modules(tree) == {"json", "json.decoder"}
+
+
+def test_io_imports_no_json():
+    assert {m for m in _imported_modules(_tree("io.py")) if m.split(".")[0] == "json"} == set()

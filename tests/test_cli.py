@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from io import FileIO, TextIOWrapper
 from pathlib import Path
 
 import pytest
@@ -1369,6 +1370,29 @@ def test_stdout_closed_by_its_reader_is_one_write_error(fmt, unbuffered, tmp_pat
     assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
+def test_unbuffered_stdout_is_written_through_a_file_and_a_failed_write_ends_on_devnull(
+        monkeypatch):
+    # in process, with stdout unbuffered as under `python -u` (its buffer a
+    # FileIO) on a pipe of the test's own, so the dup2 onto /dev/null that
+    # follows a failed write lands on the pipe, not on the test's stdout
+    from yfrieze import cli
+    read_end, write_end = os.pipe()
+    stdout = TextIOWrapper(FileIO(write_end, "w"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    own_stdout = os.fstat(1)
+    try:
+        cli._write(None, lambda fh: fh.write("one\ntwo\n"))
+        assert os.read(read_end, 100) == b"one\ntwo\n"
+        os.close(read_end)
+        with pytest.raises(cli._Failure) as failure:
+            cli._write(None, lambda fh: fh.write("three\n"))
+        assert failure.value.args == (2, "cannot write stdout: [Errno 32] Broken pipe")
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        assert os.path.samestat(os.fstat(1), own_stdout)
+    finally:
+        stdout.close()
+
+
 def _modules_after(code, argv=()):
     """Run `code` in a fresh interpreter; return its stdout and the sorted
     names in sys.modules after it, which the child lists with no import of
@@ -1435,6 +1459,17 @@ def test_coxeter_json_enumeration_loads_only_the_catalog_modules():
     assert _in_packages(modules, "yfrieze") == [
         "yfrieze", "yfrieze.cli", "yfrieze.core", "yfrieze.coxeter", "yfrieze.io"]
     assert_same_text(out.decode(), io.catalog_to_json(io.coxeter_catalog(4)))
+
+
+def test_coxeter_json_enumeration_to_a_file_loads_no_json(tmp_path):
+    # the writer writes the head itself, so the run loads none of json's modules
+    from yfrieze import io
+    path = tmp_path / "cox4.json"
+    _, modules = _loaded_modules(["enumerate", "--kind", "coxeter", "--width", "4",
+                                  "--format", "json", "--output", str(path)])
+    assert "yfrieze.io" in modules
+    assert _in_packages(modules, "json", "_json") == []
+    assert_same_text(path.read_text(encoding="utf-8"), io.catalog_to_json(io.coxeter_catalog(4)))
 
 
 @pytest.mark.parametrize("argv", [

@@ -222,6 +222,9 @@ def test_built_width_8_coxeter_catalog_holds_under_0_9_mb():
 
 
 @pytest.mark.parametrize("width,digest", [
+    (1, "f41784f4d5ed15b06a2fb241a23da9a7e1ac6c9ea467f28bde70812008f90a79"),
+    (2, "cd27568e432624ab9f75dae7b845061047cb3d2a0810347636845d20d54c3433"),
+    (3, "78fe1b616108d53934d9b46ad98c381e3db50f3c14bbbc60316275d53672331a"),
     (4, "0bd8ac7f4308a1181cab0065bedeadfa4780820aea2c32ddc9cebc852e00181c"),
     (7, "6a9422cbf58f09f57d13ba4e374e06c24ff6e4e9ad03b7a03593898792e0700d"),
     (8, "f97f120bc1d3ce939a64d7c6a9b9e050abdc322aa9615851730bc30ae95f5f4a"),
@@ -270,6 +273,33 @@ def test_y_catalog_parameters_and_json_are_pinned(monkeypatch, width, bounds, pa
     catalog = io.y_catalog(width, bounds=bounds)
     assert catalog.parameters == parameters
     assert hashlib.sha256(io.catalog_to_json(catalog).encode()).hexdigest() == digest
+
+
+def _head(kind, width, parameters):
+    return {"schema": io.CATALOG_SCHEMA, "kind": kind, "width": width, "parameters": parameters}
+
+
+def test_head_writer_matches_json_dumps_on_every_parameters_the_package_builds(monkeypatch):
+    # the JSON writer writes its head itself, so that no enumerate run
+    # imports json; Coxeter catalogs are built empty here, for their parameters
+    from yfrieze import coxeter, search
+    from yfrieze.core import OrbitPatterns
+    monkeypatch.setattr(coxeter, "enumerate_frieze", lambda width: OrbitPatterns([], None))
+    heads = [_head("coxeter", w, io.coxeter_catalog(w).parameters) for w in range(1, 11)]
+    heads += [_head("y", w, search.y_plan(w)[0]) for w in (1, 2, 3, 4)]
+    heads.append(_head("y", 5, search.y_plan(5, (3, 5, 7, 5, 3))[0]))
+    assert [h["parameters"]["mode"] for h in heads[10:]] == (
+        ["generic"] * 2 + ["proven-boxes"] * 2 + ["generic"])
+    for head in heads:
+        assert io._json_text(head) == json.dumps(head, indent=2)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, float("nan"), None, "a\"b", "a\\b", "é",
+                                   "tab\t", "\x7f", (1, 2), {1: 2}, {None: 1}, 2 ** 70 + 0.5])
+def test_head_writer_refuses_what_it_cannot_write_verbatim(value):
+    for holder in (value, [1, value], {"parameters": {"boxes": [[value]]}}):
+        with pytest.raises(ValueError, match="cannot write"):
+            io._json_text(holder)
 
 
 def _writer_catalogs():

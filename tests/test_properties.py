@@ -390,3 +390,37 @@ def test_streamed_read_of_a_broken_entry_stops_at_the_value_limit():
         with pytest.raises(read._Unstreamable):
             list(read._streamed(fh))
     assert fh.tell() < 4000 < len(text)
+
+
+# io._json_text writes a catalog's head without json: dicts with name keys,
+# lists, ints and names, the names printable ASCII with no quote or backslash.
+NAMES = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                              blacklist_characters='"\\'), max_size=6)
+HEAD_LEAVES = st.one_of(st.integers(), NAMES)
+ANY_LEAVES = st.one_of(HEAD_LEAVES, st.booleans(), st.none(), st.floats(), st.text(max_size=4))
+
+
+def _nested(leaves, keys):
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(keys, children, max_size=4)),
+        max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_nested(HEAD_LEAVES, NAMES))
+def test_head_writer_writes_what_json_dumps_writes(value):
+    assert io._json_text(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_nested(ANY_LEAVES, st.one_of(st.text(max_size=4), st.integers(), st.none())))
+def test_head_writer_raises_rather_than_write_invalid_json(value):
+    # a bool, a float, None, a non-str key or a str that needs an escape
+    # is refused; whatever is written is json's text and reads back as value
+    try:
+        text = io._json_text(value)
+    except ValueError as exc:
+        assert "cannot write" in str(exc)
+        return
+    assert text == json.dumps(value, indent=2)
+    assert json.loads(text) == value
