@@ -78,7 +78,9 @@ def _write(output: Optional[str], write: Callable[[TextIO], object]) -> None:
             sys.stdout.flush()
     except OSError as exc:
         if not output:  # point stdout at /dev/null, so the flush at exit cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise _Failure(EXIT_USAGE, f"cannot write {output or 'stdout'}: {exc}")
 
 
@@ -225,11 +227,8 @@ def cmd_map(args) -> int:
             "verdict": verdict,
         }, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["frieze_id,yfrieze_id,s,t"]
-        lines += [f"{r.frieze_id},{r.yfrieze_id},{r.frieze_orbit_size},{r.y_orbit_size}"
-                  for r in report.records]
-        lines.append(f"# verdict: {verdict}")
-        text = "\n".join(lines) + "\n"
+        text = io.csv_text(("frieze_id", "yfrieze_id", "s", "t"), report.records)
+        text += f"# verdict: {verdict}\n"
     else:
         rows = [(r.frieze_id, r.yfrieze_id,
                  f"{r.frieze_orbit_size}:{r.y_orbit_size}") for r in report.records]
@@ -250,15 +249,10 @@ def cmd_orbits(args) -> int:
             "orbits": [{"root": orbit[0], "size": len(orbit), "members": orbit}
                        for orbit in orbits],
         }, indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["root,size,members"]
-        lines += [f"{orbit[0]},{len(orbit)},{';'.join(map(str, orbit))}"
-                  for orbit in orbits]
-        text = "\n".join(lines) + "\n"
     else:
-        text = _table(("root", "size", "members"),
-                      [(orbit[0], len(orbit), ";".join(map(str, orbit)))
-                       for orbit in orbits])
+        header = ("root", "size", "members")
+        rows = [(orbit[0], len(orbit), ";".join(map(str, orbit))) for orbit in orbits]
+        text = io.csv_text(header, rows) if args.format == "csv" else _table(header, rows)
     _emit(text, args.output)
     return EXIT_OK
 

@@ -51,6 +51,10 @@ class PatternKind(Enum):
     COXETER = "coxeter"
 
 
+# Each kind's boundary rows, outermost first, held above the interior and reversed below.
+BOUNDARY_ROWS = {PatternKind.Y: (0,), PatternKind.COXETER: (0, 1)}
+
+
 class FriezeError(Exception):
     """Base class for all pattern construction and verification errors."""
 
@@ -149,9 +153,9 @@ def _shown(value) -> str:
 def shape_violation(kind: PatternKind, width: int,
                     rows: Sequence[Sequence]) -> Optional[Violation]:
     """The first shape violation of a raw grid, or None: a width of at least
-    1, width + 2 rows (Y) or width + 4 (Coxeter), and width + 3 cells in each."""
+    1, width + 2 * len(BOUNDARY_ROWS[kind]) rows and width + 3 cells in each."""
     period = width + 3
-    nrows = width + 2 if kind is PatternKind.Y else width + 4
+    nrows = width + 2 * len(BOUNDARY_ROWS[kind])
     if width < 1:
         return Violation("shape", -1, -1, f"width must be >= 1, got {width}")
     if len(rows) != nrows:
@@ -176,19 +180,17 @@ def check_rows(kind: PatternKind, width: int,
     if (violation := shape_violation(kind, width, rows)) is not None:
         return violation
     period = width + 3
-    nrows = len(rows)
-    constant_rows = [(0, 0), (nrows - 1, 0)]
-    if kind is PatternKind.COXETER:
-        constant_rows += [(1, 1), (nrows - 2, 1)]
-    for m, expected in constant_rows:
-        if rows[m].count(expected) != period:
-            k, v = next((k, v) for k, v in enumerate(rows[m]) if v != expected)
-            return Violation("boundary", m, k, f"expected constant {expected}, got {_shown(v)}")
+    boundary = BOUNDARY_ROWS[kind]
+    for b, expected in enumerate(boundary):  # rows 0, R-1, then 1, R-2
+        for m in (b, len(rows) - 1 - b):
+            if rows[m].count(expected) != period:
+                k, v = next((k, v) for k, v in enumerate(rows[m]) if v != expected)
+                return Violation("boundary", m, k,
+                                 f"expected constant {expected}, got {_shown(v)}")
 
     # An interior row equal to the closing boundary row means the pattern
     # already closed at a smaller width.
-    sentinel = 0 if kind is PatternKind.Y else 1
-    first_interior = 1 if kind is PatternKind.Y else 2
+    sentinel, first_interior = boundary[-1], len(boundary)
     for m in range(first_interior, first_interior + width):
         if rows[m].count(sentinel) == period:
             return Violation("closure", m, 0,
@@ -291,7 +293,7 @@ def positivity_violation(kind: PatternKind, width: int,
                          rows: Sequence[Sequence[Fraction]]) -> Optional[Violation]:
     """The first interior entry, row-major, of rows that pass check_rows
     that is not a positive integer, as a positivity Violation, or None."""
-    first = 1 if kind is PatternKind.Y else 2
+    first = len(BOUNDARY_ROWS[kind])
     return next((Violation("positivity", m, k, f"interior entry {v} is not a positive integer")
                  for m in range(first, first + width) for k, v in enumerate(rows[m])
                  if v <= 0 or v.denominator != 1), None)

@@ -40,7 +40,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
-from .core import OrbitPatterns, PatternKind, PeriodicPattern, key_of_rows, orbit_glide
+from .core import (BOUNDARY_ROWS, OrbitPatterns, PatternKind, PeriodicPattern, key_of_rows,
+                   orbit_glide)
 
 PATTERN_SCHEMA = "frieze/1"
 CATALOG_SCHEMA = "frieze-catalog/1"
@@ -143,8 +144,8 @@ def _catalog_json_parts(catalog: Catalog) -> Iterator[str]:
     key_name = KEY_NAMES[kind]
     cell = _CellJson().__getitem__
     cols = width + 3
-    zeros, ones = (_CELL_SEP.join(map(cell, [v] * cols)) for v in (0, 1))
-    top, bottom = ([zeros], [zeros]) if is_y else ([zeros, ones], [ones, zeros])
+    top = [_CELL_SEP.join(map(cell, [v] * cols)) for v in BOUNDARY_ROWS[kind]]
+    bottom = top[::-1]
     grid = [tuple(range(j, j + cols)) for j in range(0, width * cols, cols)]  # the tuple's indices
     turns = [[itemgetter(*(row[s:] + row[:s])) for row in grid] for s in range(cols)]
     keys = [itemgetter(*key_of_rows(kind, width, [()] * len(top) + grid, s)) for s in range(cols)]
@@ -206,11 +207,13 @@ def entry_keys(catalog: Catalog) -> Iterator[tuple]:
             for k, s in map(held.locate, range(len(held))))
 
 
+def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """The header line, then each row's cells as str, joined by commas."""
+    return "".join(",".join(map(str, row)) + "\n" for row in chain([header], rows))
+
+
 def catalog_to_csv(catalog: Catalog) -> str:
-    header = tuple_header(catalog.kind, catalog.width)
-    lines = [",".join(header)]
-    lines += [",".join(map(str, key)) for key in entry_keys(catalog)]
-    return "\n".join(lines) + "\n"
+    return csv_text(tuple_header(catalog.kind, catalog.width), entry_keys(catalog))
 
 
 def tuples_from_csv(text: str) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes and output determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -1196,6 +1197,23 @@ def test_orbits_csv(capsys, kind, width):
                "--format", "csv") == (0, ORBITS_CSV[kind, width], "")
 
 
+# orbits' table output, byte for byte
+ORBITS_TABLE = {
+    ("coxeter", 4): "root  size               members\n"
+                    "   0     7    0;9;17;22;27;28;41\n   1     7    1;3;21;23;26;37;40\n"
+                    "   2     7     2;6;7;24;29;31;38\n   4     7   4;12;15;19;25;35;39\n"
+                    "   5     7    5;8;10;16;30;32;34\n  11     7  11;13;14;18;20;33;36\n",
+    ("y", 3): "root  size  members\n   0     3    0;5;8\n   1     3    1;6;7\n"
+              "   2     3    2;3;9\n   4     1        4\n",
+}
+
+
+@pytest.mark.parametrize("kind,width", sorted(ORBITS_TABLE))
+def test_orbits_table(capsys, kind, width):
+    assert run(capsys, "orbits", "--kind", kind, "--width", str(width),
+               "--format", "table") == (0, ORBITS_TABLE[kind, width], "")
+
+
 @pytest.mark.parametrize("kind,width",
                          [("y", 3), ("y", 4), *(("coxeter", w) for w in range(1, 6))])
 def test_orbits_json_matches_orbit_decomposition(capsys, kind, width):
@@ -1379,6 +1397,15 @@ def test_unbuffered_stdout_is_written_through_a_file_and_a_failed_write_ends_on_
     read_end, write_end = os.pipe()
     stdout = TextIOWrapper(FileIO(write_end, "w"), encoding="utf-8")
     monkeypatch.setattr(sys, "stdout", stdout)
+    devnulls, os_open = [], os.open
+
+    def recording_open(path, *args, **kwargs):
+        fd = os_open(path, *args, **kwargs)
+        if path == os.devnull:
+            devnulls.append(fd)
+        return fd
+
+    monkeypatch.setattr(os, "open", recording_open)
     own_stdout = os.fstat(1)
     try:
         cli._write(None, lambda fh: fh.write("one\ntwo\n"))
@@ -1389,6 +1416,11 @@ def test_unbuffered_stdout_is_written_through_a_file_and_a_failed_write_ends_on_
         assert failure.value.args == (2, "cannot write stdout: [Errno 32] Broken pipe")
         assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
         assert os.path.samestat(os.fstat(1), own_stdout)
+        # the descriptor opened on /dev/null was closed once it was copied
+        assert len(devnulls) == 1
+        with pytest.raises(OSError) as closed:
+            os.fstat(devnulls[0])
+        assert closed.value.errno == errno.EBADF
     finally:
         stdout.close()
 

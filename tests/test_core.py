@@ -439,6 +439,25 @@ def test_check_rows_matches_the_oracle_on_tampered_grids(data):
     assert check_rows(p.kind, width, rows) == oracle_check_rows(p.kind, width, rows)
 
 
+@pytest.mark.parametrize("kind", list(PatternKind))
+def test_check_rows_names_broken_boundary_rows_outermost_first_top_before_bottom(kind):
+    # Every boundary row broken, then mended one at a time: each check names
+    # the next row of 0, R-1 (then 1, R-2 for a frieze), as the oracle does.
+    p = yf.propagate_y((3, 3, 1, 3, 3, 1), 3) if kind is PatternKind.Y \
+        else yf.enumerate_frieze(3)[0]
+    last = len(p.rows) - 1
+    order = [0, last] if kind is PatternKind.Y else [0, last, 1, last - 1]
+    rows = [list(row) for row in p.rows]
+    for m in order:
+        rows[m][m % p.period] = 7
+    for m in order:
+        violation = check_rows(kind, 3, rows)
+        assert violation == oracle_check_rows(kind, 3, rows) == Violation(
+            "boundary", m, m % p.period, f"expected constant {p.rows[m][0]}, got 7")
+        rows[m] = list(p.rows[m])
+    assert check_rows(kind, 3, rows) is None
+
+
 def test_every_diamond_of_every_kind_holds(y4_patterns, frieze4):
     for p in y4_patterns:
         for w, e, n_val, s in diamonds(p):

@@ -1,5 +1,6 @@
 """Box enumeration, generic diagonal search and the brute-force oracle."""
 
+import errno
 import os
 import re
 from itertools import product
@@ -119,6 +120,33 @@ def test_a_failed_child_is_an_error_and_is_reaped(monkeypatch):
     monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 3)
     with pytest.raises(yf.FriezeError, match="2 of 2 search worker processes failed"):
         yf.enumerate_w4(parallelism=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="children are started with os.fork")
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_children_already_forked(monkeypatch):
+    pipes, os_pipe, os_fork = [], os.pipe, os.fork
+
+    def recording_pipe():
+        pipes.extend(os_pipe())
+        return pipes[-2], pipes[-1]
+
+    def fork_once():  # the second fork fails, as when the process limit is reached
+        if len(pipes) > 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return os_fork()
+
+    monkeypatch.setattr(yf.search.os, "pipe", recording_pipe)
+    monkeypatch.setattr(yf.search.os, "fork", fork_once)
+    monkeypatch.setattr(yf.search.os, "cpu_count", lambda: 3)
+    with pytest.raises(OSError, match="Resource temporarily unavailable"):
+        yf.enumerate_w4(parallelism=3)
+    assert len(pipes) == 4
+    for fd in pipes:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

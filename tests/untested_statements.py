@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python tests/untested_statements.py [pytest arguments]
+    python tests/untested_statements.py [--check] [pytest arguments]
 
 It starts a sys.settrace tracer before importing anything else, runs the
 tests in this process through pytest.main (all of tests/ unless arguments
@@ -15,6 +15,10 @@ which no test run executes by design.
 Children forked by the parallel search are traced too, but their lines
 die with them, so code that only a child runs is listed.  The whole suite
 takes a few minutes under the tracer; `coverage` is not needed.
+
+With --check it also exits 1 when a statement goes untested outside the
+branch that only the forked child runs (the body of `if pid == 0:` in
+search._fork_scan); when the tests fail it exits with pytest's code.
 """
 
 import os
@@ -54,6 +58,8 @@ import pytest  # noqa: E402
 
 # The tests of the `if` statements whose bodies never run under pytest.
 NEVER_RUN = {"TYPE_CHECKING", "__name__ == '__main__'"}
+# The module, function and `if` test of the branch only a forked child runs.
+CHILD_ONLY = ("search.py", "_fork_scan", "pid == 0")
 
 
 def statement_spans(tree: ast.Module) -> list[tuple[int, int]]:
@@ -77,13 +83,27 @@ def statement_spans(tree: ast.Module) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
+def child_only_lines(tree: ast.Module) -> set[int]:
+    """The lines of the CHILD_ONLY branch's body in the module's tree."""
+    _, function, test = CHILD_ONLY
+    return {line for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == function
+            for branch in ast.walk(node)
+            if isinstance(branch, ast.If) and ast.unparse(branch.test) == test
+            for statement in branch.body
+            for line in range(statement.lineno, statement.end_lineno + 1)}
+
+
 def main() -> int:
-    args = sys.argv[1:] or [os.path.join(ROOT, "tests")]
+    args = sys.argv[1:]
+    check = "--check" in args
+    args = [arg for arg in args if arg != "--check"] or [os.path.join(ROOT, "tests")]
     code = pytest.main(["-q", "-p", "no:cacheprovider", *args])
     sys.settrace(None)
     ran: dict[str, set[int]] = {}
     for name, lines in executed.items():
         ran.setdefault(os.path.realpath(name), set()).update(lines)
+    unexpected: list[str] = []
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
@@ -91,11 +111,18 @@ def main() -> int:
         with open(path) as f:
             source = f.read()
         lines, seen = source.splitlines(), ran.get(path, set())
-        spans = statement_spans(ast.parse(source))
+        tree = ast.parse(source)
+        spans = statement_spans(tree)
         missed = [first for first, last in spans if seen.isdisjoint(range(first, last + 1))]
         print(f"src/yfrieze/{name}: {len(missed)} of {len(spans)} statements untested")
         for line in missed:
             print(f"  {line}: {lines[line - 1].strip()}")
+        child = child_only_lines(tree) if name == CHILD_ONLY[0] else set()
+        unexpected += [f"src/yfrieze/{name}:{line}" for line in missed if line not in child]
+    if check and not code and unexpected:
+        print(f"--check: {len(unexpected)} untested outside the forked child: "
+              + ", ".join(unexpected))
+        return 1
     return int(code)
 
 
